@@ -53,13 +53,27 @@ EXIT_PARAM_POLE = 3
 EXIT_X_POLE = 4
 
 
+#: Largest series order accepted from --series, --order or
+#: QDIM_SERIES_ORDER; it bounds the time and memory of one expansion.
+MAX_SERIES_ORDER = 512
+
+
 class _UsageError(Exception):
     pass
 
 
-def default_order() -> int:
-    """Series truncation order, overridable via QDIM_SERIES_ORDER."""
-    return int(os.environ.get("QDIM_SERIES_ORDER", DEFAULT_ORDER))
+def _series_order(given: int | None) -> int:
+    """The series order given on the command line, else QDIM_SERIES_ORDER,
+    else DEFAULT_ORDER, checked against 0..MAX_SERIES_ORDER."""
+    if given is not None:
+        order, source = given, "series order"
+    else:
+        order = int(os.environ.get("QDIM_SERIES_ORDER", DEFAULT_ORDER))
+        source = "QDIM_SERIES_ORDER"
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise _UsageError(f"{source} must be between 0 and MAX_SERIES_ORDER = "
+                          f"{MAX_SERIES_ORDER}, got {order}")
+    return order
 
 
 def _frac(value: Fraction) -> str:
@@ -335,7 +349,7 @@ def cmd_qdim(args) -> dict:
         inputs["x"] = args.x
         results = {"value": product.value_at(args.x)}
     else:
-        order = args.series if args.series is not None else default_order()
+        order = _series_order(args.series)
         inputs["series_order"] = order
         series = product.series(order)
         coeffs = [[m, _frac(series[m])] for m in range(0, order + 1, 2)]
@@ -345,7 +359,7 @@ def cmd_qdim(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    order = args.order if args.order is not None else default_order()
+    order = _series_order(args.order)
     inputs = {"identity": args.identity, "order": order, "seed": args.seed,
               "mode": args.mode}
     if args.identity in ("s2", "a2", "s3"):
@@ -440,14 +454,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, help="Y2(beta) factors (kind=z)")
     p.add_argument("--x", type=float, help="evaluate numerically at x")
     p.add_argument("--series", type=int, metavar="ORDER",
-                   help="emit exact series coefficients to this order")
+                   help="emit exact series coefficients to this order "
+                        f"(0..{MAX_SERIES_ORDER}; default QDIM_SERIES_ORDER "
+                        f"or {DEFAULT_ORDER})")
     p.set_defaults(handler=cmd_qdim)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run an identity or cross-check suite")
     p.add_argument("identity",
                    choices=["s2", "a2", "s3", "specialization", "g2zero"])
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int,
+                   help=f"series truncation order (0..{MAX_SERIES_ORDER}; "
+                        f"default QDIM_SERIES_ORDER or {DEFAULT_ORDER})")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[SERIES, NUMERIC], default=SERIES)

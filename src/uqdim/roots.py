@@ -295,8 +295,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     for mu in simple:
         assert 2 * gram(rho, mu) / gram(mu, mu) == 1
 
+    # Highest root of the subsystem orthogonal to theta: the positive root mu
+    # with (theta, mu) = 0 maximising (rho, mu), ties broken lexicographically
+    # for determinism (the maximiser is unique whenever the orthogonal
+    # subsystem is simple).
     orthogonal = [mu for mu in positive if gram(theta, mu) == 0]
-    sigma = max(orthogonal, key=lambda mu: (gram(rho, mu), mu)) if orthogonal else None
+    sigma = max(orthogonal, key=lambda mu: (gram(rho, mu), mu), default=None)
 
     cartan = [[2 * gram(a, b) / gram(b, b) for b in simple] for a in simple]
     inverse = _invert(cartan)
@@ -321,16 +325,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 def compute_sigma(rs: RootSystem) -> Vector:
-    """Highest root of the subsystem orthogonal to theta: the positive root
-    mu with (theta, mu) = 0 maximising (rho, mu), ties broken
-    lexicographically for determinism (the maximiser is unique whenever the
-    orthogonal subsystem is simple)."""
-    orthogonal = [mu for mu in rs.positive_roots if rs.gram(rs.theta, mu) == 0]
-    if not orthogonal:
+    """Highest root of the subsystem orthogonal to theta, as found by
+    :func:`build_root_system`; raises when that subsystem is empty."""
+    if rs.sigma is None:
         raise EmptyOrthogonalSubsystem(
             f"no positive root of {rs.family}{rs.rank} is orthogonal to the highest root"
         )
-    return max(orthogonal, key=lambda mu: (rs.gram(rs.rho, mu), mu))
+    return rs.sigma
 
 
 def weight_from_dynkin(rs: RootSystem, labels: Sequence[int]) -> Weight:

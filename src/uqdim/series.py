@@ -10,13 +10,21 @@ identity checker) is built from two primitives defined here:
   be expanded into an exact series, evaluated in floating point, or collapsed
   to its value at ``x = 0``.
 
+A product is expanded in one step, as the exponential of integer power sums
+of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
+whose coefficients come from the tangent numbers (Knuth & Buckholtz,
+*Computation of tangent, Euler, and Bernoulli numbers*, Math. Comp. 21,
+1967).  Those coefficients are computed on first use and cached.
+
 All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no locking.
+function.  The only shared state is that coefficient cache, which grows
+under a lock, so concurrent use needs no locking by the caller.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -264,6 +272,44 @@ def cosh_series(coefficient: RationalLike, order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
+def tangent_numbers(n: int) -> list[int]:
+    """The first n tangent numbers T_1, T_3, ..., T_{2n-1} = 1, 2, 16, 272,
+    7936, ... by the integer recurrence of Knuth & Buckholtz (1967)."""
+    t = [math.factorial(k) for k in range(n)]
+    for k in range(1, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+_LOG_COEFFS: tuple[tuple[Fraction, Fraction], ...] = ()
+_LOG_COEFFS_LOCK = threading.Lock()
+
+
+def log_coefficients(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """At least n pairs ``(c_k, h_k)``, k = 1, 2, ..., of the even series
+    ``log(sinh z / z) = sum c_k z^{2k}`` and ``log cosh z = sum h_k z^{2k}``.
+
+    ``h_k = (-1)^(k-1) T_{2k-1} / (2k)!`` and ``c_k = h_k / (4^k - 1)``, the
+    latter from ``sinh 2z = 2 sinh z cosh z``.  The cache only grows: a
+    longer request appends entries and keeps the existing ones.
+    """
+    global _LOG_COEFFS
+    with _LOG_COEFFS_LOCK:
+        have = len(_LOG_COEFFS)
+        if have < n:
+            size = max(n, 2 * have)
+            tangent = tangent_numbers(size)
+            factorial = math.factorial(2 * have)
+            fresh = []
+            for k in range(have + 1, size + 1):
+                factorial *= (2 * k - 1) * (2 * k)
+                h = Fraction((-1) ** (k - 1) * tangent[k - 1], factorial)
+                fresh.append((h / (4 ** k - 1), h))
+            _LOG_COEFFS += tuple(fresh)
+        return _LOG_COEFFS
+
+
 class SinhFactor:
     """One ratio sinh(num*x/4)/sinh(den*x/4) with an optional label naming the
     denominator linear form (used in pole diagnostics)."""
@@ -335,16 +381,59 @@ class SinhProduct:
         return any(isinstance(f, SinhFactor) and f.num == 0 for f in self.factors)
 
     def series(self, order: int) -> PowerSeries:
-        """Exact series expansion of the product to the given order."""
-        if self.is_zero:
-            return PowerSeries.zero(order)
-        acc = PowerSeries.one(order)
+        """Exact series expansion of the product to the given order.
+
+        In ``y = x^2``, with ``L`` the lcm of the denominators of all
+        arguments and ``N_j = L n_j``, ``D_j = L d_j``, ``A_i = L a_i`` the
+        scaled sinh and cosh arguments,
+
+            product = dim * exp(sum_{k>=1} g_k y^k),
+            g_k = (c_k sum_j (N_j^{2k} - D_j^{2k}) + h_k sum_i A_i^{2k}) / (16 L^2)^k,
+
+        where ``dim`` is :meth:`dim` and ``c_k``, ``h_k`` are the
+        :func:`log_coefficients`.  Since ``h_k = (4^k - 1) c_k``, a cosh
+        argument ``A`` enters the first power sum as the pair ``2A``, ``A``.
+        The power sums are plain integers, and the exponential follows from
+        ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.  Odd coefficients are zero.
+        """
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        out = [_ZERO] * (order + 1)
+        scale = self.dim()
+        if scale == 0:  # a zero numerator
+            return PowerSeries(out)
+        half = order // 2
+        weights: dict[Fraction, int] = {}  # |argument| -> weight in the power sum
         for f in self.factors:
             if isinstance(f, CoshFactor):
-                acc = acc * (2 * cosh_series(f.arg, order))
+                pairs = ((2 * f.arg, 1), (f.arg, -1))
             else:
-                acc = acc * sinh_ratio_series(f.num, f.den, order)
-        return acc if self.sign > 0 else -acc
+                pairs = ((f.num, 1), (f.den, -1))
+            for a, w in pairs:
+                weights[abs(a)] = weights.get(abs(a), 0) + w
+        lcm = math.lcm(*(a.denominator for a in weights))
+        bases = [((a.numerator * (lcm // a.denominator)) ** 2, w)
+                 for a, w in weights.items() if a and w]
+        powers = [1] * len(bases)
+        coeffs = log_coefficients(half)
+        weighted = []  # j * g_j * (16 L^2)^j for j = 1..half
+        for k in range(1, half + 1):
+            total = 0
+            for i, (square, w) in enumerate(bases):
+                powers[i] *= square
+                total += w * powers[i]
+            weighted.append(coeffs[k - 1][0] * (k * total))
+        # Exponentiate in u = y / (16 L^2), where the coefficients keep small
+        # denominators, and return to y at the end.
+        exp = [Fraction(1)]
+        for m in range(1, half + 1):
+            exp.append(sum(weighted[j - 1] * exp[m - j] for j in range(1, m + 1)) / m)
+        step = 16 * lcm * lcm
+        denominator = 1
+        for m, e in enumerate(exp):
+            out[2 * m] = scale * e / denominator
+            denominator *= step
+        return PowerSeries(out)
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of num_j/den_j (cosh

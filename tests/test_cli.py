@@ -186,3 +186,40 @@ class TestOutputContract:
         _, doc = run_json(capsys, "table", "s3-sl6")
         for row in doc["results"]["rows"]:
             assert isinstance(row["universal"], str)
+
+
+class TestSeriesOrderCap:
+    def test_qdim_series_above_cap(self, capsys):
+        code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--series",
+                             str(cli.MAX_SERIES_ORDER + 1))
+        assert code == 2
+        assert doc["status"] == "error"
+        assert "MAX_SERIES_ORDER = 512" in doc["results"]["error"]
+
+    def test_qdim_negative_series(self, capsys):
+        code, _ = run_json(capsys, "qdim", "adjoint", "e8", "--series", "-2")
+        assert code == 2
+
+    def test_verify_order_above_cap(self, capsys):
+        code, doc = run_json(capsys, "verify", "s3", "--order", "513")
+        assert code == 2
+        assert "512" in doc["results"]["error"]
+
+    def test_verify_order_at_cap(self, capsys):
+        code, doc = run_json(capsys, "verify", "s2", "--mode", "numeric",
+                             "--trials", "3", "--order", "512")
+        assert code == 0
+        assert doc["inputs"]["order"] == 512
+
+    def test_env_order_above_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("QDIM_SERIES_ORDER", "100000")
+        code, doc = run_json(capsys, "qdim", "adjoint", "e6")
+        assert code == 2
+        assert "QDIM_SERIES_ORDER" in doc["results"]["error"]
+        assert "512" in doc["results"]["error"]
+
+    @pytest.mark.parametrize("command", ["qdim", "verify"])
+    def test_cap_in_help(self, capsys, command):
+        code, out = run(capsys, command, "--help")
+        assert code == 0
+        assert "0..512" in out

@@ -12,8 +12,12 @@ from uqdim import (
     SinhProduct,
     ZeroDenominatorForm,
     sinh_ratio_series,
+    sinh_series,
+    vogel_params,
 )
-from uqdim.series import cosh_series
+from uqdim import series as series_module
+from uqdim.series import cosh_series, log_coefficients, tangent_numbers
+from uqdim.universal import cartan_power_product
 
 from conftest import rand_fraction
 
@@ -207,3 +211,125 @@ class TestSinhProduct:
         p = SinhProduct([SinhFactor(4, 2)], sign=-1)
         assert p.dim() == -2
         assert p.series(4) == -sinh_ratio_series(4, 2, 4)
+
+
+def reference_series(factors, sign, order):
+    """Independent oracle for SinhProduct.series: each factor expanded on its
+    own from the sinh and cosh Taylor series, divided and multiplied as
+    truncated series."""
+    acc = PowerSeries.one(order)
+    for f in factors:
+        if isinstance(f, CoshFactor):
+            acc = acc * (2 * cosh_series(f.arg, order))
+        else:
+            acc = acc * (sinh_series(f.num, order + 1) / sinh_series(f.den, order + 1))
+    return acc if sign > 0 else -acc
+
+
+def random_factor(rng):
+    """A factor drawn to hit the kernel's special cases: negative arguments,
+    zero numerators, num == den, num == -den and cosh factors at arg 0."""
+    roll = rng.random()
+    if roll < 0.15:
+        return CoshFactor(rng.choice([F(0), rand_fraction(rng, 12)]))
+    den = rand_fraction(rng, 12)
+    if roll < 0.2:
+        return SinhFactor(0, den)
+    if roll < 0.3:
+        return SinhFactor(den, den)
+    if roll < 0.35:
+        return SinhFactor(-den, den)
+    return SinhFactor(rand_fraction(rng, 12), den)
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 17, 20])
+    def test_random_products(self, order):
+        rng = random.Random(1000 + order)
+        for trial in range(40):
+            factors = [random_factor(rng) for _ in range(rng.randint(0, 8))]
+            sign = rng.choice([1, -1])
+            product = SinhProduct(factors, sign=sign)
+            assert product.series(order) == reference_series(factors, sign, order), (
+                trial, factors, sign)
+
+    def test_random_products_order_64(self):
+        rng = random.Random(64)
+        for _ in range(4):
+            factors = [random_factor(rng) for _ in range(rng.randint(1, 6))]
+            sign = rng.choice([1, -1])
+            product = SinhProduct(factors, sign=sign)
+            assert product.series(64) == reference_series(factors, sign, 64)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_empty_product(self, sign):
+        for order in (0, 1, 2, 3, 17):
+            expected = PowerSeries.constant(sign, order)
+            assert SinhProduct([], sign=sign).series(order) == expected
+            assert reference_series([], sign, order) == expected
+
+    def test_cosh_at_zero_and_trivial_ratio(self):
+        factors = [CoshFactor(0), SinhFactor(F(5, 3), F(5, 3)), SinhFactor(-2, 2)]
+        assert (SinhProduct(factors, sign=-1).series(20)
+                == reference_series(factors, -1, 20) == PowerSeries.constant(2, 20))
+
+    def test_zero_numerator(self):
+        factors = [SinhFactor(3, 2), SinhFactor(0, F(7, 5)), CoshFactor(1)]
+        assert SinhProduct(factors).series(17) == PowerSeries.zero(17)
+        assert reference_series(factors, 1, 17) == PowerSeries.zero(17)
+
+    def test_e8_cartan_power_10(self):
+        product = cartan_power_product(vogel_params("e8"), 10)
+        assert product.series(64) == reference_series(product.factors, product.sign, 64)
+
+    def test_odd_coefficients_vanish(self):
+        rng = random.Random(21)
+        factors = [random_factor(rng) for _ in range(6)]
+        series = SinhProduct(factors).series(21)
+        assert series.order == 21
+        assert all(series[m] == 0 for m in range(1, 22, 2))
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            SinhProduct([SinhFactor(2, 1)]).series(-1)
+
+
+class TestLogCoefficients:
+    def test_tangent_numbers(self):
+        assert tangent_numbers(5) == [1, 2, 16, 272, 7936]
+        assert tangent_numbers(0) == []
+
+    def test_log_sinh_coefficients(self):
+        c = [ck for ck, _ in log_coefficients(4)[:4]]
+        assert c == [F(1, 6), F(-1, 180), F(1, 2835), F(-1, 37800)]
+
+    def test_log_cosh_coefficients(self):
+        h = [hk for _, hk in log_coefficients(4)[:4]]
+        assert h == [F(1, 2), F(-1, 12), F(1, 45), F(-17, 2520)]
+
+    def test_against_taylor_series(self):
+        # log(sinh z / z) and log cosh z from exact Taylor series of
+        # sinh z / z and cosh z through log(1 + u) = sum (-1)^(n-1) u^n / n
+        order = 24
+
+        def log_one_plus(u):
+            acc, power = PowerSeries.zero(order), PowerSeries.one(order)
+            for n in range(1, order + 1):
+                power = power * u
+                acc = acc + power * F((-1) ** (n - 1), n)
+            return acc
+
+        one = PowerSeries.one(order)
+        sinhc = sinh_series(4, order + 1) / PowerSeries([0, 1], order=order + 1)
+        log_sinhc = log_one_plus(sinhc - one)
+        log_cosh = log_one_plus(cosh_series(4, order) - one)
+        for k, (c, h) in enumerate(log_coefficients(order // 2)[: order // 2], start=1):
+            assert log_sinhc[2 * k] == c
+            assert log_cosh[2 * k] == h
+
+    def test_prefix_kept_when_cache_grows(self):
+        prefix = log_coefficients(6)[:6]
+        grown = log_coefficients(len(series_module._LOG_COEFFS) + 40)
+        assert len(series_module._LOG_COEFFS) >= len(prefix) + 40
+        assert grown[:6] == prefix
+        assert all(a is b for a, b in zip(grown, prefix))
