@@ -2,26 +2,35 @@
 
 Every formula here is a finite product of ratios sinh(n*x/4)/sinh(d*x/4) whose
 coefficients n, d are integer-linear forms in the Vogel parameters (alpha,
-beta, gamma).  The builders return :class:`~uqdim.series.SinhProduct` objects;
-the public ``qdim_*`` functions expand them to exact series.  A vanishing
-denominator form raises :class:`PoleAtParameters` before anything is expanded;
-no limits are taken across parameter-space poles.
+beta, gamma).  Each formula -- adjoint, Y2(slot), X2, the n-th Cartan power
+and the mixed Cartan product Z(k, l) -- is compiled once into a cached
+:class:`FormProgram`: a sign, integer coefficient vectors for every sinh
+numerator, denominator and cosh argument, the pole labels and a context
+string.  At a point, the coordinates are put over their common denominator q,
+so each form costs one integer dot product and one ``Fraction`` of the result
+over q; the values are exact.  The builders return
+:class:`~uqdim.series.SinhProduct` objects; the public ``qdim_*`` functions
+expand them to exact series.  A vanishing denominator form raises
+:class:`PoleAtParameters` before anything is expanded; no limits are taken
+across parameter-space poles.
 
 The blocks of the mixed Cartan-product formula telescope: several linear
 forms appear once as a numerator of one block and once as a denominator of
 another (they are the surviving border terms of one long Weyl-formula
 product).  Those pairs are cancelled symbolically, as coefficient vectors,
-before any values are computed -- identical forms cancel exactly, so this is
+when the program is compiled -- identical forms cancel exactly, so this is
 simplification, not limit-taking, and it keeps the assembled product regular
 wherever the underlying character is.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .errors import PoleAtParameters, UnknownAlgebra
 from .series import (
@@ -34,6 +43,16 @@ from .series import (
 )
 
 SLOTS = ("alpha", "beta", "gamma")
+
+# The order argument of VogelParams.permuted that moves a slot to the front.
+_SLOT_ORDERS = {"alpha": (0, 1, 2), "beta": (1, 0, 2), "gamma": (2, 1, 0)}
+
+
+def _slot_order(slot: str) -> tuple[int, int, int]:
+    try:
+        return _SLOT_ORDERS[slot]
+    except KeyError:
+        raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}") from None
 
 
 @dataclass(frozen=True)
@@ -76,13 +95,8 @@ class VogelParams:
 
     def slot_first(self, slot: str) -> "VogelParams":
         """Permutation placing the chosen coordinate in the alpha position."""
-        if slot == "alpha":
-            return self
-        if slot == "beta":
-            return self.permuted((1, 0, 2))
-        if slot == "gamma":
-            return self.permuted((2, 1, 0))
-        raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}")
+        order = _slot_order(slot)
+        return self if order == (0, 1, 2) else self.permuted(order)
 
     def scaled(self, z: Rational) -> "VogelParams":
         """The projectively equivalent point (alpha/z, beta/z, gamma/z)."""
@@ -218,68 +232,27 @@ def casimir_y2(v: VogelParams, slot: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# fixed-shape products (adjoint, Y2, X2)
-# ---------------------------------------------------------------------------
-
-
-def adjoint_product(v: VogelParams) -> SinhProduct:
-    a, b, c = v.as_tuple()
-    factors = [
-        SinhFactor(c + 2 * b + 2 * a, c, "gamma"),
-        SinhFactor(2 * c + b + 2 * a, b, "beta"),
-        SinhFactor(2 * c + 2 * b + a, a, "alpha"),
-    ]
-    return SinhProduct(factors, sign=-1, context="qdim_adjoint")
-
-
-def y2_product(v: VogelParams, slot: str) -> SinhProduct:
-    """Weyl-line character of Y2(slot), the Cartan square taken in the
-    chosen parameter slot."""
-    w = v.slot_first(slot)
-    a, b, c = w.as_tuple()
-    t = w.t
-    factors = [
-        SinhFactor(2 * t, a, "alpha"),
-        SinhFactor(b - 2 * t, 2 * a, "2*alpha"),
-        SinhFactor(c - 2 * t, b, "beta"),
-        SinhFactor(b + t, c, "gamma"),
-        SinhFactor(c + t, a - b, "alpha-beta"),
-        SinhFactor(3 * a - 2 * t, a - c, "alpha-gamma"),
-    ]
-    return SinhProduct(factors, sign=-1, context=f"qdim_y2({slot})")
-
-
-def x2_product(v: VogelParams) -> SinhProduct:
-    """Weyl-line character of X2, the non-adjoint part of the antisymmetric
-    square of the adjoint.  The doubled-argument ratios are cosh factors, so
-    t - alpha etc. may vanish without creating a pole."""
-    a, b, c = v.as_tuple()
-    t = v.t
-    factors = [
-        SinhFactor(2 * t - a, a, "alpha"),
-        SinhFactor(2 * t - b, b, "beta"),
-        SinhFactor(2 * t - c, c, "gamma"),
-        SinhFactor(t + a, 2 * a, "2*alpha"),
-        SinhFactor(t + b, 2 * b, "2*beta"),
-        SinhFactor(t + c, 2 * c, "2*gamma"),
-        CoshFactor(t - a, "t-alpha"),
-        CoshFactor(t - b, "t-beta"),
-        CoshFactor(t - c, "t-gamma"),
-    ]
-    return SinhProduct(factors, sign=1, context="qdim_x2")
-
-
-# ---------------------------------------------------------------------------
-# block form generators for the mixed Cartan products
+# form programs
 # ---------------------------------------------------------------------------
 
 # A linear form c_a*alpha + c_b*beta + c_g*gamma as its coefficient vector.
 Form = tuple[int, int, int]
 
 
+class FormProgram(NamedTuple):
+    """One universal formula as data: ``sinh`` holds ``(num, den, label)``
+    entries, ``cosh`` holds ``(arg, label)`` entries, and ``context`` names
+    the formula in pole messages.  Programs are compiled once and cached."""
+
+    sign: int
+    sinh: tuple[tuple[Form, Form, str], ...]
+    cosh: tuple[tuple[Form, str], ...]
+    context: str
+
+
 def _form_str(form: Form) -> str:
     parts = []
-    for coeff, name in zip(form, ("alpha", "beta", "gamma")):
+    for coeff, name in zip(form, SLOTS):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")
@@ -288,9 +261,100 @@ def _form_str(form: Form) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _eval_form(form: Form, v: VogelParams) -> Fraction:
-    return form[0] * v.alpha + form[1] * v.beta + form[2] * v.gamma
+def _integer_point(v: VogelParams) -> tuple[int, int, int, int]:
+    """(A, B, C, q) with (alpha, beta, gamma) = (A, B, C) / q, so a form f
+    takes the exact value Fraction(f . (A, B, C), q)."""
+    a, b, c = v.alpha, v.beta, v.gamma
+    q = math.lcm(a.denominator, b.denominator, c.denominator)
+    return (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
+            c.numerator * (q // c.denominator), q)
 
+
+def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
+    """The product of a program at one point of Vogel's plane."""
+    A, B, C, q = _integer_point(v)
+    factors = [
+        SinhFactor(Fraction(n0 * A + n1 * B + n2 * C, q),
+                   Fraction(d0 * A + d1 * B + d2 * C, q), label)
+        for (n0, n1, n2), (d0, d1, d2), label in program.sinh
+    ]
+    factors += [CoshFactor(Fraction(f0 * A + f1 * B + f2 * C, q), label)
+                for (f0, f1, f2), label in program.cosh]
+    return SinhProduct(factors, sign=program.sign, context=program.context)
+
+
+def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
+                   context: str) -> FormProgram:
+    assert len(nums) == len(dens)
+    sinh = tuple((num, den, _form_str(den)) for num, den in zip(nums, dens))
+    return FormProgram(sign, sinh, (), context)
+
+
+# ---------------------------------------------------------------------------
+# fixed-shape products (adjoint, Y2, X2)
+# ---------------------------------------------------------------------------
+
+# Sinh entries are (num, den, label).  Y2 is written in the slot-first frame;
+# Y2 and X2 use t = (1, 1, 1).
+_ADJOINT_PROGRAM = FormProgram(-1, (
+    ((2, 2, 1), (0, 0, 1), "gamma"),
+    ((2, 1, 2), (0, 1, 0), "beta"),
+    ((1, 2, 2), (1, 0, 0), "alpha"),
+), (), "qdim_adjoint")
+
+_Y2_SINH = (
+    ((2, 2, 2), (1, 0, 0), "alpha"),           # 2t / alpha
+    ((-2, -1, -2), (2, 0, 0), "2*alpha"),      # beta - 2t / 2 alpha
+    ((-2, -2, -1), (0, 1, 0), "beta"),         # gamma - 2t / beta
+    ((1, 2, 1), (0, 0, 1), "gamma"),           # beta + t / gamma
+    ((1, 1, 2), (1, -1, 0), "alpha-beta"),     # gamma + t / alpha - beta
+    ((1, -2, -2), (1, 0, -1), "alpha-gamma"),  # 3 alpha - 2t / alpha - gamma
+)
+
+_X2_PROGRAM = FormProgram(1, (
+    ((1, 2, 2), (1, 0, 0), "alpha"),    # 2t - alpha / alpha
+    ((2, 1, 2), (0, 1, 0), "beta"),
+    ((2, 2, 1), (0, 0, 1), "gamma"),
+    ((2, 1, 1), (2, 0, 0), "2*alpha"),  # t + alpha / 2 alpha
+    ((1, 2, 1), (0, 2, 0), "2*beta"),
+    ((1, 1, 2), (0, 0, 2), "2*gamma"),
+), (
+    ((0, 1, 1), "t-alpha"),
+    ((1, 0, 1), "t-beta"),
+    ((1, 1, 0), "t-gamma"),
+), "qdim_x2")
+
+
+@lru_cache(maxsize=None)
+def _y2_program(slot: str) -> FormProgram:
+    # Each slot order swaps at most two coordinates, so it is its own inverse
+    # and maps a slot-first form back to (alpha, beta, gamma) as well.
+    order = _slot_order(slot)
+    sinh = tuple((tuple(num[i] for i in order), tuple(den[i] for i in order), label)
+                 for num, den, label in _Y2_SINH)
+    return FormProgram(-1, sinh, (), f"qdim_y2({slot})")
+
+
+def adjoint_product(v: VogelParams) -> SinhProduct:
+    return _materialize(_ADJOINT_PROGRAM, v)
+
+
+def y2_product(v: VogelParams, slot: str) -> SinhProduct:
+    """Weyl-line character of Y2(slot), the Cartan square taken in the
+    chosen parameter slot."""
+    return _materialize(_y2_program(slot), v)
+
+
+def x2_product(v: VogelParams) -> SinhProduct:
+    """Weyl-line character of X2, the non-adjoint part of the antisymmetric
+    square of the adjoint.  The doubled-argument ratios are cosh factors, so
+    t - alpha etc. may vanish without creating a pole."""
+    return _materialize(_X2_PROGRAM, v)
+
+
+# ---------------------------------------------------------------------------
+# block form generators for the mixed Cartan products
+# ---------------------------------------------------------------------------
 
 FormLists = tuple[list[Form], list[Form]]
 
@@ -343,7 +407,8 @@ def _c2_forms(n: int) -> FormLists:
     return nums, dens
 
 
-def _cancel_forms(nums: list[Form], dens: list[Form]) -> tuple[list[Form], list[Form], int]:
+def _cancel_forms(nums: list[Form], dens: list[Form]
+                  ) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
     """Remove numerator/denominator pairs that are identical linear forms
     (or negatives of each other, flipping the sign): sinh(F)/sinh(F) = 1 and
     sinh(-F)/sinh(F) = -1 identically, for the form F as a whole function."""
@@ -360,17 +425,17 @@ def _cancel_forms(nums: list[Form], dens: list[Form]) -> tuple[list[Form], list[
             sign = -sign
             continue
         kept_dens.append(d)
-    return remaining, kept_dens, sign
+    return tuple(remaining), tuple(kept_dens), sign
 
 
-def _cartan_forms(n: int) -> tuple[list[Form], list[Form], int]:
+def _cartan_forms(n: int) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
     nums, dens = _b_forms(n)
     nums = [(3 - 2 * n, 2, 2)] + nums
     dens = [(3, 2, 2)] + dens
     return _cancel_forms(nums, dens)
 
 
-def _z_forms(k: int, l: int) -> tuple[list[Form], list[Form], int]:
+def _z_forms(k: int, l: int) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
     nums, dens = [], []
     for gen_nums, gen_dens in (
         _f_forms(k, l),
@@ -384,23 +449,24 @@ def _z_forms(k: int, l: int) -> tuple[list[Form], list[Form], int]:
     return _cancel_forms(nums, dens)
 
 
-def _materialize(nums: list[Form], dens: list[Form], sign: int,
-                 v: VogelParams, context: str) -> SinhProduct:
-    assert len(nums) == len(dens)
-    factors = [
-        SinhFactor(_eval_form(num, v), _eval_form(den, v), _form_str(den))
-        for num, den in zip(nums, dens)
-    ]
-    return SinhProduct(factors, sign=sign, context=context)
+@lru_cache(maxsize=None)
+def _cartan_program(n: int) -> FormProgram:
+    # n = 0 cancels to the empty product
+    return _forms_program(*_cartan_forms(n), f"qdim_cartan_adjoint(n={n})")
+
+
+@lru_cache(maxsize=None)
+def _z_program(k: int, l: int) -> FormProgram:
+    # k = l = 0 cancels to the empty product
+    context = f"qdim_z(k={k}, l={l})" if k or l else "qdim_z"
+    return _forms_program(*_z_forms(k, l), context)
 
 
 def cartan_power_product(v: VogelParams, n: int) -> SinhProduct:
     """Weyl-line character of the n-th Cartan power of the adjoint."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return SinhProduct([], sign=1, context="qdim_cartan_adjoint(n=0)")
-    return _materialize(*_cartan_forms(n), v, f"qdim_cartan_adjoint(n={n})")
+    return _materialize(_cartan_program(n), v)
 
 
 def z_product(v: VogelParams, k: int, l: int) -> SinhProduct:
@@ -409,15 +475,13 @@ def z_product(v: VogelParams, k: int, l: int) -> SinhProduct:
     telescoping pairs cancelled symbolically."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be non-negative")
-    if k == 0 and l == 0:
-        return SinhProduct([], sign=1, context="qdim_z")
-    return _materialize(*_z_forms(k, l), v, f"qdim_z(k={k}, l={l})")
+    return _materialize(_z_program(k, l), v)
 
 
 def _block_series(pair: FormLists, v: VogelParams, order: int,
                   context: str) -> PowerSeries:
     nums, dens = pair
-    return _materialize(nums, dens, 1, v, context).series(order)
+    return _materialize(_forms_program(nums, dens, 1, context), v).series(order)
 
 
 def z_block_a(v: VogelParams, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -490,23 +554,26 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
     evaluations; nothing is computed numerically).
     """
     value0 = Fraction(value0)
-    nums, dens, sign = _z_forms(k, l)
-    v0 = params_at(value0)
-    v1 = params_at(value0 + 1)
+    program = _z_program(k, l)
+    points = (_integer_point(params_at(value0)), _integer_point(params_at(value0 + 1)))
 
-    den_vals = [(_eval_form(f, v0), _eval_form(f, v1), f) for f in dens]
-    num_vals = [(_eval_form(f, v0), _eval_form(f, v1), f) for f in nums]
+    def at(form: Form) -> tuple[Fraction, Fraction]:
+        return tuple(Fraction(form[0] * A + form[1] * B + form[2] * C, q)
+                     for A, B, C, q in points)
 
-    for at0, at1, form in den_vals:
+    den_vals = [(*at(den), label) for _, den, label in program.sinh]
+    num_vals = [at(num) for num, _, _ in program.sinh]
+
+    for at0, at1, label in den_vals:
         if at0 == 0 and at1 == at0:
             raise PoleAtParameters(
-                f"denominator {_form_str(form)} vanishes identically along "
+                f"denominator {label} vanishes identically along "
                 f"the {family_name} family"
             )
-    if any(at0 == 0 and at1 == at0 for at0, at1, _ in num_vals):
+    if any(at0 == 0 and at1 == at0 for at0, at1 in num_vals):
         return Fraction(0)
 
-    zeros_num = sum(1 for at0, _, _ in num_vals if at0 == 0)
+    zeros_num = sum(1 for at0, _ in num_vals if at0 == 0)
     zeros_den = sum(1 for at0, _, _ in den_vals if at0 == 0)
     if zeros_num > zeros_den:
         return Fraction(0)
@@ -515,8 +582,8 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
             f"qdim_z(k={k}, l={l}) has a pole on the {family_name} family "
             f"at parameter {value0}"
         )
-    acc = Fraction(sign)
-    for at0, at1, _ in num_vals:
+    acc = Fraction(program.sign)
+    for at0, at1 in num_vals:
         acc *= at0 if at0 != 0 else (at1 - at0)
     for at0, at1, _ in den_vals:
         acc /= at0 if at0 != 0 else (at1 - at0)

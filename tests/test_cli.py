@@ -106,12 +106,21 @@ class TestVerify:
         assert doc["status"] == "pass"
         assert doc["results"]["exact_zero"] is True
         assert doc["results"]["points_checked"] == 5
+        assert doc["results"]["order_checked"] == 10
 
     def test_numeric_mode(self, capsys):
         code, doc = run_json(capsys, "verify", "a2", "--mode", "numeric",
                              "--trials", "50", "--seed", "1")
         assert code == 0
         assert doc["results"]["max_abs_residual"] <= 1e-9
+
+    def test_numeric_mode_checks_no_order(self, capsys):
+        code, doc = run_json(capsys, "verify", "s2", "--mode", "numeric",
+                             "--order", "512", "--trials", "20", "--seed", "1")
+        assert code == 0
+        assert doc["inputs"]["order"] == 512
+        assert doc["results"]["order_checked"] is None
+        assert doc["results"]["exact_zero"] is None
 
     def test_g2zero(self, capsys):
         code, doc = run_json(capsys, "verify", "g2zero", "--order", "12")

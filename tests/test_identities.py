@@ -120,6 +120,34 @@ class TestVerifyIdentity:
         assert report.passed
         assert report.max_abs_residual is not None
         assert report.max_abs_residual <= 1e-9
+        assert report.order_checked is None
+
+    def test_series_mode_reports_order(self):
+        report = verify_identity(S2_SYM, mode=SERIES, order=8, trials=3, seed=1)
+        assert report.order_checked == 8
+
+    # Largest relative residual, as float.hex(), and accepted points of
+    # 200-trial numeric runs.  Products are built in exact arithmetic, so a
+    # change to how they are built must leave every float passed to value_at,
+    # and hence these residuals, bit for bit the same.
+    NUMERIC_PINS = {
+        (S2_SYM, 0): ("0x1.48854a0475d9dp-43", 200),
+        (S2_SYM, 1): ("0x1.536f2185e721bp-42", 200),
+        (S2_SYM, 2): ("0x1.7c77149934812p-43", 200),
+        (A2_ANTISYM, 0): ("0x1.3d0e396310e01p-42", 200),
+        (A2_ANTISYM, 1): ("0x1.cc7fbd6e03e46p-46", 200),
+        (A2_ANTISYM, 2): ("0x1.147f25ff321ecp-46", 200),
+        (S3_SYM_CUBE, 0): ("0x1.d793d1b76e325p-34", 200),
+        (S3_SYM_CUBE, 1): ("0x1.23df4baf0ab6fp-39", 200),
+        (S3_SYM_CUBE, 2): ("0x1.78be45605d432p-42", 200),
+    }
+
+    @pytest.mark.parametrize("ident, seed", sorted(NUMERIC_PINS))
+    def test_numeric_residual_bit_identical(self, ident, seed):
+        report = verify_identity(ident, mode=NUMERIC, trials=200, seed=seed)
+        expected_hex, expected_points = self.NUMERIC_PINS[(ident, seed)]
+        assert report.max_abs_residual.hex() == expected_hex
+        assert report.points_checked == expected_points
 
     def test_reproducible(self):
         a = verify_identity(S2_SYM, mode=SERIES, order=10, trials=10, seed=5)

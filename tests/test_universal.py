@@ -31,8 +31,11 @@ from uqdim import (
     z_block_c2,
     z_block_f,
 )
+from uqdim import universal
+from uqdim.series import CoshFactor, SinhFactor, SinhProduct
 from uqdim.universal import (
     adjoint_product,
+    cartan_power_product,
     x2_product,
     y2_product,
     z_dim_along_family,
@@ -436,3 +439,292 @@ class TestPoleDiagnostics:
             qdim_adjoint(VogelParams(0, 2, 3), 4)
         with pytest.raises(PoleAtParameters, match="beta"):
             qdim_z(VogelParams(-2, 0, 3), 1, 1, 4)
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the hand-written reference builders
+# ---------------------------------------------------------------------------
+
+# The reference: the adjoint, Y2 and X2 factor lists written out by hand, and
+# every form evaluated one at a time in Fraction arithmetic.
+
+
+def ref_form_str(form):
+    parts = []
+    for coeff, name in zip(form, ("alpha", "beta", "gamma")):
+        if coeff == 0:
+            continue
+        sign = "-" if coeff < 0 else ("+" if parts else "")
+        mag = abs(coeff)
+        parts.append(f"{sign}{'' if mag == 1 else f'{mag}*'}{name}")
+    return "".join(parts) if parts else "0"
+
+
+def ref_eval_form(form, v):
+    return form[0] * v.alpha + form[1] * v.beta + form[2] * v.gamma
+
+
+def ref_materialize(nums, dens, sign, v, context):
+    assert len(nums) == len(dens)
+    factors = [
+        SinhFactor(ref_eval_form(num, v), ref_eval_form(den, v), ref_form_str(den))
+        for num, den in zip(nums, dens)
+    ]
+    return SinhProduct(factors, sign=sign, context=context)
+
+
+def ref_adjoint(v):
+    a, b, c = v.as_tuple()
+    factors = [
+        SinhFactor(c + 2 * b + 2 * a, c, "gamma"),
+        SinhFactor(2 * c + b + 2 * a, b, "beta"),
+        SinhFactor(2 * c + 2 * b + a, a, "alpha"),
+    ]
+    return SinhProduct(factors, sign=-1, context="qdim_adjoint")
+
+
+def ref_y2(v, slot):
+    w = v.slot_first(slot)
+    a, b, c = w.as_tuple()
+    t = w.t
+    factors = [
+        SinhFactor(2 * t, a, "alpha"),
+        SinhFactor(b - 2 * t, 2 * a, "2*alpha"),
+        SinhFactor(c - 2 * t, b, "beta"),
+        SinhFactor(b + t, c, "gamma"),
+        SinhFactor(c + t, a - b, "alpha-beta"),
+        SinhFactor(3 * a - 2 * t, a - c, "alpha-gamma"),
+    ]
+    return SinhProduct(factors, sign=-1, context=f"qdim_y2({slot})")
+
+
+def ref_x2(v):
+    a, b, c = v.as_tuple()
+    t = v.t
+    factors = [
+        SinhFactor(2 * t - a, a, "alpha"),
+        SinhFactor(2 * t - b, b, "beta"),
+        SinhFactor(2 * t - c, c, "gamma"),
+        SinhFactor(t + a, 2 * a, "2*alpha"),
+        SinhFactor(t + b, 2 * b, "2*beta"),
+        SinhFactor(t + c, 2 * c, "2*gamma"),
+        CoshFactor(t - a, "t-alpha"),
+        CoshFactor(t - b, "t-beta"),
+        CoshFactor(t - c, "t-gamma"),
+    ]
+    return SinhProduct(factors, sign=1, context="qdim_x2")
+
+
+def ref_cartan(v, n):
+    if n == 0:
+        return SinhProduct([], sign=1, context="qdim_cartan_adjoint(n=0)")
+    return ref_materialize(*universal._cartan_forms(n), v, f"qdim_cartan_adjoint(n={n})")
+
+
+def ref_z(v, k, l):
+    if k == 0 and l == 0:
+        return SinhProduct([], sign=1, context="qdim_z")
+    return ref_materialize(*universal._z_forms(k, l), v, f"qdim_z(k={k}, l={l})")
+
+
+def product_outcome(build, v):
+    """Everything a built product exposes, or the text of its pole."""
+    try:
+        product = build(v)
+    except PoleAtParameters as exc:
+        return ("pole", str(exc))
+    factors = [
+        ("cosh", f.arg, f.label) if isinstance(f, CoshFactor)
+        else ("sinh", f.num, f.den, f.label)
+        for f in product.factors
+    ]
+    return ("product", product.sign, product.context, factors)
+
+
+def program_points(seed, count=24):
+    """Small rationals, which often land on a pole, and Fraction(float)
+    coordinates as numeric verification draws them."""
+    rng = random.Random(seed)
+    points = [rand_params(rng, bound=6) for _ in range(count // 2)]
+    while len(points) < count:
+        triple = [F(rng.uniform(-8.0, 8.0)) for _ in range(3)]
+        points.append(VogelParams(*triple))
+    return points
+
+
+PROGRAM_CASES = (
+    [("adjoint", adjoint_product, ref_adjoint)]
+    + [(f"y2-{slot}", lambda v, s=slot: y2_product(v, s), lambda v, s=slot: ref_y2(v, s))
+       for slot in ("alpha", "beta", "gamma")]
+    + [("x2", x2_product, ref_x2)]
+    + [(f"cartan-{n}", lambda v, n=n: cartan_power_product(v, n),
+        lambda v, n=n: ref_cartan(v, n)) for n in range(7)]
+    + [(f"z-{k}-{l}", lambda v, k=k, l=l: z_product(v, k, l),
+        lambda v, k=k, l=l: ref_z(v, k, l))
+       for k in range(4) for l in range(4)]
+)
+
+BLOCK_CASES = (
+    [(f"a-{n}", lambda v, n=n: z_block_a(v, n, 10), universal._a_forms(n), "z_block_a")
+     for n in range(4)]
+    + [(f"c1-{n}", lambda v, n=n: z_block_c1(v, n, 10), universal._c1_forms(n), "z_block_c1")
+       for n in range(4)]
+    + [(f"c2-{n}", lambda v, n=n: z_block_c2(v, n, 10), universal._c2_forms(n), "z_block_c2")
+       for n in range(4)]
+    + [(f"f-{k}-{l}", lambda v, k=k, l=l: z_block_f(v, k, l, 10),
+        universal._f_forms(k, l), "z_block_f") for k in range(3) for l in range(3)]
+    + [(f"btilde-{l}", lambda v, l=l: z_block_btilde(v, l, 10),
+        universal._btilde_forms(l), "z_block_btilde") for l in range(4)]
+)
+
+
+def series_outcome(build, v):
+    try:
+        return ("series", build(v))
+    except PoleAtParameters as exc:
+        return ("pole", str(exc))
+
+
+class TestFormPrograms:
+    @pytest.mark.parametrize("name, build, reference", PROGRAM_CASES,
+                             ids=[case[0] for case in PROGRAM_CASES])
+    def test_product_matches_reference(self, name, build, reference):
+        for v in program_points(sum(map(ord, name))):
+            assert product_outcome(build, v) == product_outcome(reference, v), v
+
+    @pytest.mark.parametrize("name, build, forms, context", BLOCK_CASES,
+                             ids=[case[0] for case in BLOCK_CASES])
+    def test_block_matches_reference(self, name, build, forms, context):
+        nums, dens = forms
+        reference = lambda v: ref_materialize(nums, dens, 1, v, context).series(10)
+        for v in program_points(sum(map(ord, name)), count=8):
+            assert series_outcome(build, v) == series_outcome(reference, v), v
+
+    @pytest.mark.parametrize("compile_, args", [
+        (lambda: universal._ADJOINT_PROGRAM, ()),
+        (universal._y2_program, ("beta",)),
+        (lambda: universal._X2_PROGRAM, ()),
+        (universal._cartan_program, (3,)),
+        (universal._z_program, (2, 1)),
+    ])
+    def test_program_is_cached_and_immutable(self, compile_, args):
+        program = compile_(*args)
+        assert compile_(*args) is program
+        assert isinstance(program, universal.FormProgram)
+        assert type(program.sinh) is tuple and type(program.cosh) is tuple
+        for num, den, label in program.sinh:
+            assert type(num) is tuple and type(den) is tuple and type(label) is str
+            assert all(type(c) is int for c in num + den)
+        for arg, label in program.cosh:
+            assert type(arg) is tuple and type(label) is str
+
+    def test_cancelled_forms_are_tuples(self):
+        for nums, dens, _ in (universal._z_forms(2, 1), universal._cartan_forms(3)):
+            assert type(nums) is tuple and type(dens) is tuple
+
+    def test_bad_slot(self):
+        with pytest.raises(ValueError, match="slot must be one of"):
+            y2_product(VogelParams(1, 2, 3), "delta")
+
+
+# Points where one denominator form vanishes, with the label the pole message
+# names; first factors first.  Captured from the hand-written builders.
+POLE_PINS = [
+    ('qdim_adjoint', adjoint_product, (), [
+        ((-1, -1, 0), 'gamma'), ((-1, 0, -1), 'beta'), ((0, -1, -1), 'alpha'),
+    ]),
+    ('qdim_y2(alpha)', y2_product, ('alpha',), [
+        ((0, -1, -1), 'alpha'), ((-1, 0, 1), 'beta'), ((-1, 1, 0), 'gamma'),
+        ((-1, -1, 1), 'alpha-beta'), ((-1, 1, -1), 'alpha-gamma'),
+    ]),
+    ('qdim_y2(beta)', y2_product, ('beta',), [
+        ((-1, 0, -1), 'alpha'), ((0, -1, 1), 'beta'), ((-1, 1, 0), 'gamma'),
+        ((-1, -1, 1), 'alpha-beta'), ((-1, 1, 1), 'alpha-gamma'),
+    ]),
+    ('qdim_y2(gamma)', y2_product, ('gamma',), [
+        ((-1, -1, 0), 'alpha'), ((-1, 0, 1), 'beta'), ((0, -1, 1), 'gamma'),
+        ((-1, 1, 1), 'alpha-beta'), ((-1, 1, -1), 'alpha-gamma'),
+    ]),
+    ('qdim_x2', x2_product, (), [
+        ((0, -1, -1), 'alpha'), ((-1, 0, -1), 'beta'), ((-1, -1, 0), 'gamma'),
+    ]),
+    ('qdim_cartan_adjoint(n=1)', cartan_power_product, (1,), [
+        ((-1, -1, 0), 'gamma'), ((-1, 0, -1), 'beta'), ((0, -1, -1), '-alpha'),
+    ]),
+    ('qdim_cartan_adjoint(n=2)', cartan_power_product, (2,), [
+        ((-1, 1, 0), 'gamma'), ((-1, 0, 1), 'beta'), ((0, -1, -1), '-alpha'),
+        ((-1, 1, -1), '-alpha+gamma'), ((-1, -1, 1), '-alpha+beta'),
+    ]),
+    ('qdim_cartan_adjoint(n=3)', cartan_power_product, (3,), [
+        ((-1, 1, 0), 'gamma'), ((-1, 0, 1), 'beta'), ((0, -1, -1), '-alpha'),
+        ((-1, 1, -1), '-alpha+gamma'), ((-1, -1, 1), '-alpha+beta'),
+        ((-1, 1, -2), '-2*alpha+gamma'), ((-1, -2, 1), '-2*alpha+beta'),
+    ]),
+    ('qdim_z(k=1, l=1)', z_product, (1, 1), [
+        ((-1, 0, 1), 'beta'), ((-1, -1, 0), 'gamma'), ((-2, -1, 1), '-alpha+2*beta'),
+        ((-1, -2, 1), '-2*alpha+beta'), ((-1, 1, -1), '-alpha+gamma'),
+        ((-1, 1, 1), '-beta+gamma'), ((0, -1, 1), '-alpha'),
+    ]),
+    ('qdim_z(k=3, l=0)', z_product, (3, 0), [
+        ((-1, 0, 1), 'beta'), ((-1, -1, 1), '-alpha+beta'), ((-1, 1, 0), 'gamma'),
+        ((-1, -2, 1), '-2*alpha+beta'), ((-1, 1, -1), '-alpha+gamma'),
+        ((-1, 1, -2), '-2*alpha+gamma'), ((0, -1, -1), 'alpha'),
+    ]),
+    ('qdim_z(k=0, l=2)', z_product, (0, 2), [
+        ((-1, 0, 1), '2*beta'), ((-1, -1, 1), '-alpha+beta'), ((-2, 1, 0), 'gamma'),
+        ((-2, -1, 1), '-alpha+2*beta'), ((-1, -2, 1), '-2*alpha+beta'),
+        ((-1, 1, -1), '-alpha+gamma'), ((-1, 1, 1), '-beta+gamma'),
+        ((0, -1, 1), '-alpha'), ((-2, 1, -1), '-alpha-beta+gamma'),
+    ]),
+    ('qdim_z(k=2, l=1)', z_product, (2, 1), [
+        ((-1, 0, 1), 'beta'), ((-1, -1, 1), '-alpha+beta'), ((-1, 1, 0), 'gamma'),
+        ((-1, 1, -1), '-alpha+gamma'), ((-1, -3, 1), '-3*alpha+beta'),
+        ((-1, 1, -2), '-2*alpha+gamma'), ((-1, 1, 1), '-beta+gamma'),
+        ((0, -1, 1), '-alpha'), ((-2, 1, -1), '-alpha+2*gamma'),
+    ]),
+    ('z_block_a', z_block_a, (2, 4), [
+        ((-1, 0, 1), '2*beta'), ((-1, -1, 1), '-alpha+beta'), ((-1, 1, 0), 'gamma'),
+        ((-2, -1, -1), '-alpha+2*beta'), ((-1, -2, 1), '-2*alpha+beta'),
+        ((-1, 1, -1), '-alpha+gamma'),
+    ]),
+    ('z_block_c1', z_block_c1, (2, 4), [
+        ((-1, 0, 1), '2*alpha+2*gamma'), ((-2, 0, 1), 'alpha+2*gamma'),
+    ]),
+    ('z_block_c2', z_block_c2, (2, 4), [
+        ((0, -1, 0), 'alpha'),
+    ]),
+    ('z_block_f', z_block_f, (1, 1, 4), [
+        ((0, -1, 1), '3*alpha+2*beta+2*gamma'), ((0, -1, 0), '3*alpha+2*gamma'),
+        ((-1, 1, 1), '3*alpha+beta+2*gamma'), ((-1, 0, 0), 'beta'),
+    ]),
+    ('z_block_btilde', z_block_btilde, (2, 4), [
+        ((-1, 1, 1), '-beta+gamma'), ((-1, 0, 1), 'beta'), ((0, -1, 0), '-alpha'),
+        ((-1, 1, 0), '-alpha-beta+gamma'), ((-1, -1, 0), '-alpha+beta'),
+    ]),
+]
+
+
+class TestPoleMessages:
+    @pytest.mark.parametrize("context, build, args, pins", POLE_PINS,
+                             ids=[pin[0] for pin in POLE_PINS])
+    def test_message_text(self, context, build, args, pins):
+        for point, label in pins:
+            with pytest.raises(PoleAtParameters) as info:
+                build(VogelParams(*point), *args)
+            assert str(info.value) == (
+                f"{context}: sinh denominator {label} vanishes at these parameters"
+            )
+
+    def test_family_message_text(self):
+        with pytest.raises(PoleAtParameters) as info:
+            z_dim_along_family(lambda n: VogelParams(n, 0, 1), 1, 1, 1)
+        assert str(info.value) == (
+            "denominator beta vanishes identically along the one-parameter family"
+        )
+
+    def test_qdim_z_beta_pole(self):
+        with pytest.raises(PoleAtParameters) as info:
+            qdim_z(VogelParams(-2, 0, 3), 1, 1, 4)
+        assert str(info.value) == (
+            "qdim_z(k=1, l=1): sinh denominator beta vanishes at these parameters"
+        )
