@@ -6,18 +6,22 @@ Every command is deterministic given its full flag set (including --seed) and
 values are printed as rational strings "p/q", never as floats.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 parameter-space pole, 4 evaluation pole in x.
+3 parameter-space pole, 4 evaluation pole in x, 5 float evaluation out of
+range (a value that overflows, or a series that does not converge).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
+from .crosscheck import SUITES, TABLES, build_table_report
 from .errors import (
+    FloatEvaluationError,
     InvalidRank,
     LengthMismatch,
     PoleAtParameters,
@@ -25,9 +29,8 @@ from .errors import (
     UnknownAlgebra,
     ZeroDenominatorForm,
 )
-from .identities import NUMERIC, SERIES, verify_identity
+from .identities import IDENTITIES, NUMERIC, SERIES, verify_identity
 from .instanton import InstantonParams, one_instanton_sum
-from .roots import build_root_system, weight_from_dynkin, weyl_dim, weyl_qdim
 from .series import DEFAULT_ORDER
 from .universal import (
     SLOTS,
@@ -37,12 +40,10 @@ from .universal import (
     casimir_adjoint,
     casimir_y2,
     dim_adjoint,
-    line_params,
     parse_algebra,
     vogel_params,
     x2_product,
     y2_product,
-    z_dim_along_family,
     z_product,
 )
 
@@ -51,6 +52,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PARAM_POLE = 3
 EXIT_X_POLE = 4
+EXIT_FLOAT = 5
 
 
 #: Largest series order accepted from --series, --order or
@@ -76,204 +78,6 @@ def _series_order(given: int | None) -> int:
     return order
 
 
-def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-# ---------------------------------------------------------------------------
-# verification suites
-# ---------------------------------------------------------------------------
-
-SPECIALIZATION_ALGEBRAS = ("sl6", "so7", "sp6", "so12", "g2", "f4", "e6", "e7", "e8")
-
-#: Dynkin labels of the Cartan product of adjoint and Y2(beta) in the
-#: symmetric-cube decomposition tables.
-Z11_DYNKIN = {
-    "sl6": (1, 1, 0, 1, 1),
-    "f4": (1, 0, 0, 2),
-    "so12": (0, 1, 0, 1, 0, 0),
-}
-
-
-def run_specialization(order: int = DEFAULT_ORDER) -> dict:
-    """Universal-vs-Weyl cross-check: Cartan powers n = 1..3 for the nine
-    reference algebras, plus the mixed Cartan product against its tabulated
-    Dynkin weight for sl6, f4 and so12."""
-    checks = []
-    for name in SPECIALIZATION_ALGEBRAS:
-        aid = parse_algebra(name)
-        v = vogel_params(aid)
-        rs = build_root_system(aid.family, aid.rank)
-        for n in range(1, 4):
-            lam = rs.weight(tuple(n * c for c in rs.theta))
-            universal = cartan_power_product(v, n).series(order)
-            oracle = weyl_qdim(rs, lam, order)
-            checks.append({
-                "check": f"{name}: cartan power n={n} vs Weyl oracle",
-                "ok": universal == oracle,
-            })
-    for name, labels in Z11_DYNKIN.items():
-        aid = parse_algebra(name)
-        v = vogel_params(aid)
-        rs = build_root_system(aid.family, aid.rank)
-        constant = z_product(v, 1, 1).dim()
-        oracle = weyl_dim(rs, weight_from_dynkin(rs, labels))
-        checks.append({
-            "check": f"{name}: adjoint*Y2(beta) dimension vs Dynkin "
-                     + "".join(str(x) for x in labels),
-            "ok": constant == oracle,
-            "universal": _frac(constant),
-            "weyl": _frac(oracle),
-        })
-    return {"checks": checks, "passed": all(c["ok"] for c in checks)}
-
-
-def run_g2_vanishing(order: int = DEFAULT_ORDER) -> dict:
-    """At the g2 point the mixed Cartan products vanish identically for two
-    or more Y2(beta) factors, and match the rank-two Weyl oracle for one."""
-    v = vogel_params("g2")
-    rs = build_root_system("G", 2)
-    sigma = rs.sigma
-    checks = []
-    for k in range(4):
-        for p in (2, 3):
-            series = z_product(v, k, p).series(order)
-            checks.append({
-                "check": f"z(k={k}, l={p}) at g2 is the zero series",
-                "ok": series.is_zero,
-            })
-    for k in range(4):
-        vec = tuple((k + 1) * t + s for t, s in zip(rs.theta, sigma))
-        oracle = weyl_qdim(rs, rs.weight(vec), order)
-        series = z_product(v, k, 1).series(order)
-        checks.append({
-            "check": f"z(k={k}, l=1) at g2 equals the Weyl-line closed form",
-            "ok": series == oracle,
-        })
-    return {"checks": checks, "passed": all(c["ok"] for c in checks)}
-
-
-# ---------------------------------------------------------------------------
-# symmetric-cube decomposition tables
-# ---------------------------------------------------------------------------
-
-# One-parameter families through the table algebras, in the same slot
-# ordering as their Vogel parameters (the exceptional line of line_params
-# carries beta and gamma the other way around).
-_TABLE_FAMILIES = {
-    "s3-sl6": (lambda n: line_params("sl", n), Fraction(6)),
-    "s3-f4": (lambda n: line_params("exc", n).permuted((0, 2, 1)), Fraction(1)),
-    "s3-so12": (lambda n: line_params("so", n), Fraction(12)),
-}
-
-_TABLES = {
-    "s3-sl6": {
-        "algebra": "sl6",
-        "rows": [
-            ("adjoint", "adjoint", None, ((1, 0, 0, 0, 1),), 2),
-            ("Y3(alpha)", "y3", (0, 1, 2), ((3, 0, 0, 0, 3),), 1),
-            ("Y3(beta)", "y3", (1, 0, 2), ((0, 0, 2, 0, 0),), 1),
-            ("Y3(gamma)", "y3", (2, 1, 0), None, 1),
-            ("X2", "x2", None, ((2, 0, 0, 1, 0), (0, 1, 0, 0, 2)), 1),
-            ("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), ((1, 1, 0, 1, 1),), 1),
-            ("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), ((2, 0, 0, 0, 2),), 1),
-            ("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), ((0, 1, 0, 1, 0),), 1),
-        ],
-    },
-    "s3-f4": {
-        "algebra": "f4",
-        "rows": [
-            ("adjoint", "adjoint", None, ((1, 0, 0, 0),), 2),
-            ("Y3(alpha)", "y3", (0, 1, 2), ((3, 0, 0, 0),), 1),
-            ("Y3(beta)", "y3", (1, 0, 2), ((0, 0, 1, 0),), 1),
-            ("Y3(gamma)", "y3", (2, 1, 0), None, 1),
-            ("X2", "x2", None, ((0, 1, 0, 0),), 1),
-            ("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), ((1, 0, 0, 2),), 1),
-            ("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), None, 1),
-            ("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), None, 1),
-        ],
-    },
-    "s3-so12": {
-        "algebra": "so12",
-        "rows": [
-            ("adjoint", "adjoint", None, ((0, 1, 0, 0, 0, 0),), 2),
-            ("Y3(alpha)", "y3", (0, 1, 2), ((0, 3, 0, 0, 0, 0),), 1),
-            ("Y3(beta)", "y3", (1, 0, 2),
-             ((0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2)), 1),
-            ("Y3(gamma)", "y3", (2, 1, 0), None, 1),
-            ("X2", "x2", None, ((1, 0, 1, 0, 0, 0),), 1),
-            ("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), ((0, 1, 0, 1, 0, 0),), 1),
-            ("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), ((2, 1, 0, 0, 0, 0),), 1),
-            ("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), None, 1),
-        ],
-    },
-}
-
-
-def _row_universal(kind: str, v: VogelParams, perm, family,
-                   family_value: Fraction) -> tuple[Fraction, str]:
-    """Universal dimension of one table row.  Rows where the printed product
-    is 0/0-indeterminate at the point are evaluated exactly along the
-    family the table is built from (the family function yields points in
-    the same slot ordering as the table's algebra)."""
-    if kind == "adjoint":
-        return dim_adjoint(v), "point"
-    if kind == "x2":
-        return x2_product(v).dim(), "point"
-    k, l = (3, 0) if kind == "y3" else (1, 1)
-    try:
-        return z_product(v.permuted(perm), k, l).dim(), "point"
-    except PoleAtParameters:
-        value = z_dim_along_family(lambda n: family(n).permuted(perm),
-                                   family_value, k, l)
-        return value, "line-limit"
-
-
-def build_table_report(which: str) -> dict:
-    """Regenerate one symmetric-cube decomposition table from the universal
-    formulas and, independently, from the Weyl oracle via Dynkin labels."""
-    layout = _TABLES[which]
-    aid = parse_algebra(layout["algebra"])
-    v = vogel_params(aid)
-    rs = build_root_system(aid.family, aid.rank)
-    family, family_value = _TABLE_FAMILIES[which]
-    rows = []
-    total = Fraction(0)
-    all_match = True
-    for name, kind, perm, labels, mult in layout["rows"]:
-        universal, via = _row_universal(kind, v, perm, family, family_value)
-        row = {
-            "irrep": name,
-            "multiplicity": mult,
-            "universal": _frac(universal),
-            "via": via,
-        }
-        if labels is not None:
-            dims = [weyl_dim(rs, weight_from_dynkin(rs, lab)) for lab in labels]
-            weyl_total = mult * sum(dims)
-            row["weyl_dims"] = [_frac(d) for d in dims]
-            row["weyl_total"] = _frac(weyl_total)
-            row["match"] = (mult * universal) == weyl_total
-            all_match = all_match and row["match"]
-        else:
-            row["weyl_dims"] = None
-            row["weyl_total"] = None
-            row["match"] = None
-        rows.append(row)
-        total += mult * universal
-    d = dim_adjoint(v)
-    sym_cube = d * (d + 1) * (d + 2) / 6
-    sum_match = total == sym_cube
-    return {
-        "algebra": layout["algebra"],
-        "rows": rows,
-        "universal_sum": _frac(total),
-        "sym_cube_dim": _frac(sym_cube),
-        "sum_match": sum_match,
-        "passed": all_match and sum_match,
-    }
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -293,7 +97,7 @@ def _resolve_params(args) -> tuple[VogelParams, dict]:
         inputs = {"algebra": None}
     else:
         raise _UsageError("an algebra name or all of --alpha/--beta/--gamma is required")
-    inputs.update(alpha=_frac(v.alpha), beta=_frac(v.beta), gamma=_frac(v.gamma))
+    inputs.update(alpha=str(v.alpha), beta=str(v.beta), gamma=str(v.gamma))
     return v, inputs
 
 
@@ -326,12 +130,12 @@ def _qdim_product(args, v: VogelParams):
 def cmd_dim(args) -> dict:
     v, inputs = _resolve_params(args)
     results = {
-        "dim": _frac(dim_adjoint(v)),
-        "t": _frac(v.t),
-        "casimir_adjoint": _frac(casimir_adjoint(v)),
+        "dim": str(dim_adjoint(v)),
+        "t": str(v.t),
+        "casimir_adjoint": str(casimir_adjoint(v)),
     }
     for slot in SLOTS:
-        results[f"casimir_y2_{slot}"] = _frac(casimir_y2(v, slot))
+        results[f"casimir_y2_{slot}"] = str(casimir_y2(v, slot))
     return {"command": "dim", "inputs": inputs, "results": results, "status": "pass"}
 
 
@@ -346,13 +150,15 @@ def cmd_qdim(args) -> dict:
     if args.x is not None and args.series is not None:
         raise _UsageError("--x and --series are mutually exclusive")
     if args.x is not None:
+        if not math.isfinite(args.x):
+            raise _UsageError(f"--x must be finite, got {args.x}")
         inputs["x"] = args.x
         results = {"value": product.value_at(args.x)}
     else:
         order = _series_order(args.series)
         inputs["series_order"] = order
         series = product.series(order)
-        coeffs = [[m, _frac(series[m])] for m in range(0, order + 1, 2)]
+        coeffs = [[m, str(series[m])] for m in range(0, order + 1, 2)]
         assert all(series[m] == 0 for m in range(1, order + 1, 2))
         results = {"coefficients": coeffs}
     return {"command": "qdim", "inputs": inputs, "results": results, "status": "pass"}
@@ -362,7 +168,11 @@ def cmd_verify(args) -> dict:
     order = _series_order(args.order)
     inputs = {"identity": args.identity, "order": order, "seed": args.seed,
               "mode": args.mode}
-    if args.identity in ("s2", "a2", "s3"):
+    if args.identity in SUITES:
+        suite = SUITES[args.identity](order)
+        results = {"checks": suite["checks"]}
+        status = "pass" if suite["passed"] else "fail"
+    else:
         trials = args.trials
         if trials is None:
             trials = 100 if args.mode == SERIES else 10000
@@ -378,16 +188,6 @@ def cmd_verify(args) -> dict:
                          for point, detail in report.failures],
         }
         status = "pass" if report.passed else "fail"
-    elif args.identity == "specialization":
-        suite = run_specialization(order)
-        results = {"checks": suite["checks"]}
-        status = "pass" if suite["passed"] else "fail"
-    elif args.identity == "g2zero":
-        suite = run_g2_vanishing(order)
-        results = {"checks": suite["checks"]}
-        status = "pass" if suite["passed"] else "fail"
-    else:
-        raise _UsageError(f"unknown identity {args.identity!r}")
     return {"command": "verify", "inputs": inputs, "results": results, "status": status}
 
 
@@ -461,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run an identity or cross-check suite")
-    p.add_argument("identity",
-                   choices=["s2", "a2", "s3", "specialization", "g2zero"])
+    p.add_argument("identity", choices=[*IDENTITIES, *SUITES])
     p.add_argument("--order", type=int,
                    help=f"series truncation order (0..{MAX_SERIES_ORDER}; "
                         f"default QDIM_SERIES_ORDER or {DEFAULT_ORDER})")
@@ -473,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="regenerate a symmetric-cube decomposition table")
-    p.add_argument("which", choices=sorted(_TABLES))
+    p.add_argument("which", choices=sorted(TABLES))
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("instanton", parents=[common],
@@ -543,6 +342,9 @@ def main(argv=None) -> int:
     except PoleAtX as exc:
         _emit(error_doc(str(exc)), as_json)
         return EXIT_X_POLE
+    except FloatEvaluationError as exc:
+        _emit(error_doc(str(exc)), as_json)
+        return EXIT_FLOAT
 
     _emit(doc, as_json)
     return EXIT_PASS if doc["status"] == "pass" else EXIT_FAIL

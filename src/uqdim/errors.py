@@ -22,6 +22,11 @@ class PoleAtX(QdimError):
     """Numeric evaluation hit a vanishing sinh denominator in the x variable."""
 
 
+class FloatEvaluationError(QdimError):
+    """A floating-point evaluation left the range of floats: a value that
+    overflows, or a series that does not converge by the order cap."""
+
+
 class InvalidRank(QdimError):
     """Rank outside the allowed range for the requested root-system family."""
 

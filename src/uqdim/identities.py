@@ -3,15 +3,18 @@
 The symmetric square, antisymmetric square and symmetric cube of the adjoint
 character restricted to the Weyl line are plethysm combinations of the single
 function f(x) = qdim_adjoint.  Each identity equates such a combination with a
-sum of universal characters.  Identities are verified by sampling: exact
-series vanishing of LHS - RHS at random rational points of Vogel's plane
-(a Schwartz-Zippel style certificate), plus floating-point residuals at random
-real points.
+sum of universal characters.  Identities are checked at seeded random points:
+series mode checks that every Taylor coefficient of LHS - RHS up to the given
+order is exactly zero at random rational points of Vogel's plane; numeric mode
+checks that the floating-point relative residual is below NUMERIC_TOLERANCE at
+random real points and real x.  Neither mode proves an identity for all
+parameters.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -42,10 +45,34 @@ POLE_MARGIN = 1e-3
 _HALF = Fraction(1, 2)
 _SIXTH = Fraction(1, 6)
 
-# Parameter permutations entering the symmetric-cube identity: three Cartan
-# cubes and three adjoint*Y2(beta) products.
-_S3_CUBE_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0))
-_S3_MIXED_PERMS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+S3Term = namedtuple("S3Term", "irrep kind perm multiplicity")
+
+#: (k, l) of z_product for the two mixed Cartan-product kinds.
+S3_Z_ARGS = {"y3": (3, 0), "z11": (1, 1)}
+
+#: The constituents of the symmetric cube of the adjoint, in summation order
+#: (the order fixes the last bits of numeric residuals).  A kind is
+#: "adjoint", "x2" or a key of S3_Z_ARGS; perm is the VogelParams.permuted
+#: order of a mixed Cartan product.
+S3_TERMS = (
+    S3Term("Y3(alpha)", "y3", (0, 1, 2), 1),
+    S3Term("Y3(beta)", "y3", (1, 0, 2), 1),
+    S3Term("Y3(gamma)", "y3", (2, 1, 0), 1),
+    S3Term("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), 1),
+    S3Term("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), 1),
+    S3Term("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), 1),
+    S3Term("X2", "x2", None, 1),
+    S3Term("adjoint", "adjoint", None, 2),
+)
+
+
+def s3_term_product(term: S3Term, v: VogelParams) -> SinhProduct:
+    """The Weyl-line character of one symmetric-cube constituent at v."""
+    if term.kind == "adjoint":
+        return adjoint_product(v)
+    if term.kind == "x2":
+        return x2_product(v)
+    return z_product(v.permuted(term.perm), *S3_Z_ARGS[term.kind])
 
 
 @dataclass(frozen=True)
@@ -118,11 +145,7 @@ def _rhs_products(identity: str, v: VogelParams) -> list[tuple[Fraction, SinhPro
     if identity == A2_ANTISYM:
         return [(one, adjoint_product(v)), (one, x2_product(v))]
     if identity == S3_SYM_CUBE:
-        out = [(one, z_product(v.permuted(perm), 3, 0)) for perm in _S3_CUBE_PERMS]
-        out += [(one, z_product(v.permuted(perm), 1, 1)) for perm in _S3_MIXED_PERMS]
-        out.append((one, x2_product(v)))
-        out.append((Fraction(2), adjoint_product(v)))
-        return out
+        return [(Fraction(t.multiplicity), s3_term_product(t, v)) for t in S3_TERMS]
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -140,10 +163,6 @@ def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> P
 def identity_residual_series(identity: str, v: VogelParams,
                              order: int = DEFAULT_ORDER) -> PowerSeries:
     return identity_lhs(identity, v, order) - identity_rhs(identity, v, order)
-
-
-def _all_products(identity: str, v: VogelParams) -> list[SinhProduct]:
-    return [adjoint_product(v)] + [p for _, p in _rhs_products(identity, v)]
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:

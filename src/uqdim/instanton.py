@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PoleAtX
+from .errors import FloatEvaluationError, PoleAtX
 from .series import SinhProduct
 from .universal import VogelParams, cartan_power_product
 
@@ -80,7 +80,7 @@ def _eval_adaptive(product: SinhProduct, x: float) -> float:
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value
         if order >= _MAX_ORDER:
-            raise ArithmeticError(
+            raise FloatEvaluationError(
                 f"series evaluation did not converge at x={x} by order {order}"
             )
         order *= 2
@@ -91,8 +91,15 @@ def one_instanton_term(v: VogelParams, ip: InstantonParams, n: int) -> float:
     dimension of the n-th Cartan power of the adjoint at x."""
     if not 1 <= n <= ip.n_max:
         raise ValueError(f"n must lie in 1..{ip.n_max}, got {n}")
-    weight = math.exp(n * ip.sigma_n * (ip.eps1 + ip.eps2))
-    return weight * _eval_adaptive(cartan_power_product(v, n), ip.x)
+    try:
+        weight = math.exp(n * ip.sigma_n * (ip.eps1 + ip.eps2))
+        term = weight * _eval_adaptive(cartan_power_product(v, n), ip.x)
+    except OverflowError:
+        term = math.inf
+    if not math.isfinite(term):
+        raise FloatEvaluationError(f"one-instanton term n={n} at x={ip.x} "
+                                   "is not a finite float")
+    return term
 
 
 def one_instanton_sum(v: VogelParams, ip: InstantonParams) -> InstantonTermTable:

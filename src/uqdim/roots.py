@@ -25,8 +25,6 @@ from .series import DEFAULT_ORDER, PowerSeries, SinhFactor, SinhProduct
 
 Vector = tuple[Fraction, ...]
 
-_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-
 
 def _vec(values) -> Vector:
     return tuple(Fraction(v) for v in values)

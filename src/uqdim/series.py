@@ -30,6 +30,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import (
     DivisionByZeroSeries,
+    FloatEvaluationError,
     PoleAtParameters,
     PoleAtX,
     ZeroDenominatorForm,
@@ -86,11 +87,6 @@ class PowerSeries:
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls.constant(1, order)
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series of the variable x itself."""
-        return cls([0, 1], order=order)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -447,18 +443,25 @@ class SinhProduct:
         return acc
 
     def value_at(self, x: float) -> float:
-        """Direct floating-point evaluation at a real x (x = 0 gives dim)."""
+        """Direct floating-point evaluation at a real x (x = 0 gives dim).
+        A value that is not a finite float raises FloatEvaluationError."""
         if x == 0:
             return float(self.dim())
         acc = float(self.sign)
-        for f in self.factors:
-            if isinstance(f, CoshFactor):
-                acc *= 2.0 * math.cosh(float(f.arg) * x / 4.0)
-                continue
-            d = math.sinh(float(f.den) * x / 4.0)
-            if d == 0.0:
-                raise PoleAtX(f"sinh({f.den} * x/4) vanishes at x={x}")
-            acc *= math.sinh(float(f.num) * x / 4.0) / d
+        try:
+            for f in self.factors:
+                if isinstance(f, CoshFactor):
+                    acc *= 2.0 * math.cosh(float(f.arg) * x / 4.0)
+                    continue
+                d = math.sinh(float(f.den) * x / 4.0)
+                if d == 0.0:
+                    raise PoleAtX(f"sinh({f.den} * x/4) vanishes at x={x}")
+                acc *= math.sinh(float(f.num) * x / 4.0) / d
+        except OverflowError:
+            acc = math.inf
+        if not math.isfinite(acc):
+            raise FloatEvaluationError(
+                f"{self.context or 'product'} at x={x} is not a finite float")
         return acc
 
     def min_abs_denominator(self) -> Fraction | None:

@@ -34,7 +34,7 @@ from uqdim import (
     weyl_dim,
     weyl_qdim,
 )
-from uqdim.cli import build_table_report
+from uqdim.crosscheck import build_table_report
 from uqdim.universal import (
     adjoint_product,
     x2_product,

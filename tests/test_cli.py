@@ -180,6 +180,31 @@ class TestInstanton:
         assert code == 4
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("x", ["100", "25"])
+    def test_overflow_exit_code(self, capsys, x):
+        code = cli.main(["qdim", "adjoint", "e8", "--x", x, "--json"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert code == cli.EXIT_FLOAT == 5
+        assert doc["status"] == "error"
+        assert "not a finite float" in doc["results"]["error"]
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_x_is_usage_error(self, capsys, x):
+        code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", x)
+        assert code == 2
+        assert "finite" in doc["results"]["error"]
+
+    def test_instanton_overflow_exit_code(self, capsys):
+        code = cli.main(["instanton", "e8", "--x", "100", "--nmax", "1", "--json"])
+        json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert code == 5
+
+
 class TestOutputContract:
     def test_document_shape(self, capsys):
         _, doc = run_json(capsys, "dim", "g2")

@@ -12,6 +12,8 @@ from uqdim import (
     vogel_params,
     weyl_qdim,
 )
+from uqdim import instanton
+from uqdim.errors import FloatEvaluationError
 from uqdim.universal import adjoint_product
 
 
@@ -108,3 +110,17 @@ class TestSum:
         table = one_instanton_sum(v, ip)
         assert table.converged
         assert table.converged_at is not None and table.converged_at < 50
+
+
+class TestFloatRange:
+    def test_no_convergence_by_the_order_cap(self, monkeypatch):
+        monkeypatch.setattr(instanton, "_MAX_ORDER", instanton._START_ORDER)
+        ip = InstantonParams(eps1=0.1, eps2=0.2, sigma_n=-1.0, x=2.0, n_max=3)
+        with pytest.raises(FloatEvaluationError, match="did not converge"):
+            one_instanton_term(vogel_params("e8"), ip, 3)
+
+    @pytest.mark.parametrize("x,sigma", [(100.0, 0.0), (0.5, 1e5)])
+    def test_overflowing_term(self, x, sigma):
+        ip = InstantonParams(eps1=1.0, eps2=0.0, sigma_n=sigma, x=x, n_max=1)
+        with pytest.raises(FloatEvaluationError, match="not a finite float"):
+            one_instanton_term(vogel_params("e8"), ip, 1)

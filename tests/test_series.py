@@ -16,6 +16,7 @@ from uqdim import (
     vogel_params,
 )
 from uqdim import series as series_module
+from uqdim.errors import FloatEvaluationError
 from uqdim.series import cosh_series, log_coefficients, tangent_numbers
 from uqdim.universal import cartan_power_product
 
@@ -211,6 +212,29 @@ class TestSinhProduct:
         p = SinhProduct([SinhFactor(4, 2)], sign=-1)
         assert p.dim() == -2
         assert p.series(4) == -sinh_ratio_series(4, 2, 4)
+
+    def test_value_at_overflow_is_typed(self):
+        # math.sinh(250) is finite but the product overflows; math.sinh(2500)
+        # raises OverflowError; both must give the typed error.
+        p = SinhProduct([SinhFactor(40, 1), SinhFactor(40, 1), SinhFactor(40, 1)],
+                        context="ctx")
+        with pytest.raises(FloatEvaluationError, match="ctx at x=25"):
+            p.value_at(25.0)
+        with pytest.raises(FloatEvaluationError):
+            p.value_at(250.0)
+        with pytest.raises(FloatEvaluationError):
+            SinhProduct([CoshFactor(4)]).value_at(1000.0)
+
+    def test_value_at_non_finite_x(self):
+        p = SinhProduct([SinhFactor(3, 1)])
+        for x in (math.nan, math.inf):
+            with pytest.raises(FloatEvaluationError):
+                p.value_at(x)
+
+    def test_finite_value_unchanged(self):
+        p = SinhProduct([SinhFactor(3, 1), CoshFactor(2)], sign=-1)
+        expected = -1.0 * (math.sinh(0.75) / math.sinh(0.25)) * (2.0 * math.cosh(0.5))
+        assert p.value_at(1.0) == expected
 
 
 def reference_series(factors, sign, order):
