@@ -64,6 +64,16 @@ class _UsageError(Exception):
     pass
 
 
+class _ParseError(Exception):
+    """An argparse error as (parser, message), raised in place of argparse's
+    exit so that main can report it as a --json error document."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseError(self, message)
+
+
 def _series_order(given: int | None) -> int:
     """The series order given on the command line, else QDIM_SERIES_ORDER,
     else DEFAULT_ORDER, checked against 0..MAX_SERIES_ORDER."""
@@ -229,11 +239,11 @@ def _add_param_args(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one canonical JSON document")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uqdim",
         description="Exact universal quantum dimensions on Vogel's plane.",
     )
@@ -308,8 +318,15 @@ def _emit(doc: dict, as_json: bool) -> None:
     print(f"status: {doc['status']}")
 
 
+def _error_doc(command: str | None, message: str) -> dict:
+    return {"command": command, "inputs": {},
+            "results": {"error": message}, "status": "error"}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    args = None
     try:
         # parse_known_args plus a manual sweep lets algebra tokens appear
         # after options, e.g. "qdim z --k 1 --l 1 sl6 --series 0"
@@ -322,28 +339,32 @@ def main(argv=None) -> int:
             if not hasattr(args, "algebra"):
                 parser.error(f"unrecognized arguments: {' '.join(extra)}")
             args.algebra = list(args.algebra) + extra
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except _ParseError as exc:
+        failed, message = exc.args
+        if "--json" in argv:
+            command = failed.prog.partition(" ")[2] or getattr(args, "command", None)
+            _emit(_error_doc(command, message), True)
+        else:
+            failed.print_usage(sys.stderr)
+            print(f"{failed.prog}: error: {message}", file=sys.stderr)
+        return EXIT_USAGE
 
-    as_json = getattr(args, "json", False)
-
-    def error_doc(message: str) -> dict:
-        return {"command": args.command, "inputs": {},
-                "results": {"error": message}, "status": "error"}
-
+    as_json = args.json
     try:
         doc = args.handler(args)
     except (_UsageError, UnknownAlgebra, InvalidRank, LengthMismatch, ValueError) as exc:
-        _emit(error_doc(str(exc)), as_json)
+        _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_USAGE
     except (PoleAtParameters, ZeroDenominatorForm) as exc:
-        _emit(error_doc(str(exc)), as_json)
+        _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_PARAM_POLE
     except PoleAtX as exc:
-        _emit(error_doc(str(exc)), as_json)
+        _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_X_POLE
     except FloatEvaluationError as exc:
-        _emit(error_doc(str(exc)), as_json)
+        _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_FLOAT
 
     _emit(doc, as_json)

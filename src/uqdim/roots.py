@@ -1,11 +1,15 @@
-"""Explicit root systems and the Weyl character formula on the Weyl line.
+"""Root systems built from their Dynkin diagrams, and the Weyl character
+formula on the Weyl line.
 
-Root systems are realised in the standard orthogonal coordinates (half-integer
-coordinates for the E and F families), with all arithmetic in exact rationals.
-Instead of rescaling root vectors by irrational factors, the invariant scalar
-product itself carries a global rational scale chosen so that long roots have
-square length 2.  With that normalisation the character of the highest-weight
-module ``lambda`` restricted to the Weyl line ``x * rho`` is
+Each family is its Dynkin diagram in Bourbaki numbering (*Lie Groups and Lie
+Algebras*, ch. VI, plates): the squared lengths of the simple roots, as
+integers times one per-family rational scale that gives long roots square
+length 2, and the bonds between them.  Every vector -- roots, rho, theta,
+sigma, weights -- is stored in simple-root coordinates, so the invariant form
+is the diagram's integer form times that scale and all arithmetic is exact.
+The positive roots are generated by height from root strings.  The character
+of the highest-weight module ``lambda`` restricted to the Weyl line
+``x * rho`` is
 
     prod over positive roots mu of  sinh((x/2)(mu, lambda+rho)) / sinh((x/2)(mu, rho))
 
@@ -15,7 +19,6 @@ independent oracle the universal formulas are validated against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,31 +26,12 @@ from typing import Sequence
 from .errors import EmptyOrthogonalSubsystem, InvalidRank, LengthMismatch
 from .series import DEFAULT_ORDER, PowerSeries, SinhFactor, SinhProduct
 
+Root = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
 def _vec(values) -> Vector:
     return tuple(Fraction(v) for v in values)
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(u: Vector, c: Fraction) -> Vector:
-    return tuple(a * c for a in u)
-
-
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -70,9 +54,50 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 @dataclass(frozen=True)
+class DynkinDiagram:
+    """A Dynkin diagram in Bourbaki numbering.  Simple root i has
+    (alpha_i, alpha_i) = scale * lengths[i]; a bond (i, j) gives
+    (alpha_i, alpha_j) = -scale * max(lengths[i], lengths[j]) / 2, and
+    distinct simple roots without a bond are orthogonal."""
+
+    lengths: tuple[int, ...]
+    bonds: tuple[tuple[int, int], ...]
+    scale: Fraction
+
+    def form(self, v) -> list:
+        """(alpha_i, v) / scale for every simple root alpha_i, with v in
+        simple-root coordinates; integers when v is integral."""
+        out = [length * c for length, c in zip(self.lengths, v)]
+        for i, j in self.bonds:
+            bond = max(self.lengths[i], self.lengths[j]) // 2
+            out[i] -= bond * v[j]
+            out[j] -= bond * v[i]
+        return out
+
+    def gram(self, u, v) -> Fraction:
+        """Invariant scalar product, normalised so long roots have square 2."""
+        return self.scale * sum(a * b for a, b in zip(u, self.form(v)))
+
+
+def _diagram(family: str, n: int) -> DynkinDiagram:
+    lengths, scale = {
+        "B": ([4] * (n - 1) + [2], Fraction(1, 2)),
+        "C": ([2] * (n - 1) + [4], Fraction(1, 2)),
+        "F": ([4, 4, 2, 2], Fraction(1, 2)),
+        "G": ([2, 6], Fraction(1, 3)),  # the short root first
+    }.get(family, ([2] * n, Fraction(1)))
+    bonds = [(i, i + 1) for i in range(n - 1)]
+    if family == "D":
+        bonds[-1] = (n - 3, n - 1)  # alpha_{n-2} branches to alpha_{n-1}, alpha_n
+    elif family == "E":
+        bonds = [(0, 2), (1, 3)] + bonds[2:]  # alpha_2 hangs on alpha_4
+    return DynkinDiagram(tuple(lengths), tuple(bonds), scale)
+
+
+@dataclass(frozen=True)
 class Weight:
-    """A dominant integral weight, stored in the ambient coordinates of its
-    root system.  Construct through :meth:`RootSystem.weight` or
+    """A dominant integral weight, stored in the simple-root coordinates of
+    its root system.  Construct through :meth:`RootSystem.weight` or
     :func:`weight_from_dynkin` so dominance is validated."""
 
     vector: Vector
@@ -80,47 +105,48 @@ class Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
+    """A root system and its Dynkin diagram.  Every vector is in simple-root
+    coordinates: the positive roots are integer tuples ordered by height,
+    starting with the simple roots in Bourbaki order; rho and the
+    fundamental weights have rational entries."""
+
     family: str
     rank: int
-    positive_roots: tuple[Vector, ...]
-    simple_roots: tuple[Vector, ...]
-    gram_scale: Fraction
+    diagram: DynkinDiagram
+    positive_roots: tuple[Root, ...]
     rho: Vector
-    theta: Vector
-    sigma: Vector | None
+    theta: Root
+    sigma: Root | None
     fundamental_weights: tuple[Vector, ...]
 
-    def gram(self, u: Vector, v: Vector) -> Fraction:
-        """Invariant scalar product, normalised so (theta, theta) = 2."""
-        return self.gram_scale * _dot(u, v)
+    @property
+    def simple_roots(self) -> tuple[Root, ...]:
+        return self.positive_roots[:self.rank]
 
-    def coroot_pairing(self, lam: Vector, root: Vector) -> Fraction:
+    def gram(self, u, v) -> Fraction:
+        """Invariant scalar product, normalised so (theta, theta) = 2."""
+        return self.diagram.gram(u, v)
+
+    def coroot_pairing(self, lam, root) -> Fraction:
         """(lam, root^vee) = 2 (lam, root) / (root, root)."""
         return 2 * self.gram(lam, root) / self.gram(root, root)
 
     def weight(self, vector) -> Weight:
         """Validate dominance and integrality against the simple coroots."""
         vec = _vec(vector)
-        if len(vec) != len(self.theta):
-            raise ValueError("weight vector has wrong ambient dimension")
-        for mu in self.simple_roots:
-            pairing = self.coroot_pairing(vec, mu)
-            if pairing.denominator != 1 or pairing < 0:
-                raise ValueError(
-                    f"vector is not a dominant integral weight: pairing {pairing} "
-                    f"with simple root {mu}"
-                )
+        if len(vec) != self.rank:
+            raise ValueError("weight vector has wrong dimension")
+        labels = self.dynkin_labels(vec)
+        if min(labels) < 0:
+            raise ValueError(f"vector is not a dominant weight: Dynkin labels {labels}")
         return Weight(vec)
 
     def dynkin_labels(self, vector) -> tuple[int, ...]:
-        vec = _vec(vector)
-        labels = []
-        for mu in self.simple_roots:
-            pairing = self.coroot_pairing(vec, mu)
-            if pairing.denominator != 1:
-                raise ValueError("vector is not an integral weight")
-            labels.append(int(pairing))
-        return tuple(labels)
+        """(vector, alpha_i^vee) for every simple root alpha_i."""
+        labels = [self.coroot_pairing(_vec(vector), alpha) for alpha in self.simple_roots]
+        if any(label.denominator != 1 for label in labels):
+            raise ValueError("vector is not an integral weight")
+        return tuple(int(label) for label in labels)
 
 
 _POSITIVE_COUNT = {
@@ -134,108 +160,37 @@ _POSITIVE_COUNT = {
 }
 
 
-def _classical_roots(family: str, n: int):
-    """Positive and simple roots in orthogonal coordinates, plus the scale
-    that makes long roots have square 2."""
-    if family == "A":
-        dim = n + 1
-        positive = [_sub(_unit(dim, i), _unit(dim, j))
-                    for i in range(dim) for j in range(i + 1, dim)]
-        simple = [_sub(_unit(dim, i), _unit(dim, i + 1)) for i in range(n)]
-        return positive, simple, Fraction(1)
-    if family == "B":
-        positive = [_sub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        positive += [_unit(n, i) for i in range(n)]
-        simple = [_sub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)] + [_unit(n, n - 1)]
-        return positive, simple, Fraction(1)
-    if family == "C":
-        positive = [_sub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        positive += [_scale(_unit(n, i), Fraction(2)) for i in range(n)]
-        simple = [_sub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        simple.append(_scale(_unit(n, n - 1), Fraction(2)))
-        return positive, simple, Fraction(1, 2)
-    if family == "D":
-        positive = [_sub(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        positive += [_add(_unit(n, i), _unit(n, j)) for i in range(n) for j in range(i + 1, n)]
-        simple = [_sub(_unit(n, i), _unit(n, i + 1)) for i in range(n - 1)]
-        simple.append(_add(_unit(n, n - 2), _unit(n, n - 1)))
-        return positive, simple, Fraction(1)
-    raise AssertionError(family)
+def _shift(root: Root, i: int, k: int) -> Root:
+    """root + k alpha_i."""
+    return root[:i] + (root[i] + k,) + root[i + 1:]
 
 
-def _g2_roots():
-    # Realised inside the plane x1+x2+x3 = 0; short roots have square 2/3
-    # once the form is scaled by 1/3.
-    a1 = _vec([1, -1, 0])
-    a2 = _vec([-2, 1, 1])
-    positive = [
-        a1,
-        a2,
-        _add(a1, a2),
-        _add(_scale(a1, Fraction(2)), a2),
-        _add(_scale(a1, Fraction(3)), a2),
-        _add(_scale(a1, Fraction(3)), _scale(a2, Fraction(2))),
-    ]
-    return positive, [a1, a2], Fraction(1, 3)
-
-
-def _f4_roots():
-    half = Fraction(1, 2)
-    positive = [_unit(4, i) for i in range(4)]
-    positive += [_sub(_unit(4, i), _unit(4, j)) for i in range(4) for j in range(i + 1, 4)]
-    positive += [_add(_unit(4, i), _unit(4, j)) for i in range(4) for j in range(i + 1, 4)]
-    for s2 in (half, -half):
-        for s3 in (half, -half):
-            for s4 in (half, -half):
-                positive.append((half, s2, s3, s4))
-    simple = [
-        _sub(_unit(4, 1), _unit(4, 2)),
-        _sub(_unit(4, 2), _unit(4, 3)),
-        _unit(4, 3),
-        (half, -half, -half, -half),
-    ]
-    return positive, simple, Fraction(1)
-
-
-def _e8_all_roots() -> list[Vector]:
-    roots: list[Vector] = []
-    for i in range(8):
-        for j in range(i + 1, 8):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * 8
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    roots.append(tuple(v))
-    half = Fraction(1, 2)
-    for signs in itertools.product((1, -1), repeat=8):
-        if signs.count(-1) % 2 == 0:
-            roots.append(tuple(half * s for s in signs))
+def _positive_roots(diagram: DynkinDiagram, count: int) -> list[Root]:
+    """The positive roots by height.  beta + alpha_i is a root exactly when
+    p > (beta, alpha_i^vee), where p is the largest k such that
+    beta - k alpha_i is a root.  Generation stops once more than the
+    expected count are found, since a diagram that is not of finite type
+    has infinitely many roots."""
+    n = len(diagram.lengths)
+    roots = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(roots)
+    layer = roots
+    while layer and len(roots) <= count:
+        taller = []
+        for beta in layer:
+            form = diagram.form(beta)
+            for i, length in enumerate(diagram.lengths):
+                p = 0
+                while _shift(beta, i, -p - 1) in known:
+                    p += 1
+                if p > 2 * form[i] // length:
+                    up = _shift(beta, i, 1)
+                    if up not in known:
+                        known.add(up)
+                        taller.append(up)
+        roots += taller
+        layer = taller
     return roots
-
-
-def _e8_simple_roots() -> list[Vector]:
-    half = Fraction(1, 2)
-    a1 = (half, -half, -half, -half, -half, -half, -half, half)
-    a2 = _add(_unit(8, 0), _unit(8, 1))
-    chain = [_sub(_unit(8, i + 1), _unit(8, i)) for i in range(6)]  # a3..a8
-    return [a1, a2] + chain
-
-
-def _e_family_roots(rank: int):
-    """E6/E7/E8 as the sub-root-systems of E8 spanned by the first rank
-    simple roots (Bourbaki numbering)."""
-    simple8 = _e8_simple_roots()
-    basis = _invert([[simple8[j][i] for j in range(8)] for i in range(8)])
-    positive = []
-    for root in _e8_all_roots():
-        coords = [sum(basis[k][i] * root[i] for i in range(8)) for k in range(8)]
-        if any(c != 0 for c in coords[rank:]):
-            continue
-        if all(c >= 0 for c in coords):
-            positive.append(root)
-    return positive, simple8[:rank], Fraction(1)
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -246,45 +201,25 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     count, (theta, theta) = 2, and (rho, mu^vee) = 1 for every simple mu.
     """
     family = family.upper()
-    valid = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 3,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }
+    valid = {"A": rank >= 1, "B": rank >= 2, "C": rank >= 2, "D": rank >= 3,
+             "E": rank in (6, 7, 8), "F": rank == 4, "G": rank == 2}
     if family not in valid:
         raise InvalidRank(f"unknown family {family!r}")
     if not valid[family]:
         raise InvalidRank(f"rank {rank} is not valid for family {family}")
 
-    if family in "ABCD":
-        positive, simple, scale = _classical_roots(family, rank)
-    elif family == "G":
-        positive, simple, scale = _g2_roots()
-    elif family == "F":
-        positive, simple, scale = _f4_roots()
-    else:
-        positive, simple, scale = _e_family_roots(rank)
+    diagram = _diagram(family, rank)
+    gram = diagram.gram
+    count = _POSITIVE_COUNT[family](rank)
+    positive = _positive_roots(diagram, count)
+    simple = positive[:rank]
+    assert len(positive) == count
 
-    assert len(positive) == _POSITIVE_COUNT[family](rank)
-
-    rho = positive[0]
-    for mu in positive[1:]:
-        rho = _add(rho, mu)
-    rho = _scale(rho, Fraction(1, 2))
-
-    def gram(u, v):
-        return scale * _dot(u, v)
+    rho = tuple(Fraction(sum(column), 2) for column in zip(*positive))
 
     # Non-simply-laced systems have one dominant root per root length; the
     # highest root is the dominant one of maximal height.
-    dominant = [
-        mu for mu in positive
-        if all(gram(mu, s) >= 0 for s in simple)
-    ]
+    dominant = [mu for mu in positive if all(x >= 0 for x in diagram.form(mu))]
     assert 1 <= len(dominant) <= 2, f"unexpected dominant roots: {dominant}"
     theta = max(dominant, key=lambda mu: gram(rho, mu))
     assert all(gram(rho, mu) < gram(rho, theta) for mu in dominant if mu != theta)
@@ -300,29 +235,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     orthogonal = [mu for mu in positive if gram(theta, mu) == 0]
     sigma = max(orthogonal, key=lambda mu: (gram(rho, mu), mu), default=None)
 
-    cartan = [[2 * gram(a, b) / gram(b, b) for b in simple] for a in simple]
-    inverse = _invert(cartan)
-    fundamental = []
-    for j in range(rank):
-        w = tuple(Fraction(0) for _ in simple[0])
-        for k in range(rank):
-            w = _add(w, _scale(simple[k], inverse[j][k]))
-        fundamental.append(w)
-
-    return RootSystem(
-        family=family,
-        rank=rank,
-        positive_roots=tuple(positive),
-        simple_roots=tuple(simple),
-        gram_scale=scale,
-        rho=rho,
-        theta=theta,
-        sigma=sigma,
-        fundamental_weights=tuple(fundamental),
+    # omega_j is column j of the inverse Gram matrix of the simple roots,
+    # times (alpha_j, alpha_j) / 2; the scale cancels.
+    inverse = _invert([[Fraction(x) for x in diagram.form(mu)] for mu in simple])
+    fundamental = tuple(
+        tuple(row[j] * length / 2 for row in inverse)
+        for j, length in enumerate(diagram.lengths)
     )
 
+    return RootSystem(family, rank, diagram, tuple(positive), rho, theta, sigma, fundamental)
 
-def compute_sigma(rs: RootSystem) -> Vector:
+
+def compute_sigma(rs: RootSystem) -> Root:
     """Highest root of the subsystem orthogonal to theta, as found by
     :func:`build_root_system`; raises when that subsystem is empty."""
     if rs.sigma is None:
@@ -335,23 +259,23 @@ def compute_sigma(rs: RootSystem) -> Vector:
 def weight_from_dynkin(rs: RootSystem, labels: Sequence[int]) -> Weight:
     """The dominant weight sum_i labels_i * omega_i from its Dynkin labels."""
     if len(labels) != rs.rank:
-        raise LengthMismatch(
-            f"expected {rs.rank} Dynkin labels, got {len(labels)}"
-        )
-    vec = tuple(Fraction(0) for _ in rs.theta)
-    for label, omega in zip(labels, rs.fundamental_weights):
-        if label:
-            vec = _add(vec, _scale(omega, Fraction(label)))
-    return rs.weight(vec)
+        raise LengthMismatch(f"expected {rs.rank} Dynkin labels, got {len(labels)}")
+    return rs.weight(
+        sum(label * omega[k] for label, omega in zip(labels, rs.fundamental_weights))
+        for k in range(rs.rank)
+    )
 
 
 def weyl_qdim_product(rs: RootSystem, lam: Weight) -> SinhProduct:
     """The Weyl-line character of lam as a product of sinh ratios."""
-    vec = lam.vector
+    shifted = [a + b for a, b in zip(lam.vector, rs.rho)]
+    # (alpha_i, lam + rho) and (alpha_i, rho), once per simple root alpha_i.
+    upper = [rs.gram(alpha, shifted) for alpha in rs.simple_roots]
+    lower = [rs.gram(alpha, rs.rho) for alpha in rs.simple_roots]
     factors = []
     for mu in rs.positive_roots:
-        num = 2 * (rs.gram(mu, vec) + rs.gram(mu, rs.rho))
-        den = 2 * rs.gram(mu, rs.rho)
+        num = 2 * sum(m * a for m, a in zip(mu, upper))
+        den = 2 * sum(m * a for m, a in zip(mu, lower))
         factors.append(SinhFactor(num, den, label=f"2*(rho, {mu})"))
     return SinhProduct(factors, sign=1, context=f"weyl[{rs.family}{rs.rank}]")
 

@@ -205,6 +205,30 @@ class TestFloatRange:
         assert code == 5
 
 
+class TestParseErrors:
+    @pytest.mark.parametrize("argv", [
+        ["qdim", "adjoint", "e8", "--x", "-inf"],
+        ["qdim", "adjoint", "e8", "--x", "1", "--bogus"],
+        ["verify", "s9"],
+    ])
+    def test_json_error_document(self, capsys, argv):
+        code = cli.main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        doc = json.loads(captured.out)
+        assert doc["status"] == "error"
+        assert doc["command"] == argv[0]
+        assert captured.err == ""
+
+    def test_text_mode_keeps_argparse_message(self, capsys):
+        code = cli.main(["verify", "s9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: uqdim verify")
+        assert "uqdim verify: error: argument identity: invalid choice" in captured.err
+
+
 class TestOutputContract:
     def test_document_shape(self, capsys):
         _, doc = run_json(capsys, "dim", "g2")

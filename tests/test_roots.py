@@ -270,3 +270,336 @@ class TestWeights:
         rs = build_root_system("A", 1)
         with pytest.raises(ValueError):
             rs.weight(tuple(c / 3 for c in rs.theta))
+
+
+# Basis-free invariants of the oracle for 29 root systems, recorded from the
+# standard orthogonal-coordinate realisations (Bourbaki, ch. VI, plates), so
+# they do not depend on the Dynkin-diagram construction.  Per system: the
+# number of positive roots; the multisets of (rho, mu), (theta, mu) and
+# (mu, mu) over the positive roots mu, as "value*count" words; the Dynkin
+# labels of theta and of sigma; the Gram matrix of the simple roots, rows
+# separated by "/"; and the dimensions of the fundamental modules.
+PINNED = {
+    "A1": (1,
+           "1*1",
+           "2*1",
+           "2*1",
+           (2,), None,
+           "2",
+           (2,)),
+    "A2": (3,
+           "1*2 2*1",
+           "1*2 2*1",
+           "2*3",
+           (1, 1), None,
+           "2 -1/-1 2",
+           (3, 3)),
+    "A3": (6,
+           "1*3 2*2 3*1",
+           "0*1 1*4 2*1",
+           "2*6",
+           (1, 0, 1), (-1, 2, -1),
+           "2 -1 0/-1 2 -1/0 -1 2",
+           (4, 6, 4)),
+    "A4": (10,
+           "1*4 2*3 3*2 4*1",
+           "0*3 1*6 2*1",
+           "2*10",
+           (1, 0, 0, 1), (-1, 1, 1, -1),
+           "2 -1 0 0/-1 2 -1 0/0 -1 2 -1/0 0 -1 2",
+           (5, 10, 10, 5)),
+    "A5": (15,
+           "1*5 2*4 3*3 4*2 5*1",
+           "0*6 1*8 2*1",
+           "2*15",
+           (1, 0, 0, 0, 1), (-1, 1, 0, 1, -1),
+           "2 -1 0 0 0/-1 2 -1 0 0/0 -1 2 -1 0/0 0 -1 2 -1/0 0 0 -1 2",
+           (6, 15, 20, 15, 6)),
+    "A6": (21,
+           "1*6 2*5 3*4 4*3 5*2 6*1",
+           "0*10 1*10 2*1",
+           "2*21",
+           (1, 0, 0, 0, 0, 1), (-1, 1, 0, 0, 1, -1),
+           ("2 -1 0 0 0 0/"
+            "-1 2 -1 0 0 0/"
+            "0 -1 2 -1 0 0/"
+            "0 0 -1 2 -1 0/"
+            "0 0 0 -1 2 -1/"
+            "0 0 0 0 -1 2"),
+           (7, 21, 35, 35, 21, 7)),
+    "A7": (28,
+           "1*7 2*6 3*5 4*4 5*3 6*2 7*1",
+           "0*15 1*12 2*1",
+           "2*28",
+           (1, 0, 0, 0, 0, 0, 1), (-1, 1, 0, 0, 0, 1, -1),
+           ("2 -1 0 0 0 0 0/"
+            "-1 2 -1 0 0 0 0/"
+            "0 -1 2 -1 0 0 0/"
+            "0 0 -1 2 -1 0 0/"
+            "0 0 0 -1 2 -1 0/"
+            "0 0 0 0 -1 2 -1/"
+            "0 0 0 0 0 -1 2"),
+           (8, 28, 56, 70, 56, 28, 8)),
+    "A8": (36,
+           "1*8 2*7 3*6 4*5 5*4 6*3 7*2 8*1",
+           "0*21 1*14 2*1",
+           "2*36",
+           (1, 0, 0, 0, 0, 0, 0, 1), (-1, 1, 0, 0, 0, 0, 1, -1),
+           ("2 -1 0 0 0 0 0 0/"
+            "-1 2 -1 0 0 0 0 0/"
+            "0 -1 2 -1 0 0 0 0/"
+            "0 0 -1 2 -1 0 0 0/"
+            "0 0 0 -1 2 -1 0 0/"
+            "0 0 0 0 -1 2 -1 0/"
+            "0 0 0 0 0 -1 2 -1/"
+            "0 0 0 0 0 0 -1 2"),
+           (9, 36, 84, 126, 126, 84, 36, 9)),
+    "B2": (4,
+           "1/2*1 1*1 3/2*1 2*1",
+           "0*1 1*2 2*1",
+           "1*2 2*2",
+           (0, 2), (2, -2),
+           "2 -1/-1 1",
+           (5, 4)),
+    "B3": (9,
+           "1/2*1 1*2 3/2*1 2*2 5/2*1 3*1 4*1",
+           "0*2 1*6 2*1",
+           "1*3 2*6",
+           (0, 1, 0), (2, -1, 0),
+           "2 -1 0/-1 2 -1/0 -1 1",
+           (7, 21, 8)),
+    "B4": (16,
+           "1/2*1 1*3 3/2*1 2*3 5/2*1 3*2 7/2*1 4*2 5*1 6*1",
+           "0*5 1*10 2*1",
+           "1*4 2*12",
+           (0, 1, 0, 0), (0, -1, 0, 2),
+           "2 -1 0 0/-1 2 -1 0/0 -1 2 -1/0 0 -1 1",
+           (9, 36, 84, 16)),
+    "B5": (25,
+           "1/2*1 1*4 3/2*1 2*4 5/2*1 3*3 7/2*1 4*3 9/2*1 5*2 6*2 7*1 8*1",
+           "0*10 1*14 2*1",
+           "1*5 2*20",
+           (0, 1, 0, 0, 0), (0, -1, 0, 1, 0),
+           "2 -1 0 0 0/-1 2 -1 0 0/0 -1 2 -1 0/0 0 -1 2 -1/0 0 0 -1 1",
+           (11, 55, 165, 330, 32)),
+    "B6": (36,
+           ("1/2*1 1*5 3/2*1 2*5 5/2*1 3*4 7/2*1 4*4 9/2*1 5*3 11/2*1 6*3 7*2 "
+            "8*2 9*1 10*1"),
+           "0*17 1*18 2*1",
+           "1*6 2*30",
+           (0, 1, 0, 0, 0, 0), (0, -1, 0, 1, 0, 0),
+           ("2 -1 0 0 0 0/"
+            "-1 2 -1 0 0 0/"
+            "0 -1 2 -1 0 0/"
+            "0 0 -1 2 -1 0/"
+            "0 0 0 -1 2 -1/"
+            "0 0 0 0 -1 1"),
+           (13, 78, 286, 715, 1287, 64)),
+    "C2": (4,
+           "1/2*1 1*1 3/2*1 2*1",
+           "0*1 1*2 2*1",
+           "1*2 2*2",
+           (2, 0), (-2, 2),
+           "1 -1/-1 2",
+           (4, 5)),
+    "C3": (9,
+           "1/2*2 1*2 3/2*1 2*2 5/2*1 3*1",
+           "0*4 1*4 2*1",
+           "1*6 2*3",
+           (2, 0, 0), (-2, 2, 0),
+           "1 -1/2 0/-1/2 1 -1/0 -1 2",
+           (6, 14, 14)),
+    "C4": (16,
+           "1/2*3 1*3 3/2*2 2*2 5/2*2 3*2 7/2*1 4*1",
+           "0*9 1*6 2*1",
+           "1*12 2*4",
+           (2, 0, 0, 0), (-2, 2, 0, 0),
+           "1 -1/2 0 0/-1/2 1 -1/2 0/0 -1/2 1 -1/0 0 -1 2",
+           (8, 27, 48, 42)),
+    "C5": (25,
+           "1/2*4 1*4 3/2*3 2*3 5/2*2 3*3 7/2*2 4*2 9/2*1 5*1",
+           "0*16 1*8 2*1",
+           "1*20 2*5",
+           (2, 0, 0, 0, 0), (-2, 2, 0, 0, 0),
+           ("1 -1/2 0 0 0/"
+            "-1/2 1 -1/2 0 0/"
+            "0 -1/2 1 -1/2 0/"
+            "0 0 -1/2 1 -1/"
+            "0 0 0 -1 2"),
+           (10, 44, 110, 165, 132)),
+    "C6": (36,
+           "1/2*5 1*5 3/2*4 2*4 5/2*3 3*3 7/2*3 4*3 9/2*2 5*2 11/2*1 6*1",
+           "0*25 1*10 2*1",
+           "1*30 2*6",
+           (2, 0, 0, 0, 0, 0), (-2, 2, 0, 0, 0, 0),
+           ("1 -1/2 0 0 0 0/"
+            "-1/2 1 -1/2 0 0 0/"
+            "0 -1/2 1 -1/2 0 0/"
+            "0 0 -1/2 1 -1/2 0/"
+            "0 0 0 -1/2 1 -1/"
+            "0 0 0 0 -1 2"),
+           (12, 65, 208, 429, 572, 429)),
+    "D3": (6,
+           "1*3 2*2 3*1",
+           "0*1 1*4 2*1",
+           "2*6",
+           (0, 1, 1), (2, -1, -1),
+           "2 -1 -1/-1 2 0/-1 0 2",
+           (6, 4, 4)),
+    "D4": (12,
+           "1*4 2*3 3*3 4*1 5*1",
+           "0*3 1*8 2*1",
+           "2*12",
+           (0, 1, 0, 0), (2, -1, 0, 0),
+           "2 -1 0 0/-1 2 -1 -1/0 -1 2 0/0 -1 0 2",
+           (8, 28, 8, 8)),
+    "D5": (20,
+           "1*5 2*4 3*4 4*3 5*2 6*1 7*1",
+           "0*7 1*12 2*1",
+           "2*20",
+           (0, 1, 0, 0, 0), (0, -1, 0, 1, 1),
+           "2 -1 0 0 0/-1 2 -1 0 0/0 -1 2 -1 -1/0 0 -1 2 0/0 0 -1 0 2",
+           (10, 45, 120, 16, 16)),
+    "D6": (30,
+           "1*6 2*5 3*5 4*4 5*4 6*2 7*2 8*1 9*1",
+           "0*13 1*16 2*1",
+           "2*30",
+           (0, 1, 0, 0, 0, 0), (0, -1, 0, 1, 0, 0),
+           ("2 -1 0 0 0 0/"
+            "-1 2 -1 0 0 0/"
+            "0 -1 2 -1 0 0/"
+            "0 0 -1 2 -1 -1/"
+            "0 0 0 -1 2 0/"
+            "0 0 0 -1 0 2"),
+           (12, 66, 220, 495, 32, 32)),
+    "D7": (42,
+           "1*7 2*6 3*6 4*5 5*5 6*4 7*3 8*2 9*2 10*1 11*1",
+           "0*21 1*20 2*1",
+           "2*42",
+           (0, 1, 0, 0, 0, 0, 0), (0, -1, 0, 1, 0, 0, 0),
+           ("2 -1 0 0 0 0 0/"
+            "-1 2 -1 0 0 0 0/"
+            "0 -1 2 -1 0 0 0/"
+            "0 0 -1 2 -1 0 0/"
+            "0 0 0 -1 2 -1 -1/"
+            "0 0 0 0 -1 2 0/"
+            "0 0 0 0 -1 0 2"),
+           (14, 91, 364, 1001, 2002, 64, 64)),
+    "D8": (56,
+           "1*8 2*7 3*7 4*6 5*6 6*5 7*5 8*3 9*3 10*2 11*2 12*1 13*1",
+           "0*31 1*24 2*1",
+           "2*56",
+           (0, 1, 0, 0, 0, 0, 0, 0), (0, -1, 0, 1, 0, 0, 0, 0),
+           ("2 -1 0 0 0 0 0 0/"
+            "-1 2 -1 0 0 0 0 0/"
+            "0 -1 2 -1 0 0 0 0/"
+            "0 0 -1 2 -1 0 0 0/"
+            "0 0 0 -1 2 -1 0 0/"
+            "0 0 0 0 -1 2 -1 -1/"
+            "0 0 0 0 0 -1 2 0/"
+            "0 0 0 0 0 -1 0 2"),
+           (16, 120, 560, 1820, 4368, 8008, 128, 128)),
+    "E6": (36,
+           "1*6 2*5 3*5 4*5 5*4 6*3 7*3 8*2 9*1 10*1 11*1",
+           "0*15 1*20 2*1",
+           "2*36",
+           (0, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 1),
+           ("2 0 -1 0 0 0/"
+            "0 2 0 -1 0 0/"
+            "-1 0 2 -1 0 0/"
+            "0 -1 -1 2 -1 0/"
+            "0 0 0 -1 2 -1/"
+            "0 0 0 0 -1 2"),
+           (27, 78, 351, 2925, 351, 27)),
+    "E7": (63,
+           ("1*7 2*6 3*6 4*6 5*6 6*5 7*5 8*4 9*4 10*3 11*3 12*2 13*2 14*1 15*1 "
+            "16*1 17*1"),
+           "0*30 1*32 2*1",
+           "2*63",
+           (1, 0, 0, 0, 0, 0, 0), (-1, 0, 0, 0, 0, 1, 0),
+           ("2 0 -1 0 0 0 0/"
+            "0 2 0 -1 0 0 0/"
+            "-1 0 2 -1 0 0 0/"
+            "0 -1 -1 2 -1 0 0/"
+            "0 0 0 -1 2 -1 0/"
+            "0 0 0 0 -1 2 -1/"
+            "0 0 0 0 0 -1 2"),
+           (133, 912, 8645, 365750, 27664, 1539, 56)),
+    "E8": (120,
+           ("1*8 2*7 3*7 4*7 5*7 6*7 7*7 8*6 9*6 10*6 11*6 12*5 13*5 14*4 15*4 "
+            "16*4 17*4 18*3 19*3 20*2 21*2 22*2 23*2 24*1 25*1 26*1 27*1 28*1 "
+            "29*1"),
+           "0*63 1*56 2*1",
+           "2*120",
+           (0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0, -1),
+           ("2 0 -1 0 0 0 0 0/"
+            "0 2 0 -1 0 0 0 0/"
+            "-1 0 2 -1 0 0 0 0/"
+            "0 -1 -1 2 -1 0 0 0/"
+            "0 0 0 -1 2 -1 0 0/"
+            "0 0 0 0 -1 2 -1 0/"
+            "0 0 0 0 0 -1 2 -1/"
+            "0 0 0 0 0 0 -1 2"),
+           (3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248)),
+    "F4": (24,
+           ("1/2*2 1*3 3/2*1 2*3 5/2*2 3*3 7/2*1 4*2 9/2*1 5*2 11/2*1 6*1 7*1 "
+            "8*1"),
+           "0*9 1*14 2*1",
+           "1*12 2*12",
+           (1, 0, 0, 0), (-1, 0, 0, 2),
+           "2 -1 0 0/-1 2 -1 0/0 -1 1 -1/2/0 0 -1/2 1",
+           (52, 1274, 273, 26)),
+    "G2": (6,
+           "1/3*1 1*1 4/3*1 5/3*1 2*1 3*1",
+           "0*1 1*4 2*1",
+           "2/3*3 2*3",
+           (0, 1), (2, -1),
+           "2/3 -1/-1 2",
+           (7, 14)),
+}
+
+
+def _multiset(values) -> str:
+    return " ".join(f"{v}*{c}" for v, c in sorted(Counter(values).items()))
+
+
+def _build(name):
+    return build_root_system(name[0], int(name[1:]))
+
+
+class TestPinnedInvariants:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_matches_orthogonal_realisation(self, name):
+        count, rho, theta, norm, theta_labels, sigma_labels, gram, dims = PINNED[name]
+        rs = _build(name)
+        positive = rs.positive_roots
+        assert len(positive) == count
+        assert _multiset(rs.gram(rs.rho, mu) for mu in positive) == rho
+        assert _multiset(rs.gram(rs.theta, mu) for mu in positive) == theta
+        assert _multiset(rs.gram(mu, mu) for mu in positive) == norm
+        assert rs.dynkin_labels(rs.theta) == theta_labels
+        assert (None if rs.sigma is None else rs.dynkin_labels(rs.sigma)) == sigma_labels
+        assert "/".join(" ".join(str(rs.gram(a, b)) for b in rs.simple_roots)
+                        for a in rs.simple_roots) == gram
+        fundamental = [weyl_dim(rs, weight_from_dynkin(rs, [int(i == j) for i in range(rs.rank)]))
+                       for j in range(rs.rank)]
+        assert tuple(fundamental) == dims
+
+
+class TestRootProperties:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_simple_reflections_permute_other_positive_roots(self, name):
+        rs = _build(name)
+        for alpha in rs.simple_roots:
+            others = {mu for mu in rs.positive_roots if mu != alpha}
+            reflected = {
+                tuple(m - rs.coroot_pairing(mu, alpha) * a for m, a in zip(mu, alpha))
+                for mu in others
+            }
+            assert reflected == others
+
+    @pytest.mark.parametrize("rank", [6, 7])
+    def test_e_family_nests_in_e8(self, rank):
+        e8 = build_root_system("E", 8).positive_roots
+        padded = {mu + (0,) * (8 - rank) for mu in build_root_system("E", rank).positive_roots}
+        assert padded == {mu for mu in e8 if not any(mu[rank:])}
