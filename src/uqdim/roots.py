@@ -19,12 +19,13 @@ independent oracle the universal formulas are validated against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyOrthogonalSubsystem, InvalidRank, LengthMismatch
-from .series import DEFAULT_ORDER, PowerSeries, SinhFactor, SinhProduct
+from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
 
 Root = tuple[int, ...]
 Vector = tuple[Fraction, ...]
@@ -269,15 +270,16 @@ def weight_from_dynkin(rs: RootSystem, labels: Sequence[int]) -> Weight:
 def weyl_qdim_product(rs: RootSystem, lam: Weight) -> SinhProduct:
     """The Weyl-line character of lam as a product of sinh ratios."""
     shifted = [a + b for a, b in zip(lam.vector, rs.rho)]
-    # (alpha_i, lam + rho) and (alpha_i, rho), once per simple root alpha_i.
-    upper = [rs.gram(alpha, shifted) for alpha in rs.simple_roots]
-    lower = [rs.gram(alpha, rs.rho) for alpha in rs.simple_roots]
-    factors = []
-    for mu in rs.positive_roots:
-        num = 2 * sum(m * a for m, a in zip(mu, upper))
-        den = 2 * sum(m * a for m, a in zip(mu, lower))
-        factors.append(SinhFactor(num, den, label=f"2*(rho, {mu})"))
-    return SinhProduct(factors, sign=1, context=f"weyl[{rs.family}{rs.rank}]")
+    # 2 (alpha_i, lam + rho) and 2 (alpha_i, rho), once per simple root
+    # alpha_i, as integers over the lcm q of their denominators.
+    upper = [2 * rs.gram(alpha, shifted) for alpha in rs.simple_roots]
+    lower = [2 * rs.gram(alpha, rs.rho) for alpha in rs.simple_roots]
+    q = math.lcm(*(a.denominator for a in upper + lower))
+    upper = [a.numerator * (q // a.denominator) for a in upper]
+    lower = [a.numerator * (q // a.denominator) for a in lower]
+    terms = [(sum(m * a for m, a in zip(mu, upper)), sum(m * a for m, a in zip(mu, lower)),
+              f"2*(rho, {mu})") for mu in rs.positive_roots]
+    return SinhProduct.from_integers(terms, q, 1, f"weyl[{rs.family}{rs.rank}]")
 
 
 def weyl_qdim(rs: RootSystem, lam: Weight, order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -6,9 +6,11 @@ identity checker) is built from two primitives defined here:
 * :class:`PowerSeries` -- a truncated Taylor series in one variable ``x`` with
   exact ``Fraction`` coefficients and no rounding anywhere, and
 * :class:`SinhProduct` -- a signed product of ratios
-  ``sinh(num*x/4) / sinh(den*x/4)`` with rational ``num``, ``den``, which can
-  be expanded into an exact series, evaluated in floating point, or collapsed
-  to its value at ``x = 0``.
+  ``sinh(N*x/(4q)) / sinh(D*x/(4q))`` and cosh factors, whose arguments are
+  integers ``N``, ``D`` over one positive denominator ``q``.  It can be
+  expanded into an exact series, evaluated in floating point, or collapsed to
+  its value at ``x = 0``; every check on a factor is an integer test, and a
+  float argument is the correctly rounded ``N / q``.
 
 A product is expanded in one step, as the exponential of integer power sums
 of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
@@ -339,49 +341,81 @@ class CoshFactor:
 
 
 class SinhProduct:
-    """A signed product of sinh ratios: sign * prod_j sinh(n_j x/4)/sinh(d_j x/4).
+    """A signed product of sinh ratios and cosh factors whose arguments are
+    integers over one positive denominator ``q``.
 
-    Denominator forms are checked eagerly: any vanishing denominator raises
-    :class:`PoleAtParameters` naming the form, before anything is expanded.
-    Factors with num == den != 0 are identically 1 and are dropped; a factor
-    with num == 0 makes the whole product the zero function.  A factor may
-    also be a :class:`CoshFactor`, which never contributes a denominator.
+    ``terms`` is the ordered tuple of factors: ``(N, D, label)`` is the
+    ratio sinh(N x/(4q)) / sinh(D x/(4q)) and ``(A, None, label)`` is the
+    cosh factor 2 cosh(A x/(4q)), which never contributes a denominator.
+    Denominators are checked eagerly: one that vanishes raises
+    :class:`PoleAtParameters` naming its label, before anything is
+    expanded.  Ratios with N == D are identically 1 and are dropped; one
+    with N == 0 makes the whole product the zero function.
+
+    ``SinhProduct(factors, sign, context)`` takes :class:`SinhFactor` and
+    :class:`CoshFactor` values and puts them over the lcm of their
+    denominators; :meth:`from_integers` takes the terms directly.
     """
 
-    __slots__ = ("sign", "factors", "context")
+    __slots__ = ("sign", "q", "terms", "context")
 
     def __init__(self, factors: Sequence[SinhFactor | CoshFactor],
                  sign: int = 1, context: str = ""):
+        args = [(f.arg, None) if isinstance(f, CoshFactor) else (f.num, f.den)
+                for f in factors]
+        q = math.lcm(*(a.denominator for pair in args for a in pair if a is not None))
+        terms = [(n.numerator * (q // n.denominator),
+                  None if d is None else d.numerator * (q // d.denominator), f.label)
+                 for (n, d), f in zip(args, factors)]
+        self._init(terms, q, sign, context)
+
+    @classmethod
+    def from_integers(cls, terms: Iterable[tuple[int, int | None, str]], q: int,
+                      sign: int = 1, context: str = "") -> "SinhProduct":
+        """The product of ``terms``, integer arguments over ``q > 0``."""
+        if q < 1:
+            raise ValueError("the common denominator q must be positive")
+        product = object.__new__(cls)
+        product._init(terms, q, sign, context)
+        return product
+
+    def _init(self, terms, q: int, sign: int, context: str) -> None:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         kept = []
-        for f in factors:
-            if isinstance(f, CoshFactor):
-                kept.append(f)
-                continue
-            if f.den == 0:
-                where = f.label or f"num={f.num}"
+        for term in terms:
+            n, d, label = term
+            if d == 0:
+                where = label or f"num={Fraction(n, q)}"
                 prefix = f"{context}: " if context else ""
                 raise PoleAtParameters(
                     f"{prefix}sinh denominator {where} vanishes at these parameters"
                 )
-            if f.num == f.den:
-                continue  # the ratio is identically 1
-            kept.append(f)
+            if n != d:  # a ratio with n == d is identically 1
+                kept.append(term)
         self.sign = sign
-        self.factors = tuple(kept)
+        self.q = q
+        self.terms = tuple(kept)
         self.context = context
 
     @property
+    def factors(self) -> tuple[SinhFactor | CoshFactor, ...]:
+        """The terms as :class:`SinhFactor` and :class:`CoshFactor` values."""
+        q = self.q
+        return tuple(CoshFactor(Fraction(n, q), label) if d is None
+                     else SinhFactor(Fraction(n, q), Fraction(d, q), label)
+                     for n, d, label in self.terms)
+
+    @property
     def is_zero(self) -> bool:
-        return any(isinstance(f, SinhFactor) and f.num == 0 for f in self.factors)
+        return any(n == 0 and d is not None for n, d, _ in self.terms)
 
     def series(self, order: int) -> PowerSeries:
         """Exact series expansion of the product to the given order.
 
-        In ``y = x^2``, with ``L`` the lcm of the denominators of all
-        arguments and ``N_j = L n_j``, ``D_j = L d_j``, ``A_i = L a_i`` the
-        scaled sinh and cosh arguments,
+        In ``y = x^2``, with ``L = q / gcd(q, all N_j, D_j, A_i)`` and the
+        arguments scaled to the integers ``N_j L / q``, ``D_j L / q`` and
+        ``A_i L / q`` (written N_j, D_j, A_i below),
 
             product = dim * exp(sum_{k>=1} g_k y^k),
             g_k = (c_k sum_j (N_j^{2k} - D_j^{2k}) + h_k sum_i A_i^{2k}) / (16 L^2)^k,
@@ -399,17 +433,15 @@ class SinhProduct:
         if scale == 0:  # a zero numerator
             return PowerSeries(out)
         half = order // 2
-        weights: dict[Fraction, int] = {}  # |argument| -> weight in the power sum
-        for f in self.factors:
-            if isinstance(f, CoshFactor):
-                pairs = ((2 * f.arg, 1), (f.arg, -1))
-            else:
-                pairs = ((f.num, 1), (f.den, -1))
+        weights: dict[int, int] = {}  # |argument| -> weight in the power sum
+        for n, d, _ in self.terms:
+            pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
             for a, w in pairs:
-                weights[abs(a)] = weights.get(abs(a), 0) + w
-        lcm = math.lcm(*(a.denominator for a in weights))
-        bases = [((a.numerator * (lcm // a.denominator)) ** 2, w)
-                 for a, w in weights.items() if a and w]
+                a = abs(a)
+                weights[a] = weights.get(a, 0) + w
+        common = math.gcd(self.q, *weights)
+        lcm = self.q // common
+        bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
         powers = [1] * len(bases)
         coeffs = log_coefficients(half)
         weighted = []  # j * g_j * (16 L^2)^j for j = 1..half
@@ -432,31 +464,33 @@ class SinhProduct:
         return PowerSeries(out)
 
     def dim(self) -> Fraction:
-        """Value at x = 0: sign times the product of num_j/den_j (cosh
-        factors contribute 2)."""
-        acc = Fraction(self.sign)
-        for f in self.factors:
-            if isinstance(f, CoshFactor):
-                acc *= 2
+        """Value at x = 0: sign times the product of N_j/D_j (cosh factors
+        contribute 2)."""
+        num, den = self.sign, 1
+        for n, d, _ in self.terms:
+            if d is None:
+                num *= 2
             else:
-                acc *= Fraction(f.num, 1) / f.den
-        return acc
+                num *= n
+                den *= d
+        return Fraction(num, den)
 
     def value_at(self, x: float) -> float:
         """Direct floating-point evaluation at a real x (x = 0 gives dim).
         A value that is not a finite float raises FloatEvaluationError."""
         if x == 0:
             return float(self.dim())
+        q = self.q
         acc = float(self.sign)
         try:
-            for f in self.factors:
-                if isinstance(f, CoshFactor):
-                    acc *= 2.0 * math.cosh(float(f.arg) * x / 4.0)
+            for n, d, _ in self.terms:
+                if d is None:
+                    acc *= 2.0 * math.cosh(n / q * x / 4.0)
                     continue
-                d = math.sinh(float(f.den) * x / 4.0)
-                if d == 0.0:
-                    raise PoleAtX(f"sinh({f.den} * x/4) vanishes at x={x}")
-                acc *= math.sinh(float(f.num) * x / 4.0) / d
+                s = math.sinh(d / q * x / 4.0)
+                if s == 0.0:
+                    raise PoleAtX(f"sinh({Fraction(d, q)} * x/4) vanishes at x={x}")
+                acc *= math.sinh(n / q * x / 4.0) / s
         except OverflowError:
             acc = math.inf
         if not math.isfinite(acc):
@@ -465,13 +499,13 @@ class SinhProduct:
         return acc
 
     def min_abs_denominator(self) -> Fraction | None:
-        """Smallest |den| over the retained sinh factors (None if empty)."""
-        dens = [abs(f.den) for f in self.factors if isinstance(f, SinhFactor)]
-        return min(dens) if dens else None
+        """Smallest |D_j| / q over the retained sinh ratios (None if none)."""
+        dens = [abs(d) for _, d, _ in self.terms if d is not None]
+        return Fraction(min(dens), self.q) if dens else None
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return len(self.terms)
 
     def __repr__(self) -> str:
         sign = "-" if self.sign < 0 else ""
-        return f"SinhProduct({sign}{len(self.factors)} factors)"
+        return f"SinhProduct({sign}{len(self.terms)} factors)"

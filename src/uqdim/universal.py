@@ -7,8 +7,8 @@ and the mixed Cartan product Z(k, l) -- is compiled once into a cached
 :class:`FormProgram`: a sign, integer coefficient vectors for every sinh
 numerator, denominator and cosh argument, the pole labels and a context
 string.  At a point, the coordinates are put over their common denominator q,
-so each form costs one integer dot product and one ``Fraction`` of the result
-over q; the values are exact.  The builders return
+so each form costs one integer dot product, and the products keep those
+integers over q as their exact arguments.  The builders return
 :class:`~uqdim.series.SinhProduct` objects; the public ``qdim_*`` functions
 expand them to exact series.  A vanishing denominator form raises
 :class:`PoleAtParameters` before anything is expanded; no limits are taken
@@ -35,10 +35,8 @@ from typing import Callable, NamedTuple
 from .errors import PoleAtParameters, UnknownAlgebra
 from .series import (
     DEFAULT_ORDER,
-    CoshFactor,
     PowerSeries,
     Rational,
-    SinhFactor,
     SinhProduct,
 )
 
@@ -273,14 +271,11 @@ def _integer_point(v: VogelParams) -> tuple[int, int, int, int]:
 def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
     """The product of a program at one point of Vogel's plane."""
     A, B, C, q = _integer_point(v)
-    factors = [
-        SinhFactor(Fraction(n0 * A + n1 * B + n2 * C, q),
-                   Fraction(d0 * A + d1 * B + d2 * C, q), label)
-        for (n0, n1, n2), (d0, d1, d2), label in program.sinh
-    ]
-    factors += [CoshFactor(Fraction(f0 * A + f1 * B + f2 * C, q), label)
-                for (f0, f1, f2), label in program.cosh]
-    return SinhProduct(factors, sign=program.sign, context=program.context)
+    terms = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
+             for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
+    terms += [(f0 * A + f1 * B + f2 * C, None, label)
+              for (f0, f1, f2), label in program.cosh]
+    return SinhProduct.from_integers(terms, q, program.sign, program.context)
 
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import uqdim
 from uqdim import cli
 
 
@@ -281,3 +286,17 @@ class TestSeriesOrderCap:
         code, out = run(capsys, command, "--help")
         assert code == 0
         assert "0..512" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_m_uqdim_matches_golden(self):
+        # The package runs as a module from an uninstalled checkout; its
+        # stdout is the crosscheck golden document, byte for byte.
+        src = str(Path(uqdim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "uqdim", "dim", "e8", "--json"],
+                              capture_output=True, env=env, timeout=60)
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "dim-e8.json"
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == golden.read_bytes()

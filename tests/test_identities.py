@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from uqdim import (
     verify_identity,
     vogel_params,
 )
+from uqdim import identities
 from uqdim.identities import adjoint_dilations
 
 
@@ -148,6 +150,55 @@ class TestVerifyIdentity:
         expected_hex, expected_points = self.NUMERIC_PINS[(ident, seed)]
         assert report.max_abs_residual.hex() == expected_hex
         assert report.points_checked == expected_points
+
+    # The same at 1000 trials and seeds 3-5, also captured on the commit
+    # before products kept integer arguments.
+    NUMERIC_PINS_1000 = {
+        (S2_SYM, 3): ("0x1.915fdc6a3dcb3p-39", 1000),
+        (S2_SYM, 4): ("0x1.7fbb143a711ebp-38", 1000),
+        (S2_SYM, 5): ("0x1.98c1726dd6863p-38", 1000),
+        (A2_ANTISYM, 3): ("0x1.2ed08aa277411p-44", 1000),
+        (A2_ANTISYM, 4): ("0x1.66e6f2f75a3dep-43", 1000),
+        (A2_ANTISYM, 5): ("0x1.2bacda59d6bcep-44", 1000),
+        (S3_SYM_CUBE, 3): ("0x1.1a8b657fcb067p-37", 1000),
+        (S3_SYM_CUBE, 4): ("0x1.d1c1b30da1828p-39", 1000),
+        (S3_SYM_CUBE, 5): ("0x1.2483dc022c461p-38", 1000),
+    }
+
+    @pytest.mark.parametrize("ident, seed", sorted(NUMERIC_PINS_1000))
+    def test_numeric_residual_bit_identical_1000(self, ident, seed):
+        report = verify_identity(ident, mode=NUMERIC, trials=1000, seed=seed)
+        expected_hex, expected_points = self.NUMERIC_PINS_1000[(ident, seed)]
+        assert report.max_abs_residual.hex() == expected_hex
+        assert report.points_checked == expected_points
+
+    def test_numeric_pole_margin_rejections(self, monkeypatch):
+        # Each numeric draw takes four uniform() calls (three coordinates and
+        # x).  s3 at seed 0 rejects exactly draws 129, 142 and 396, each
+        # because float(min_abs_denominator()) < POLE_MARGIN, so 1003 draws
+        # give 1000 checked points.
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def uniform(self, a, b):
+                CountingRandom.calls += 1
+                return super().uniform(a, b)
+
+        accepted = []
+        lhs_value = identities._lhs_value
+
+        def recording_lhs(identity, adj, x):
+            accepted.append(CountingRandom.calls // 4 - 1)
+            return lhs_value(identity, adj, x)
+
+        monkeypatch.setattr(identities.random, "Random", CountingRandom)
+        monkeypatch.setattr(identities, "_lhs_value", recording_lhs)
+        report = verify_identity(S3_SYM_CUBE, mode=NUMERIC, trials=1000, seed=0)
+        draws = CountingRandom.calls // 4
+        assert CountingRandom.calls == 4 * draws == 4 * 1003
+        assert sorted(set(range(draws)) - set(accepted)) == [129, 142, 396]
+        assert report.points_checked == len(accepted) == 1000
+        assert report.max_abs_residual.hex() == "0x1.d793d1b76e325p-34"
 
     def test_reproducible(self):
         a = verify_identity(S2_SYM, mode=SERIES, order=10, trials=10, seed=5)

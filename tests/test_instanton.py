@@ -74,6 +74,31 @@ class TestTerms:
         assert all(t > 0 for t in values)
 
 
+class TestPinnedTerms:
+    # one_instanton_term(...).hex() at eps1 = 0.1, eps2 = 0.2, sigma = -1 for
+    # the benchmark's instanton cases, captured on the commit before
+    # products kept integer arguments.
+    PINS = {
+        ("e7", 0.5): (
+            "0x1.5ebc10639044ep+13", "0x1.146f065449d1ep+26", "0x1.52a3c19514193p+38",
+            "0x1.6ab7795363366p+50", "0x1.680f27eeeedd5p+62", "0x1.55e89dada8971p+74",
+            "0x1.3c3da8754e097p+86", "0x1.1fede16d9b33dp+98"),
+        ("sl6", 0.25): (
+            "0x1.f27377fde0340p+4", "0x1.5401b3510dec1p+8", "0x1.19f63c21d5f97p+11",
+            "0x1.5e3461bce8803p+13", "0x1.698a609672bccp+15", "0x1.495e31f368139p+17",
+            "0x1.12d84cef233e0p+19", "0x1.ae993fc9783fdp+20", "0x1.420591260c13cp+22",
+            "0x1.d14f414826fb6p+23"),
+    }
+
+    @pytest.mark.parametrize("name,x", sorted(PINS))
+    def test_terms_bit_identical(self, name, x):
+        expected = self.PINS[(name, x)]
+        ip = InstantonParams(eps1=0.1, eps2=0.2, sigma_n=-1.0, x=x, n_max=len(expected))
+        v = vogel_params(name)
+        terms = tuple(one_instanton_term(v, ip, n).hex() for n in range(1, len(expected) + 1))
+        assert terms == expected
+
+
 class TestSum:
     def test_single_row(self):
         v = vogel_params("sl6")

@@ -17,6 +17,7 @@ from uqdim import (
     weyl_dim,
     weyl_qdim,
 )
+from uqdim.roots import weyl_qdim_product
 
 NINE = [("A", 5), ("B", 3), ("C", 3), ("D", 6), ("G", 2), ("F", 4),
         ("E", 6), ("E", 7), ("E", 8)]
@@ -228,6 +229,28 @@ class TestWeylFormula:
         rs = build_root_system("D", 4)
         lam = weight_from_dynkin(rs, (1, 0, 1, 1))
         assert weyl_qdim(rs, lam, 6).constant_term == weyl_dim(rs, lam)
+
+    # weyl_qdim_product(rs, n*theta).value_at(x).hex() at x = 0.25, 0.5, 1.0,
+    # captured on the commit before products kept integer arguments.  G2 has
+    # diagram scale 1/3, F4 scale 1/2 and E8 scale 1.
+    VALUE_PINS = {
+        ("G", 2, 1): ("0x1.e67c4ede32bb3p+3", "0x1.3455323340c59p+4", "0x1.63306ff839a2ep+5"),
+        ("G", 2, 2): ("0x1.79e4f2a6f16e6p+6", "0x1.4f7751ebeab91p+7", "0x1.1cb707553b023p+10"),
+        ("G", 2, 3): ("0x1.891dae7397de0p+8", "0x1.09acf3ee5e187p+10", "0x1.84fde5753807fp+14"),
+        ("F", 4, 1): ("0x1.380f68dfff9e6p+6", "0x1.c638c305168a2p+7", "0x1.508f2cb016705p+12"),
+        ("F", 4, 2): ("0x1.41d7a531abb62p+11", "0x1.93800dbe21593p+14", "0x1.2915e4ac074b9p+24"),
+        ("F", 4, 3): ("0x1.a1001e7f82cffp+15", "0x1.03b8f67e5e28ap+21", "0x1.cf0b61201e34ap+35"),
+        ("E", 8, 1): ("0x1.1447b4127235fp+13", "0x1.45dc52d1c360dp+22", "0x1.6aecfd28e632ep+42"),
+        ("E", 8, 2): ("0x1.35c09fbbea48cp+25", "0x1.f89b7a09fa0a1p+43", "0x1.7789acabf5fe6p+84"),
+        ("E", 8, 3): ("0x1.e85d66f700189p+36", "0x1.398df468552b5p+65", "0x1.61654c09df0edp+126"),
+    }
+
+    @pytest.mark.parametrize("family,rank,n", sorted(VALUE_PINS))
+    def test_value_at_bit_identical(self, family, rank, n):
+        rs = build_root_system(family, rank)
+        product = weyl_qdim_product(rs, rs.weight(tuple(n * c for c in rs.theta)))
+        values = tuple(product.value_at(x).hex() for x in (0.25, 0.5, 1.0))
+        assert values == self.VALUE_PINS[(family, rank, n)]
 
 
 class TestWeights:

@@ -7,6 +7,7 @@ import pytest
 from uqdim import (
     CoshFactor,
     DivisionByZeroSeries,
+    PoleAtParameters,
     PowerSeries,
     SinhFactor,
     SinhProduct,
@@ -316,6 +317,147 @@ class TestKernelAgainstReference:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             SinhProduct([SinhFactor(2, 1)]).series(-1)
+
+
+def float_fraction(rng):
+    """An argument as Fraction(float): its denominator is a power of two up
+    to 2**60 (about 2**49 from uniform(), times up to 2**11)."""
+    while True:
+        value = F(rng.uniform(-8.0, 8.0) / 2 ** rng.randint(0, 11))
+        if value and value.denominator <= 2 ** 60:
+            return value
+
+
+def mixed_factor(rng):
+    """Like random_factor, but arguments are Fraction(float) values or small
+    rationals, so one product mixes denominators up to 2**60 with small
+    ones."""
+    draw = lambda: float_fraction(rng) if rng.random() < 0.5 else rand_fraction(rng, 12)
+    roll = rng.random()
+    if roll < 0.2:
+        return CoshFactor(rng.choice([F(0), draw()]), rng.choice(["", "c"]))
+    den = draw()
+    label = rng.choice(["", "d"])
+    if roll < 0.25:
+        return SinhFactor(0, den, label)
+    if roll < 0.35:
+        return SinhFactor(den, den, label)
+    if roll < 0.45:
+        return SinhFactor(-den, den, label)
+    return SinhFactor(draw(), den, label)
+
+
+def kept_factors(factors):
+    return [f for f in factors if isinstance(f, CoshFactor) or f.num != f.den]
+
+
+def reference_value(factors, sign, x):
+    """The float value factor by factor, each argument through float(Fraction),
+    in the order given; x = 0 gives the exact value at 0."""
+    if x == 0:
+        return float(reference_dim(factors, sign))
+    acc = float(sign)
+    for f in kept_factors(factors):
+        if isinstance(f, CoshFactor):
+            acc *= 2.0 * math.cosh(float(f.arg) * x / 4.0)
+        else:
+            acc *= math.sinh(float(f.num) * x / 4.0) / math.sinh(float(f.den) * x / 4.0)
+    return acc
+
+
+def reference_dim(factors, sign):
+    acc = F(sign)
+    for f in kept_factors(factors):
+        acc *= 2 if isinstance(f, CoshFactor) else f.num / f.den
+    return acc
+
+
+def factor_key(f):
+    if isinstance(f, CoshFactor):
+        return ("cosh", f.arg, f.label)
+    return ("sinh", f.num, f.den, f.label)
+
+
+class TestConstructorAgainstReference:
+    """SinhProduct(factors) puts the arguments over one integer denominator;
+    every observable must match the factors it was given."""
+
+    def test_random_products(self):
+        rng = random.Random(2024)
+        for trial in range(300):
+            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 10))]
+            sign = rng.choice([1, -1])
+            product = SinhProduct(factors, sign=sign, context="ctx")
+            kept = kept_factors(factors)
+            where = (trial, factors, sign)
+            for x in (0.0, 0.05, 0.3, 1.0, -0.7, rng.uniform(0.05, 1.0)):
+                assert product.value_at(x).hex() == reference_value(factors, sign, x).hex(), where
+            assert product.dim() == reference_dim(factors, sign), where
+            dens = [abs(f.den) for f in kept if isinstance(f, SinhFactor)]
+            assert product.min_abs_denominator() == (min(dens) if dens else None), where
+            assert product.is_zero == any(
+                isinstance(f, SinhFactor) and f.num == 0 for f in kept), where
+            assert len(product) == len(kept), where
+            keys = [factor_key(f) for f in kept]
+            assert [factor_key(f) for f in product.factors] == keys, where
+            again = SinhProduct(product.factors, sign=sign)
+            assert [factor_key(f) for f in again.factors] == keys, where
+            assert (again.sign, again.context, product.context) == (sign, "", "ctx")
+
+    @pytest.mark.parametrize("order", [0, 1, 17, 64])
+    def test_series(self, order):
+        rng = random.Random(3000 + order)
+        for trial in range(40 if order < 64 else 3):
+            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 8 if order < 64 else 4))]
+            sign = rng.choice([1, -1])
+            product = SinhProduct(factors, sign=sign)
+            assert product.series(order) == reference_series(factors, sign, order), (
+                trial, factors, sign)
+
+    def test_from_integers_matches_adapter(self):
+        rng = random.Random(77)
+        for _ in range(50):
+            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 6))]
+            product = SinhProduct(factors, sign=-1, context="c")
+            direct = SinhProduct.from_integers(product.terms, product.q, -1, "c")
+            assert (direct.terms, direct.q) == (product.terms, product.q)
+            scaled = SinhProduct.from_integers(
+                [(3 * n, None if d is None else 3 * d, label)
+                 for n, d, label in product.terms], 3 * product.q, -1, "c")
+            assert [factor_key(f) for f in scaled.factors] == [
+                factor_key(f) for f in product.factors]
+            assert scaled.value_at(0.4) == product.value_at(0.4)
+        for q in (0, -3):
+            with pytest.raises(ValueError):
+                SinhProduct.from_integers([(1, 2, "")], q)
+
+    @pytest.mark.parametrize("label, context, text", [
+        ("beta-2*alpha", "qdim_y2(beta)",
+         "qdim_y2(beta): sinh denominator beta-2*alpha vanishes at these parameters"),
+        ("", "qdim_x2", "qdim_x2: sinh denominator num=7/3 vanishes at these parameters"),
+        ("gamma", "", "sinh denominator gamma vanishes at these parameters"),
+        ("", "", "sinh denominator num=-1/1024 vanishes at these parameters"),
+    ])
+    def test_pole_message(self, label, context, text):
+        num = F(7, 3) if context else F(-1, 1024)
+        factors = [SinhFactor(F(1, 2 ** 60), F(3, 5)), CoshFactor(F(5, 7)),
+                   SinhFactor(num, 0, label), SinhFactor(1, 0, "later")]
+        with pytest.raises(PoleAtParameters) as caught:
+            SinhProduct(factors, context=context)
+        assert str(caught.value) == text
+
+    def test_pole_message_random(self):
+        rng = random.Random(91)
+        for _ in range(100):
+            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 5))]
+            bad = SinhFactor(rng.choice([F(0), float_fraction(rng), rand_fraction(rng)]),
+                             0, rng.choice(["", "alpha-beta"]))
+            factors.insert(rng.randint(0, len(factors)), bad)
+            where = bad.label or f"num={bad.num}"
+            with pytest.raises(PoleAtParameters) as caught:
+                SinhProduct(factors, context="ctx")
+            assert str(caught.value) == (
+                f"ctx: sinh denominator {where} vanishes at these parameters")
 
 
 class TestLogCoefficients:
