@@ -80,8 +80,12 @@ def _series_order(given: int | None) -> int:
     if given is not None:
         order, source = given, "series order"
     else:
-        order = int(os.environ.get("QDIM_SERIES_ORDER", DEFAULT_ORDER))
         source = "QDIM_SERIES_ORDER"
+        raw = os.environ.get(source, str(DEFAULT_ORDER))
+        try:
+            order = int(raw)
+        except ValueError:
+            raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise _UsageError(f"{source} must be between 0 and MAX_SERIES_ORDER = "
                           f"{MAX_SERIES_ORDER}, got {order}")
@@ -156,18 +160,19 @@ def cmd_qdim(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             inputs[key] = value
-    product = _qdim_product(args, v)
-    if args.x is not None and args.series is not None:
-        raise _UsageError("--x and --series are mutually exclusive")
+    # Flags are checked before the product is built: building can be slow
+    # (a large Cartan power) or hit a parameter pole.
     if args.x is not None:
+        if args.series is not None:
+            raise _UsageError("--x and --series are mutually exclusive")
         if not math.isfinite(args.x):
             raise _UsageError(f"--x must be finite, got {args.x}")
         inputs["x"] = args.x
-        results = {"value": product.value_at(args.x)}
+        results = {"value": _qdim_product(args, v).value_at(args.x)}
     else:
         order = _series_order(args.series)
         inputs["series_order"] = order
-        series = product.series(order)
+        series = _qdim_product(args, v).series(order)
         coeffs = [[m, str(series[m])] for m in range(0, order + 1, 2)]
         assert all(series[m] == 0 for m in range(1, order + 1, 2))
         results = {"coefficients": coeffs}

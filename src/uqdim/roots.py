@@ -277,9 +277,9 @@ def weyl_qdim_product(rs: RootSystem, lam: Weight) -> SinhProduct:
     q = math.lcm(*(a.denominator for a in upper + lower))
     upper = [a.numerator * (q // a.denominator) for a in upper]
     lower = [a.numerator * (q // a.denominator) for a in lower]
-    terms = [(sum(m * a for m, a in zip(mu, upper)), sum(m * a for m, a in zip(mu, lower)),
-              f"2*(rho, {mu})") for mu in rs.positive_roots]
-    return SinhProduct.from_integers(terms, q, 1, f"weyl[{rs.family}{rs.rank}]")
+    factors = [(sum(m * a for m, a in zip(mu, upper)), sum(m * a for m, a in zip(mu, lower)),
+                f"2*(rho, {mu})") for mu in rs.positive_roots]
+    return SinhProduct(factors, q, 1, f"weyl[{rs.family}{rs.rank}]")
 
 
 def weyl_qdim(rs: RootSystem, lam: Weight, order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -6,11 +6,13 @@ identity checker) is built from two primitives defined here:
 * :class:`PowerSeries` -- a truncated Taylor series in one variable ``x`` with
   exact ``Fraction`` coefficients and no rounding anywhere, and
 * :class:`SinhProduct` -- a signed product of ratios
-  ``sinh(N*x/(4q)) / sinh(D*x/(4q))`` and cosh factors, whose arguments are
-  integers ``N``, ``D`` over one positive denominator ``q``.  It can be
-  expanded into an exact series, evaluated in floating point, or collapsed to
-  its value at ``x = 0``; every check on a factor is an integer test, and a
-  float argument is the correctly rounded ``N / q``.
+  ``sinh(N*x/(4q)) / sinh(D*x/(4q))`` and cosh factors ``2*cosh(A*x/(4q))``,
+  built from ``(N, D, label)`` and ``(A, None, label)`` tuples of integers
+  over one positive denominator ``q``.  Every quantum dimension in the
+  package takes this one form.  It can be expanded into an exact series,
+  evaluated in floating point, or collapsed to its value at ``x = 0``; every
+  check on a factor is an integer test, and a float argument is the
+  correctly rounded ``N / q``.
 
 A product is expanded in one step, as the exponential of integer power sums
 of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import (
     DivisionByZeroSeries,
@@ -308,83 +310,31 @@ def log_coefficients(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
         return _LOG_COEFFS
 
 
-class SinhFactor:
-    """One ratio sinh(num*x/4)/sinh(den*x/4) with an optional label naming the
-    denominator linear form (used in pole diagnostics)."""
-
-    __slots__ = ("num", "den", "label")
-
-    def __init__(self, num: RationalLike, den: RationalLike, label: str = ""):
-        self.num = _as_rational(num)
-        self.den = _as_rational(den)
-        self.label = label
-
-    def __repr__(self) -> str:
-        tag = f" [{self.label}]" if self.label else ""
-        return f"SinhFactor({self.num}/{self.den}{tag})"
-
-
-class CoshFactor:
-    """The doubled-argument ratio sinh(2u)/sinh(u) at u = arg*x/4, recorded
-    in its closed form 2*cosh(arg*x/4).  That identity makes the factor
-    entire: it has no pole at arg = 0, where its value is the constant 2."""
-
-    __slots__ = ("arg", "label")
-
-    def __init__(self, arg: RationalLike, label: str = ""):
-        self.arg = _as_rational(arg)
-        self.label = label
-
-    def __repr__(self) -> str:
-        tag = f" [{self.label}]" if self.label else ""
-        return f"CoshFactor(2*cosh({self.arg}*x/4){tag})"
-
-
 class SinhProduct:
     """A signed product of sinh ratios and cosh factors whose arguments are
     integers over one positive denominator ``q``.
 
-    ``terms`` is the ordered tuple of factors: ``(N, D, label)`` is the
+    ``factors`` is the ordered tuple of factors: ``(N, D, label)`` is the
     ratio sinh(N x/(4q)) / sinh(D x/(4q)) and ``(A, None, label)`` is the
-    cosh factor 2 cosh(A x/(4q)), which never contributes a denominator.
-    Denominators are checked eagerly: one that vanishes raises
-    :class:`PoleAtParameters` naming its label, before anything is
-    expanded.  Ratios with N == D are identically 1 and are dropped; one
-    with N == 0 makes the whole product the zero function.
-
-    ``SinhProduct(factors, sign, context)`` takes :class:`SinhFactor` and
-    :class:`CoshFactor` values and puts them over the lcm of their
-    denominators; :meth:`from_integers` takes the terms directly.
+    cosh factor 2 cosh(A x/(4q)), the closed form of sinh(2u)/sinh(u), which
+    never contributes a denominator.  A label names the denominator's linear
+    form in pole messages.  Denominators are checked eagerly: one that
+    vanishes raises :class:`PoleAtParameters` naming its label, before
+    anything is expanded.  Ratios with N == D are identically 1 and are
+    dropped; one with N == 0 makes the whole product the zero function.
     """
 
-    __slots__ = ("sign", "q", "terms", "context")
+    __slots__ = ("sign", "q", "factors", "context")
 
-    def __init__(self, factors: Sequence[SinhFactor | CoshFactor],
+    def __init__(self, factors: Iterable[tuple[int, int | None, str]], q: int,
                  sign: int = 1, context: str = ""):
-        args = [(f.arg, None) if isinstance(f, CoshFactor) else (f.num, f.den)
-                for f in factors]
-        q = math.lcm(*(a.denominator for pair in args for a in pair if a is not None))
-        terms = [(n.numerator * (q // n.denominator),
-                  None if d is None else d.numerator * (q // d.denominator), f.label)
-                 for (n, d), f in zip(args, factors)]
-        self._init(terms, q, sign, context)
-
-    @classmethod
-    def from_integers(cls, terms: Iterable[tuple[int, int | None, str]], q: int,
-                      sign: int = 1, context: str = "") -> "SinhProduct":
-        """The product of ``terms``, integer arguments over ``q > 0``."""
         if q < 1:
             raise ValueError("the common denominator q must be positive")
-        product = object.__new__(cls)
-        product._init(terms, q, sign, context)
-        return product
-
-    def _init(self, terms, q: int, sign: int, context: str) -> None:
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         kept = []
-        for term in terms:
-            n, d, label = term
+        for factor in factors:
+            n, d, label = factor
             if d == 0:
                 where = label or f"num={Fraction(n, q)}"
                 prefix = f"{context}: " if context else ""
@@ -392,23 +342,15 @@ class SinhProduct:
                     f"{prefix}sinh denominator {where} vanishes at these parameters"
                 )
             if n != d:  # a ratio with n == d is identically 1
-                kept.append(term)
+                kept.append(factor)
         self.sign = sign
         self.q = q
-        self.terms = tuple(kept)
+        self.factors = tuple(kept)
         self.context = context
 
     @property
-    def factors(self) -> tuple[SinhFactor | CoshFactor, ...]:
-        """The terms as :class:`SinhFactor` and :class:`CoshFactor` values."""
-        q = self.q
-        return tuple(CoshFactor(Fraction(n, q), label) if d is None
-                     else SinhFactor(Fraction(n, q), Fraction(d, q), label)
-                     for n, d, label in self.terms)
-
-    @property
     def is_zero(self) -> bool:
-        return any(n == 0 and d is not None for n, d, _ in self.terms)
+        return any(n == 0 and d is not None for n, d, _ in self.factors)
 
     def series(self, order: int) -> PowerSeries:
         """Exact series expansion of the product to the given order.
@@ -434,7 +376,7 @@ class SinhProduct:
             return PowerSeries(out)
         half = order // 2
         weights: dict[int, int] = {}  # |argument| -> weight in the power sum
-        for n, d, _ in self.terms:
+        for n, d, _ in self.factors:
             pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
             for a, w in pairs:
                 a = abs(a)
@@ -467,7 +409,7 @@ class SinhProduct:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors
         contribute 2)."""
         num, den = self.sign, 1
-        for n, d, _ in self.terms:
+        for n, d, _ in self.factors:
             if d is None:
                 num *= 2
             else:
@@ -483,7 +425,7 @@ class SinhProduct:
         q = self.q
         acc = float(self.sign)
         try:
-            for n, d, _ in self.terms:
+            for n, d, _ in self.factors:
                 if d is None:
                     acc *= 2.0 * math.cosh(n / q * x / 4.0)
                     continue
@@ -500,12 +442,12 @@ class SinhProduct:
 
     def min_abs_denominator(self) -> Fraction | None:
         """Smallest |D_j| / q over the retained sinh ratios (None if none)."""
-        dens = [abs(d) for _, d, _ in self.terms if d is not None]
+        dens = [abs(d) for _, d, _ in self.factors if d is not None]
         return Fraction(min(dens), self.q) if dens else None
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.factors)
 
     def __repr__(self) -> str:
         sign = "-" if self.sign < 0 else ""
-        return f"SinhProduct({sign}{len(self.terms)} factors)"
+        return f"SinhProduct({sign}{len(self.factors)} factors)"

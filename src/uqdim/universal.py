@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -271,11 +272,11 @@ def _integer_point(v: VogelParams) -> tuple[int, int, int, int]:
 def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
     """The product of a program at one point of Vogel's plane."""
     A, B, C, q = _integer_point(v)
-    terms = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
-             for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
-    terms += [(f0 * A + f1 * B + f2 * C, None, label)
-              for (f0, f1, f2), label in program.cosh]
-    return SinhProduct.from_integers(terms, q, program.sign, program.context)
+    factors = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
+               for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
+    factors += [(f0 * A + f1 * B + f2 * C, None, label)
+                for (f0, f1, f2), label in program.cosh]
+    return SinhProduct(factors, q, program.sign, program.context)
 
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
@@ -406,21 +407,29 @@ def _cancel_forms(nums: list[Form], dens: list[Form]
                   ) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
     """Remove numerator/denominator pairs that are identical linear forms
     (or negatives of each other, flipping the sign): sinh(F)/sinh(F) = 1 and
-    sinh(-F)/sinh(F) = -1 identically, for the form F as a whole function."""
+    sinh(-F)/sinh(F) = -1 identically, for the form F as a whole function.
+    Each denominator cancels the first numerator left of its form, so the
+    kept forms stay in their given order."""
     sign = 1
-    remaining = list(nums)
+    left = Counter(nums)  # numerators not yet cancelled, by form
     kept_dens = []
     for d in dens:
-        if d in remaining:
-            remaining.remove(d)
-            continue
         neg = (-d[0], -d[1], -d[2])
-        if neg in remaining:
-            remaining.remove(neg)
+        if left[d]:
+            left[d] -= 1
+        elif left[neg]:
+            left[neg] -= 1
             sign = -sign
-            continue
-        kept_dens.append(d)
-    return tuple(remaining), tuple(kept_dens), sign
+        else:
+            kept_dens.append(d)
+    drop = Counter(nums) - left  # cancelled numerators, by form
+    kept_nums = []
+    for n in nums:
+        if drop[n]:
+            drop[n] -= 1
+        else:
+            kept_nums.append(n)
+    return tuple(kept_nums), tuple(kept_dens), sign
 
 
 def _cartan_forms(n: int) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:

@@ -42,3 +42,16 @@ def test_methods_resolve(tracing):
         assert isinstance(klass, type), f"{modname}.{cls}"
         # tracing patches the method found in the class's own __dict__
         assert callable(klass.__dict__.get(meth)), f"{modname}.{cls}.{meth}"
+
+
+def test_info_counts_factors(tracing):
+    # The spans record a product's factor count; reading a renamed or
+    # missing attribute must fail here, not in a traced run.
+    from uqdim import vogel_params
+    from uqdim.universal import cartan_power_product
+
+    product = cartan_power_product(vogel_params("e8"), 2)
+    assert len(product) > 0
+    assert tracing._build_info((), {}, product) == len(product)
+    assert tracing._expand_info((product, 6), {}, None) == (len(product), 6)
+    assert tracing._expand_info((product,), {"order": 6}, None) == (len(product), 6)

@@ -102,6 +102,26 @@ class TestQdim:
                       "--gamma", "3", "--series", "2")
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--series", "100000"],
+        ["--series", "-2"],
+        ["--x", "0.5", "--series", "2"],
+        ["--x=nan"],
+    ])
+    def test_flags_checked_before_building(self, capsys, flags):
+        # alpha = 0 is a parameter pole (exit 3) once the product is built;
+        # a bad flag is reported first, as a usage error.
+        code, doc = run_json(capsys, "qdim", "adjoint", "--alpha=0", "--beta=1",
+                             "--gamma=2", *flags)
+        assert code == 2
+        assert "vanishes" not in doc["results"]["error"]
+
+    def test_input_order_in_text_mode(self, capsys):
+        code, out = run(capsys, "qdim", "cartan", "--n", "2", "e8", "--x", "0.5")
+        assert code == 0
+        keys = [line.split(":")[0].strip() for line in out.splitlines()[1:8]]
+        assert keys == ["algebra", "alpha", "beta", "gamma", "kind", "n", "x"]
+
 
 class TestVerify:
     def test_s2_small_run(self, capsys):
@@ -280,6 +300,19 @@ class TestSeriesOrderCap:
         assert code == 2
         assert "QDIM_SERIES_ORDER" in doc["results"]["error"]
         assert "512" in doc["results"]["error"]
+
+    @pytest.mark.parametrize("command", [["qdim", "adjoint", "e6"], ["verify", "s2"]])
+    def test_env_order_not_an_integer(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("QDIM_SERIES_ORDER", "abc")
+        code, doc = run_json(capsys, *command)
+        assert code == 2
+        assert doc["results"]["error"] == "QDIM_SERIES_ORDER must be an integer, got 'abc'"
+
+    def test_env_order_unused_with_x(self, capsys, monkeypatch):
+        monkeypatch.setenv("QDIM_SERIES_ORDER", "abc")
+        code, doc = run_json(capsys, "qdim", "adjoint", "e6", "--x", "0.5")
+        assert code == 0
+        assert "series_order" not in doc["inputs"]
 
     @pytest.mark.parametrize("command", ["qdim", "verify"])
     def test_cap_in_help(self, capsys, command):

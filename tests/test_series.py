@@ -5,11 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from uqdim import (
-    CoshFactor,
     DivisionByZeroSeries,
     PoleAtParameters,
     PowerSeries,
-    SinhFactor,
     SinhProduct,
     ZeroDenominatorForm,
     sinh_ratio_series,
@@ -183,88 +181,134 @@ class TestSinhRatio:
 
 class TestSinhProduct:
     def test_drops_trivial_factors(self):
-        p = SinhProduct([SinhFactor(3, 3), SinhFactor(2, 1)])
+        p = SinhProduct([(3, 3, ""), (2, 1, "")], 1)
         assert len(p) == 1
         assert p.series(6) == sinh_ratio_series(2, 1, 6)
 
     def test_zero_numerator_zeroes_product(self):
-        p = SinhProduct([SinhFactor(0, 2), SinhFactor(5, 1)])
+        p = SinhProduct([(0, 2, ""), (5, 1, "")], 1)
         assert p.is_zero
         assert p.series(4) == PowerSeries.zero(4)
         assert p.value_at(0.7) == 0.0
 
     def test_pole_reported_with_label(self):
-        from uqdim import PoleAtParameters
-
         with pytest.raises(PoleAtParameters, match="beta-2\\*alpha"):
-            SinhProduct([SinhFactor(1, 0, "beta-2*alpha")])
+            SinhProduct([(1, 0, "beta-2*alpha")], 1)
 
     def test_dim_and_value_agree_at_zero(self):
-        p = SinhProduct([SinhFactor(3, 2), SinhFactor(-5, 4)], sign=-1)
+        p = SinhProduct([(3, 2, ""), (-5, 4, "")], 1, sign=-1)
         assert p.dim() == F(15, 8)
         assert p.value_at(0.0) == float(F(15, 8))
 
     def test_cosh_factor_has_no_pole(self):
-        p = SinhProduct([CoshFactor(0), SinhFactor(3, 1)])
+        p = SinhProduct([(0, None, ""), (3, 1, "")], 1)
         assert p.dim() == 6
         assert p.series(4) == 2 * sinh_ratio_series(3, 1, 4)
 
     def test_sign_flip(self):
-        p = SinhProduct([SinhFactor(4, 2)], sign=-1)
+        p = SinhProduct([(4, 2, "")], 1, sign=-1)
         assert p.dim() == -2
         assert p.series(4) == -sinh_ratio_series(4, 2, 4)
+
+    def test_bad_denominator_or_sign(self):
+        for q in (0, -3):
+            with pytest.raises(ValueError, match="q must be positive"):
+                SinhProduct([(1, 2, "")], q)
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError, match="sign must be"):
+                SinhProduct([(1, 2, "")], 1, sign)
+
+    def test_stores_factors_and_arguments(self):
+        p = SinhProduct([(5, 5, "a"), (1, 2, "b"), (3, None, "c")], 4, -1, "ctx")
+        assert p.factors == ((1, 2, "b"), (3, None, "c"))
+        assert (p.q, p.sign, p.context) == (4, -1, "ctx")
 
     def test_value_at_overflow_is_typed(self):
         # math.sinh(250) is finite but the product overflows; math.sinh(2500)
         # raises OverflowError; both must give the typed error.
-        p = SinhProduct([SinhFactor(40, 1), SinhFactor(40, 1), SinhFactor(40, 1)],
-                        context="ctx")
+        p = SinhProduct([(40, 1, "")] * 3, 1, context="ctx")
         with pytest.raises(FloatEvaluationError, match="ctx at x=25"):
             p.value_at(25.0)
         with pytest.raises(FloatEvaluationError):
             p.value_at(250.0)
         with pytest.raises(FloatEvaluationError):
-            SinhProduct([CoshFactor(4)]).value_at(1000.0)
+            SinhProduct([(4, None, "")], 1).value_at(1000.0)
 
     def test_value_at_non_finite_x(self):
-        p = SinhProduct([SinhFactor(3, 1)])
+        p = SinhProduct([(3, 1, "")], 1)
         for x in (math.nan, math.inf):
             with pytest.raises(FloatEvaluationError):
                 p.value_at(x)
 
     def test_finite_value_unchanged(self):
-        p = SinhProduct([SinhFactor(3, 1), CoshFactor(2)], sign=-1)
+        p = SinhProduct([(3, 1, ""), (2, None, "")], 1, sign=-1)
         expected = -1.0 * (math.sinh(0.75) / math.sinh(0.25)) * (2.0 * math.cosh(0.5))
         assert p.value_at(1.0) == expected
 
 
-def reference_series(factors, sign, order):
+# Products are drawn as integer factors over one random q.  The references
+# read each factor as Fraction(N, q), Fraction(D, q), on its own.
+
+
+def reference_series(factors, q, sign, order):
     """Independent oracle for SinhProduct.series: each factor expanded on its
     own from the sinh and cosh Taylor series, divided and multiplied as
     truncated series."""
     acc = PowerSeries.one(order)
-    for f in factors:
-        if isinstance(f, CoshFactor):
-            acc = acc * (2 * cosh_series(f.arg, order))
+    for n, d, _ in factors:
+        if d is None:
+            acc = acc * (2 * cosh_series(F(n, q), order))
         else:
-            acc = acc * (sinh_series(f.num, order + 1) / sinh_series(f.den, order + 1))
+            acc = acc * (sinh_series(F(n, q), order + 1) / sinh_series(F(d, q), order + 1))
     return acc if sign > 0 else -acc
 
 
-def random_factor(rng):
-    """A factor drawn to hit the kernel's special cases: negative arguments,
-    zero numerators, num == den, num == -den and cosh factors at arg 0."""
+def random_q(rng):
+    """A common denominator: a small one, or 2**k times a small odd number
+    with k up to 60, as Fraction(float) arguments give (a uniform float
+    draw has k of 49 or more)."""
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.randint(1, 12)
+    k = rng.randint(49, 60) if roll < 0.7 else rng.randint(0, 60)
+    return 2 ** k * rng.randrange(1, 12, 2)
+
+
+def random_arg(rng, q):
+    """A nonzero integer argument over q, at most 12 in absolute value as a
+    fraction: half of the draws are small rationals s/t with t | q."""
+    while True:
+        if rng.random() < 0.5:
+            t = rng.choice([t for t in range(1, 13) if q % t == 0])
+            n = rng.randint(-12, 12) * (q // t)
+        else:
+            n = rng.randint(-12 * q, 12 * q)
+        if n:
+            return n
+
+
+def random_factor(rng, q):
+    """A factor over q drawn to hit the kernel's special cases: negative
+    arguments, zero numerators, N == D, N == -D and cosh factors at 0."""
+    label = rng.choice(["", "d"])
     roll = rng.random()
     if roll < 0.15:
-        return CoshFactor(rng.choice([F(0), rand_fraction(rng, 12)]))
-    den = rand_fraction(rng, 12)
+        return (rng.choice([0, random_arg(rng, q)]), None, label)
+    den = random_arg(rng, q)
     if roll < 0.2:
-        return SinhFactor(0, den)
+        return (0, den, label)
     if roll < 0.3:
-        return SinhFactor(den, den)
+        return (den, den, label)
     if roll < 0.35:
-        return SinhFactor(-den, den)
-    return SinhFactor(rand_fraction(rng, 12), den)
+        return (-den, den, label)
+    return (random_arg(rng, q), den, label)
+
+
+def random_product(rng, most):
+    """(factors, q, sign) with up to `most` factors."""
+    q = random_q(rng)
+    factors = [random_factor(rng, q) for _ in range(rng.randint(0, most))]
+    return factors, q, rng.choice([1, -1])
 
 
 class TestKernelAgainstReference:
@@ -272,164 +316,124 @@ class TestKernelAgainstReference:
     def test_random_products(self, order):
         rng = random.Random(1000 + order)
         for trial in range(40):
-            factors = [random_factor(rng) for _ in range(rng.randint(0, 8))]
-            sign = rng.choice([1, -1])
-            product = SinhProduct(factors, sign=sign)
-            assert product.series(order) == reference_series(factors, sign, order), (
-                trial, factors, sign)
+            factors, q, sign = random_product(rng, 8)
+            product = SinhProduct(factors, q, sign)
+            assert product.series(order) == reference_series(factors, q, sign, order), (
+                trial, factors, q, sign)
 
     def test_random_products_order_64(self):
         rng = random.Random(64)
         for _ in range(4):
-            factors = [random_factor(rng) for _ in range(rng.randint(1, 6))]
-            sign = rng.choice([1, -1])
-            product = SinhProduct(factors, sign=sign)
-            assert product.series(64) == reference_series(factors, sign, 64)
+            factors, q, sign = random_product(rng, 6)
+            product = SinhProduct(factors, q, sign)
+            assert product.series(64) == reference_series(factors, q, sign, 64)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_empty_product(self, sign):
         for order in (0, 1, 2, 3, 17):
             expected = PowerSeries.constant(sign, order)
-            assert SinhProduct([], sign=sign).series(order) == expected
-            assert reference_series([], sign, order) == expected
+            assert SinhProduct([], 1, sign).series(order) == expected
+            assert reference_series([], 1, sign, order) == expected
 
     def test_cosh_at_zero_and_trivial_ratio(self):
-        factors = [CoshFactor(0), SinhFactor(F(5, 3), F(5, 3)), SinhFactor(-2, 2)]
-        assert (SinhProduct(factors, sign=-1).series(20)
-                == reference_series(factors, -1, 20) == PowerSeries.constant(2, 20))
+        # 2 cosh(0), sinh(5/3 u)/sinh(5/3 u) and sinh(-2u)/sinh(2u) over q = 3
+        factors = [(0, None, ""), (5, 5, ""), (-6, 6, "")]
+        assert (SinhProduct(factors, 3, -1).series(20)
+                == reference_series(factors, 3, -1, 20) == PowerSeries.constant(2, 20))
 
     def test_zero_numerator(self):
-        factors = [SinhFactor(3, 2), SinhFactor(0, F(7, 5)), CoshFactor(1)]
-        assert SinhProduct(factors).series(17) == PowerSeries.zero(17)
-        assert reference_series(factors, 1, 17) == PowerSeries.zero(17)
+        # 3/2 over 1, 0 over 7/5 and 2 cosh(1) over q = 5
+        factors = [(15, 10, ""), (0, 7, ""), (5, None, "")]
+        assert SinhProduct(factors, 5).series(17) == PowerSeries.zero(17)
+        assert reference_series(factors, 5, 1, 17) == PowerSeries.zero(17)
 
     def test_e8_cartan_power_10(self):
         product = cartan_power_product(vogel_params("e8"), 10)
-        assert product.series(64) == reference_series(product.factors, product.sign, 64)
+        assert product.series(64) == reference_series(
+            product.factors, product.q, product.sign, 64)
 
     def test_odd_coefficients_vanish(self):
         rng = random.Random(21)
-        factors = [random_factor(rng) for _ in range(6)]
-        series = SinhProduct(factors).series(21)
+        q = random_q(rng)
+        series = SinhProduct([random_factor(rng, q) for _ in range(6)], q).series(21)
         assert series.order == 21
         assert all(series[m] == 0 for m in range(1, 22, 2))
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
-            SinhProduct([SinhFactor(2, 1)]).series(-1)
-
-
-def float_fraction(rng):
-    """An argument as Fraction(float): its denominator is a power of two up
-    to 2**60 (about 2**49 from uniform(), times up to 2**11)."""
-    while True:
-        value = F(rng.uniform(-8.0, 8.0) / 2 ** rng.randint(0, 11))
-        if value and value.denominator <= 2 ** 60:
-            return value
-
-
-def mixed_factor(rng):
-    """Like random_factor, but arguments are Fraction(float) values or small
-    rationals, so one product mixes denominators up to 2**60 with small
-    ones."""
-    draw = lambda: float_fraction(rng) if rng.random() < 0.5 else rand_fraction(rng, 12)
-    roll = rng.random()
-    if roll < 0.2:
-        return CoshFactor(rng.choice([F(0), draw()]), rng.choice(["", "c"]))
-    den = draw()
-    label = rng.choice(["", "d"])
-    if roll < 0.25:
-        return SinhFactor(0, den, label)
-    if roll < 0.35:
-        return SinhFactor(den, den, label)
-    if roll < 0.45:
-        return SinhFactor(-den, den, label)
-    return SinhFactor(draw(), den, label)
+            SinhProduct([(2, 1, "")], 1).series(-1)
 
 
 def kept_factors(factors):
-    return [f for f in factors if isinstance(f, CoshFactor) or f.num != f.den]
+    return [(n, d, label) for n, d, label in factors if n != d]
 
 
-def reference_value(factors, sign, x):
+def reference_value(factors, q, sign, x):
     """The float value factor by factor, each argument through float(Fraction),
     in the order given; x = 0 gives the exact value at 0."""
     if x == 0:
-        return float(reference_dim(factors, sign))
+        return float(reference_dim(factors, q, sign))
     acc = float(sign)
-    for f in kept_factors(factors):
-        if isinstance(f, CoshFactor):
-            acc *= 2.0 * math.cosh(float(f.arg) * x / 4.0)
+    for n, d, _ in kept_factors(factors):
+        if d is None:
+            acc *= 2.0 * math.cosh(float(F(n, q)) * x / 4.0)
         else:
-            acc *= math.sinh(float(f.num) * x / 4.0) / math.sinh(float(f.den) * x / 4.0)
+            acc *= math.sinh(float(F(n, q)) * x / 4.0) / math.sinh(float(F(d, q)) * x / 4.0)
     return acc
 
 
-def reference_dim(factors, sign):
+def reference_dim(factors, q, sign):
     acc = F(sign)
-    for f in kept_factors(factors):
-        acc *= 2 if isinstance(f, CoshFactor) else f.num / f.den
+    for n, d, _ in kept_factors(factors):
+        acc *= 2 if d is None else F(n, q) / F(d, q)
     return acc
-
-
-def factor_key(f):
-    if isinstance(f, CoshFactor):
-        return ("cosh", f.arg, f.label)
-    return ("sinh", f.num, f.den, f.label)
 
 
 class TestConstructorAgainstReference:
-    """SinhProduct(factors) puts the arguments over one integer denominator;
-    every observable must match the factors it was given."""
+    """SinhProduct(factors, q) keeps the factors it was given; every
+    observable must match those factors read as Fraction(N, q)."""
 
     def test_random_products(self):
         rng = random.Random(2024)
         for trial in range(300):
-            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 10))]
-            sign = rng.choice([1, -1])
-            product = SinhProduct(factors, sign=sign, context="ctx")
+            factors, q, sign = random_product(rng, 10)
+            product = SinhProduct(factors, q, sign, "ctx")
             kept = kept_factors(factors)
-            where = (trial, factors, sign)
+            where = (trial, factors, q, sign)
             for x in (0.0, 0.05, 0.3, 1.0, -0.7, rng.uniform(0.05, 1.0)):
-                assert product.value_at(x).hex() == reference_value(factors, sign, x).hex(), where
-            assert product.dim() == reference_dim(factors, sign), where
-            dens = [abs(f.den) for f in kept if isinstance(f, SinhFactor)]
+                assert (product.value_at(x).hex()
+                        == reference_value(factors, q, sign, x).hex()), where
+            assert product.dim() == reference_dim(factors, q, sign), where
+            dens = [abs(F(d, q)) for _, d, _ in kept if d is not None]
             assert product.min_abs_denominator() == (min(dens) if dens else None), where
             assert product.is_zero == any(
-                isinstance(f, SinhFactor) and f.num == 0 for f in kept), where
+                n == 0 and d is not None for n, d, _ in kept), where
             assert len(product) == len(kept), where
-            keys = [factor_key(f) for f in kept]
-            assert [factor_key(f) for f in product.factors] == keys, where
-            again = SinhProduct(product.factors, sign=sign)
-            assert [factor_key(f) for f in again.factors] == keys, where
-            assert (again.sign, again.context, product.context) == (sign, "", "ctx")
+            assert product.factors == tuple(kept), where
+            assert (product.q, product.sign, product.context) == (q, sign, "ctx")
 
     @pytest.mark.parametrize("order", [0, 1, 17, 64])
     def test_series(self, order):
         rng = random.Random(3000 + order)
         for trial in range(40 if order < 64 else 3):
-            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 8 if order < 64 else 4))]
-            sign = rng.choice([1, -1])
-            product = SinhProduct(factors, sign=sign)
-            assert product.series(order) == reference_series(factors, sign, order), (
-                trial, factors, sign)
+            factors, q, sign = random_product(rng, 8 if order < 64 else 4)
+            product = SinhProduct(factors, q, sign)
+            assert product.series(order) == reference_series(factors, q, sign, order), (
+                trial, factors, q, sign)
 
-    def test_from_integers_matches_adapter(self):
+    def test_scaled_denominator(self):
+        # The same arguments over 3q: the same functions, the same values.
         rng = random.Random(77)
         for _ in range(50):
-            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 6))]
-            product = SinhProduct(factors, sign=-1, context="c")
-            direct = SinhProduct.from_integers(product.terms, product.q, -1, "c")
-            assert (direct.terms, direct.q) == (product.terms, product.q)
-            scaled = SinhProduct.from_integers(
-                [(3 * n, None if d is None else 3 * d, label)
-                 for n, d, label in product.terms], 3 * product.q, -1, "c")
-            assert [factor_key(f) for f in scaled.factors] == [
-                factor_key(f) for f in product.factors]
+            factors, q, sign = random_product(rng, 6)
+            product = SinhProduct(factors, q, sign, "c")
+            scaled = SinhProduct([(3 * n, None if d is None else 3 * d, label)
+                                  for n, d, label in factors], 3 * q, sign, "c")
+            assert len(scaled) == len(product)
+            assert scaled.dim() == product.dim()
+            assert scaled.min_abs_denominator() == product.min_abs_denominator()
             assert scaled.value_at(0.4) == product.value_at(0.4)
-        for q in (0, -3):
-            with pytest.raises(ValueError):
-                SinhProduct.from_integers([(1, 2, "")], q)
+            assert scaled.series(9) == product.series(9)
 
     @pytest.mark.parametrize("label, context, text", [
         ("beta-2*alpha", "qdim_y2(beta)",
@@ -439,23 +443,24 @@ class TestConstructorAgainstReference:
         ("", "", "sinh denominator num=-1/1024 vanishes at these parameters"),
     ])
     def test_pole_message(self, label, context, text):
+        q = 2 ** 60 * 105
+        arg = lambda r: int(r * q)  # every r below is an integer over q
         num = F(7, 3) if context else F(-1, 1024)
-        factors = [SinhFactor(F(1, 2 ** 60), F(3, 5)), CoshFactor(F(5, 7)),
-                   SinhFactor(num, 0, label), SinhFactor(1, 0, "later")]
+        factors = [(arg(F(1, 2 ** 60)), arg(F(3, 5)), ""), (arg(F(5, 7)), None, ""),
+                   (arg(num), 0, label), (q, 0, "later")]
         with pytest.raises(PoleAtParameters) as caught:
-            SinhProduct(factors, context=context)
+            SinhProduct(factors, q, context=context)
         assert str(caught.value) == text
 
     def test_pole_message_random(self):
         rng = random.Random(91)
         for _ in range(100):
-            factors = [mixed_factor(rng) for _ in range(rng.randint(0, 5))]
-            bad = SinhFactor(rng.choice([F(0), float_fraction(rng), rand_fraction(rng)]),
-                             0, rng.choice(["", "alpha-beta"]))
+            factors, q, _ = random_product(rng, 5)
+            bad = (rng.choice([0, random_arg(rng, q)]), 0, rng.choice(["", "alpha-beta"]))
             factors.insert(rng.randint(0, len(factors)), bad)
-            where = bad.label or f"num={bad.num}"
+            where = bad[2] or f"num={F(bad[0], q)}"
             with pytest.raises(PoleAtParameters) as caught:
-                SinhProduct(factors, context="ctx")
+                SinhProduct(factors, q, context="ctx")
             assert str(caught.value) == (
                 f"ctx: sinh denominator {where} vanishes at these parameters")
 

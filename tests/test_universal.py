@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -32,7 +33,7 @@ from uqdim import (
     z_block_f,
 )
 from uqdim import universal
-from uqdim.series import CoshFactor, SinhFactor, SinhProduct
+from uqdim.series import SinhProduct
 from uqdim.universal import (
     adjoint_product,
     cartan_power_product,
@@ -464,23 +465,31 @@ def ref_eval_form(form, v):
     return form[0] * v.alpha + form[1] * v.beta + form[2] * v.gamma
 
 
+def ref_product(factors, sign, context):
+    """The product of (num, den, label) factors, den None for a cosh factor,
+    with Fraction arguments put over the lcm of their denominators."""
+    q = math.lcm(*(r.denominator for n, d, _ in factors for r in (n, d) if r is not None))
+    return SinhProduct([(int(n * q), None if d is None else int(d * q), label)
+                        for n, d, label in factors], q, sign, context)
+
+
 def ref_materialize(nums, dens, sign, v, context):
     assert len(nums) == len(dens)
     factors = [
-        SinhFactor(ref_eval_form(num, v), ref_eval_form(den, v), ref_form_str(den))
+        (ref_eval_form(num, v), ref_eval_form(den, v), ref_form_str(den))
         for num, den in zip(nums, dens)
     ]
-    return SinhProduct(factors, sign=sign, context=context)
+    return ref_product(factors, sign, context)
 
 
 def ref_adjoint(v):
     a, b, c = v.as_tuple()
     factors = [
-        SinhFactor(c + 2 * b + 2 * a, c, "gamma"),
-        SinhFactor(2 * c + b + 2 * a, b, "beta"),
-        SinhFactor(2 * c + 2 * b + a, a, "alpha"),
+        (c + 2 * b + 2 * a, c, "gamma"),
+        (2 * c + b + 2 * a, b, "beta"),
+        (2 * c + 2 * b + a, a, "alpha"),
     ]
-    return SinhProduct(factors, sign=-1, context="qdim_adjoint")
+    return ref_product(factors, -1, "qdim_adjoint")
 
 
 def ref_y2(v, slot):
@@ -488,56 +497,55 @@ def ref_y2(v, slot):
     a, b, c = w.as_tuple()
     t = w.t
     factors = [
-        SinhFactor(2 * t, a, "alpha"),
-        SinhFactor(b - 2 * t, 2 * a, "2*alpha"),
-        SinhFactor(c - 2 * t, b, "beta"),
-        SinhFactor(b + t, c, "gamma"),
-        SinhFactor(c + t, a - b, "alpha-beta"),
-        SinhFactor(3 * a - 2 * t, a - c, "alpha-gamma"),
+        (2 * t, a, "alpha"),
+        (b - 2 * t, 2 * a, "2*alpha"),
+        (c - 2 * t, b, "beta"),
+        (b + t, c, "gamma"),
+        (c + t, a - b, "alpha-beta"),
+        (3 * a - 2 * t, a - c, "alpha-gamma"),
     ]
-    return SinhProduct(factors, sign=-1, context=f"qdim_y2({slot})")
+    return ref_product(factors, -1, f"qdim_y2({slot})")
 
 
 def ref_x2(v):
     a, b, c = v.as_tuple()
     t = v.t
     factors = [
-        SinhFactor(2 * t - a, a, "alpha"),
-        SinhFactor(2 * t - b, b, "beta"),
-        SinhFactor(2 * t - c, c, "gamma"),
-        SinhFactor(t + a, 2 * a, "2*alpha"),
-        SinhFactor(t + b, 2 * b, "2*beta"),
-        SinhFactor(t + c, 2 * c, "2*gamma"),
-        CoshFactor(t - a, "t-alpha"),
-        CoshFactor(t - b, "t-beta"),
-        CoshFactor(t - c, "t-gamma"),
+        (2 * t - a, a, "alpha"),
+        (2 * t - b, b, "beta"),
+        (2 * t - c, c, "gamma"),
+        (t + a, 2 * a, "2*alpha"),
+        (t + b, 2 * b, "2*beta"),
+        (t + c, 2 * c, "2*gamma"),
+        (t - a, None, "t-alpha"),
+        (t - b, None, "t-beta"),
+        (t - c, None, "t-gamma"),
     ]
-    return SinhProduct(factors, sign=1, context="qdim_x2")
+    return ref_product(factors, 1, "qdim_x2")
 
 
 def ref_cartan(v, n):
     if n == 0:
-        return SinhProduct([], sign=1, context="qdim_cartan_adjoint(n=0)")
+        return ref_product([], 1, "qdim_cartan_adjoint(n=0)")
     return ref_materialize(*universal._cartan_forms(n), v, f"qdim_cartan_adjoint(n={n})")
 
 
 def ref_z(v, k, l):
     if k == 0 and l == 0:
-        return SinhProduct([], sign=1, context="qdim_z")
+        return ref_product([], 1, "qdim_z")
     return ref_materialize(*universal._z_forms(k, l), v, f"qdim_z(k={k}, l={l})")
 
 
 def product_outcome(build, v):
-    """Everything a built product exposes, or the text of its pole."""
+    """Everything a built product exposes, its arguments as fractions, or
+    the text of its pole."""
     try:
         product = build(v)
     except PoleAtParameters as exc:
         return ("pole", str(exc))
-    factors = [
-        ("cosh", f.arg, f.label) if isinstance(f, CoshFactor)
-        else ("sinh", f.num, f.den, f.label)
-        for f in product.factors
-    ]
+    q = product.q
+    factors = [(F(n, q), None if d is None else F(d, q), label)
+               for n, d, label in product.factors]
     return ("product", product.sign, product.context, factors)
 
 
@@ -617,6 +625,38 @@ class TestFormPrograms:
             assert all(type(c) is int for c in num + den)
         for arg, label in program.cosh:
             assert type(arg) is tuple and type(label) is str
+
+    def test_cancel_forms_matches_quadratic_reference(self, monkeypatch):
+        def reference(nums, dens):
+            # each denominator removes the first equal (or negated) numerator
+            sign, remaining, kept_dens = 1, list(nums), []
+            for d in dens:
+                neg = (-d[0], -d[1], -d[2])
+                if d in remaining:
+                    remaining.remove(d)
+                elif neg in remaining:
+                    remaining.remove(neg)
+                    sign = -sign
+                else:
+                    kept_dens.append(d)
+            return tuple(remaining), tuple(kept_dens), sign
+
+        cancel = universal._cancel_forms
+        calls = []
+
+        def checked(nums, dens):
+            calls.append(len(nums))
+            result = cancel(nums, dens)
+            assert result == reference(nums, dens), (nums, dens)
+            return result
+
+        monkeypatch.setattr(universal, "_cancel_forms", checked)
+        for n in range(41):
+            universal._cartan_forms(n)
+        for k in range(9):
+            for l in range(9):
+                universal._z_forms(k, l)
+        assert len(calls) == 41 + 81
 
     def test_cancelled_forms_are_tuples(self):
         for nums, dens, _ in (universal._z_forms(2, 1), universal._cartan_forms(3)):
