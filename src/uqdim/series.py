@@ -18,7 +18,10 @@ A product is expanded in one step, as the exponential of integer power sums
 of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
 whose coefficients come from the tangent numbers (Knuth & Buckholtz,
 *Computation of tangent, Euler, and Bernoulli numbers*, Math. Comp. 21,
-1967).  Those coefficients are computed on first use and cached.
+1967).  Those coefficients are computed on first use and cached.  The
+exponential is taken in integers over one running denominator, so a product
+of F factors to order K costs O(F*K + K^2) integer operations and one gcd
+per coefficient.
 
 All values are immutable after construction and every operation is a pure
 function.  The only shared state is that coefficient cache, which grows
@@ -28,6 +31,7 @@ under a lock, so concurrent use needs no locking by the caller.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Iterable, Union
@@ -367,6 +371,14 @@ class SinhProduct:
         argument ``A`` enters the first power sum as the pair ``2A``, ``A``.
         The power sums are plain integers, and the exponential follows from
         ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.  Odd coefficients are zero.
+
+        The recursion runs in integers.  The ``c_k`` are put over ``Omega``,
+        the lcm of their denominators, so each weight ``j g_j (16 L^2)^j
+        Omega`` is an integer.  ``e_0..e_{m-1}`` are integer numerators over
+        one running denominator ``Delta``; each new sum is reduced by one
+        gcd, and when its denominator does not divide ``Delta`` the stored
+        numerators are rescaled.  The coefficients are the same exact
+        rationals a ``Fraction`` recursion gives.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
@@ -385,24 +397,35 @@ class SinhProduct:
         lcm = self.q // common
         bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
         powers = [1] * len(bases)
-        coeffs = log_coefficients(half)
-        weighted = []  # j * g_j * (16 L^2)^j for j = 1..half
-        for k in range(1, half + 1):
+        coeffs = log_coefficients(half)[:half]
+        omega = math.lcm(*(c.denominator for c, _ in coeffs))
+        weighted = []  # j * g_j * (16 L^2)^j * omega, an integer, for j = 1..half
+        for k, (c, _) in enumerate(coeffs, 1):
             total = 0
             for i, (square, w) in enumerate(bases):
                 powers[i] *= square
                 total += w * powers[i]
-            weighted.append(coeffs[k - 1][0] * (k * total))
+            weighted.append(c.numerator * (omega // c.denominator) * k * total)
         # Exponentiate in u = y / (16 L^2), where the coefficients keep small
-        # denominators, and return to y at the end.
-        exp = [Fraction(1)]
+        # denominators, and return to y at the end.  e_i = exp[i] / delta.
+        exp = [1]
+        delta = 1
         for m in range(1, half + 1):
-            exp.append(sum(weighted[j - 1] * exp[m - j] for j in range(1, m + 1)) / m)
+            num = sum(map(operator.mul, weighted, reversed(exp)))
+            den = m * omega * delta
+            g = math.gcd(num, den)
+            num //= g
+            den //= g
+            if delta % den:
+                grow = den // math.gcd(delta, den)
+                exp = [e * grow for e in exp]
+                delta *= grow
+            exp.append(num * (delta // den))
         step = 16 * lcm * lcm
-        denominator = 1
+        num, den = scale.numerator, scale.denominator * delta
         for m, e in enumerate(exp):
-            out[2 * m] = scale * e / denominator
-            denominator *= step
+            out[2 * m] = Fraction(num * e, den)
+            den *= step
         return PowerSeries(out)
 
     def dim(self) -> Fraction:

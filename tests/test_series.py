@@ -364,6 +364,130 @@ class TestKernelAgainstReference:
             SinhProduct([(2, 1, "")], 1).series(-1)
 
 
+def fraction_recursion_series(product, order):
+    """The log-exp kernel as it was written in Fraction arithmetic: the
+    reference for the integer recursion of SinhProduct.series."""
+    out = [F(0)] * (order + 1)
+    scale = product.dim()
+    if scale == 0:
+        return PowerSeries(out)
+    half = order // 2
+    weights = {}
+    for n, d, _ in product.factors:
+        pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
+        for a, w in pairs:
+            weights[abs(a)] = weights.get(abs(a), 0) + w
+    common = math.gcd(product.q, *weights)
+    lcm = product.q // common
+    bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
+    powers = [1] * len(bases)
+    coeffs = log_coefficients(half)
+    weighted = []
+    for k in range(1, half + 1):
+        total = 0
+        for i, (square, w) in enumerate(bases):
+            powers[i] *= square
+            total += w * powers[i]
+        weighted.append(coeffs[k - 1][0] * (k * total))
+    exp = [F(1)]
+    for m in range(1, half + 1):
+        exp.append(sum(weighted[j - 1] * exp[m - j] for j in range(1, m + 1)) / m)
+    step = 16 * lcm * lcm
+    denominator = 1
+    for m, e in enumerate(exp):
+        out[2 * m] = scale * e / denominator
+        denominator *= step
+    return PowerSeries(out)
+
+
+class TestKernelAgainstFractionRecursion:
+    """High orders, where the running denominator of the integer recursion
+    is rescaled at most steps.  The draws at orders 128 and 256 include
+    denominators q of 54 to 64 bits; at order 512 the draw has a small q,
+    since a 64-bit one costs the Fraction reference about 15 s."""
+
+    @pytest.mark.parametrize("order, seed, count", [
+        (128, 5132, 6), (256, 5260, 3), (512, 5513, 1)])
+    def test_random_products(self, order, seed, count):
+        rng = random.Random(seed)
+        for trial in range(count):
+            factors, q, sign = random_product(rng, 8)
+            product = SinhProduct(factors, q, sign)
+            assert product.series(order) == fraction_recursion_series(product, order), (
+                trial, factors, q, sign)
+
+    @pytest.mark.parametrize("order", [128, 256, 512])
+    def test_e8_cartan_power_10(self, order):
+        product = cartan_power_product(vogel_params("e8"), 10)
+        assert product.series(order) == fraction_recursion_series(product, order)
+
+
+def times_binomial(poly, k, c):
+    """poly(t) * (t^k + c) over the integers."""
+    out = [c * p for p in poly] + [0] * k
+    for i, p in enumerate(poly):
+        out[i + k] += p
+    return out
+
+
+def divide_binomial(poly, k):
+    """poly(t) / (t^k - 1) over the integers; the division must be exact."""
+    quotient = []
+    for i in range(len(poly) - k):
+        quotient.append((quotient[i - k] if i >= k else 0) - poly[i])
+    for i in range(max(len(poly) - k, 0), len(poly)):
+        assert poly[i] == (quotient[i - k] if i >= k else 0), "not a polynomial"
+    return quotient
+
+
+def laurent_series(product, order):
+    """Independent oracle at an algebra point: the product is a Laurent
+    polynomial P(t) = sum p_e t^e in t = e^{x/(4q)}, so the coefficient of
+    x^j is sum p_e (e/(4q))^j / j!.  With u = x/(4q), sinh(N u)/sinh(D u) is
+    ±t^{|D|-|N|} (t^{2|N|} - 1) / (t^{2|D|} - 1) and 2 cosh(A u) is
+    t^{-|A|} (t^{2|A|} + 1).  No tangent number, log or exp is involved."""
+    sign, shift, poly, dens = product.sign, 0, [1], []
+    for n, d, _ in product.factors:
+        if d is None:
+            poly = times_binomial(poly, 2 * abs(n), 1)
+            shift -= abs(n)
+        else:
+            sign *= 1 if (n > 0) == (d > 0) else -1
+            poly = times_binomial(poly, 2 * abs(n), -1)
+            dens.append(2 * abs(d))
+            shift += abs(d) - abs(n)
+    for k in dens:
+        poly = divide_binomial(poly, k)
+    exponents = [i + shift for i, p in enumerate(poly) if p]
+    moments = [sign * p for p in poly if p]  # sign * p_e * e^j
+    out = []
+    for j in range(order + 1):
+        out.append(F(sum(moments), (4 * product.q) ** j * math.factorial(j)))
+        moments = [w * e for w, e in zip(moments, exponents)]
+    return PowerSeries(out)
+
+
+class TestKernelAgainstLaurentPolynomial:
+    @pytest.mark.parametrize("algebra, n", [
+        (algebra, n) for algebra in ("g2", "f4", "e7") for n in (1, 2, 3)
+    ] + [("e7", 8)])
+    def test_cartan_power(self, algebra, n):
+        product = cartan_power_product(vogel_params(algebra), n)
+        assert product.series(256) == laurent_series(product, 256)
+
+    def test_oracle_closed_form(self):
+        # sinh(-3u)/sinh(u) * 2 cosh(u) = -(1 + 2 cosh 2u) * 2 cosh u, u = x/4
+        product = SinhProduct([(-3, 1, ""), (1, None, "")], 1)
+        expected = (-(PowerSeries.one(20) + 2 * cosh_series(2, 20))
+                    * (2 * cosh_series(1, 20)))
+        assert laurent_series(product, 20) == expected
+
+    def test_non_polynomial_is_refused(self):
+        # sinh(u)/sinh(2u) = 1/(2 cosh u) is no Laurent polynomial
+        with pytest.raises(AssertionError, match="not a polynomial"):
+            laurent_series(SinhProduct([(1, 2, "")], 1), 4)
+
+
 def kept_factors(factors):
     return [(n, d, label) for n, d, label in factors if n != d]
 
