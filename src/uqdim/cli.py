@@ -172,10 +172,9 @@ def cmd_qdim(args) -> dict:
     else:
         order = _series_order(args.series)
         inputs["series_order"] = order
-        series = _qdim_product(args, v).series(order)
-        coeffs = [[m, str(series[m])] for m in range(0, order + 1, 2)]
-        assert all(series[m] == 0 for m in range(1, order + 1, 2))
-        results = {"coefficients": coeffs}
+        nums, den = _qdim_product(args, v).even_coefficients(order)
+        results = {"coefficients": [[2 * j, str(Fraction(num, den))]
+                                    for j, num in enumerate(nums)]}
     return {"command": "qdim", "inputs": inputs, "results": results, "status": "pass"}
 
 
@@ -232,6 +231,24 @@ def cmd_instanton(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
+
+
+def _real(text: str) -> float:
+    """A float flag: anything float() reads, else a fraction p/q rounded to
+    the nearest float."""
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    try:
+        return float(Fraction(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r}: expected a float or a fraction p/q") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is too large for a float") from None
 
 
 def _add_param_args(sp) -> None:
@@ -293,10 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instanton", parents=[common],
                        help="one-instanton term table")
     _add_param_args(p)
-    p.add_argument("--eps1", type=float, default=0.0)
-    p.add_argument("--eps2", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--x", type=float, required=True)
+    real = "float or fraction p/q; use --%s=-1/3 for a negative fraction"
+    p.add_argument("--eps1", type=_real, default=0.0, help=real % "eps1")
+    p.add_argument("--eps2", type=_real, default=0.0, help=real % "eps2")
+    p.add_argument("--sigma", type=_real, default=0.0, help=real % "sigma")
+    p.add_argument("--x", type=_real, required=True, help=real % "x")
     p.add_argument("--nmax", type=int, default=10)
     p.set_defaults(handler=cmd_instanton)
 

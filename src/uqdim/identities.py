@@ -2,17 +2,28 @@
 
 The symmetric square, antisymmetric square and symmetric cube of the adjoint
 character restricted to the Weyl line are plethysm combinations of the single
-function f(x) = qdim_adjoint.  Each identity equates such a combination with a
-sum of universal characters.  Identities are checked at seeded random points:
-series mode checks that every Taylor coefficient of LHS - RHS up to the given
-order is exactly zero at random rational points of Vogel's plane; numeric mode
-checks that the floating-point relative residual is below NUMERIC_TOLERANCE at
-random real points and real x.  Neither mode proves an identity for all
-parameters.
+function f(x) = qdim_adjoint, written once as data in ``PLETHYSMS``.  Each
+identity equates such a combination with a sum of universal characters.
+Identities are checked at seeded random points:
+
+* series mode checks that every Taylor coefficient of LHS - RHS up to the
+  given order is exactly zero at random rational points of Vogel's plane.
+  It works in integers: each product gives its even coefficients as integer
+  numerators over one denominator
+  (:meth:`~uqdim.series.SinhProduct.even_coefficients`), f(m x) multiplies
+  the coefficient of x^(2j) by m^(2j), products of series are integer
+  convolutions, and the sum is cross-multiplied over the lcm of the
+  denominators.  A ``Fraction`` is built only for a failure message and for
+  the ``PowerSeries`` view :func:`identity_residual_series`;
+* numeric mode checks that the floating-point relative residual is below
+  NUMERIC_TOLERANCE at random real points and real x.
+
+Neither mode proves an identity for all parameters.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -41,9 +52,6 @@ NUMERIC = "numeric"
 NUMERIC_TOLERANCE = 1e-9
 #: Numeric-mode rejection margin around the pole set.
 POLE_MARGIN = 1e-3
-
-_HALF = Fraction(1, 2)
-_SIXTH = Fraction(1, 6)
 
 S3Term = namedtuple("S3Term", "irrep kind perm multiplicity")
 
@@ -97,23 +105,50 @@ class IdentityReport:
         return not self.failures
 
 
+#: The plethysms of the identities, as data: identity -> (divisor, terms),
+#: each term a (coefficient, dilations) pair standing for coefficient *
+#: prod_{m in dilations} f(m x).  The left-hand side is the sum of the terms
+#: over the divisor:
+#:   s2 = (f(x)^2 + f(2x)) / 2,  a2 = (f(x)^2 - f(2x)) / 2,
+#:   s3 = (f(x)^3 + 3 f(2x) f(x) + 2 f(3x)) / 6.
+PLETHYSMS = {
+    S2_SYM: (2, ((1, (1, 1)), (1, (2,)))),
+    A2_ANTISYM: (2, ((1, (1, 1)), (-1, (2,)))),
+    S3_SYM_CUBE: (6, ((1, (1, 1, 1)), (3, (2, 1)), (2, (3,)))),
+}
+
+
+def _plethysm_terms(identity: str) -> tuple[int, tuple]:
+    try:
+        return PLETHYSMS[identity]
+    except KeyError:
+        raise ValueError(f"unknown identity {identity!r}") from None
+
+
+def _plethysm(identity: str, f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
+    divisor, terms = _plethysm_terms(identity)
+    total = PowerSeries.zero(order)
+    for coefficient, dilations in terms:
+        term = PowerSeries.one(order)
+        for m in dilations:
+            term = term * f_at(m)
+        total = total + coefficient * term
+    return Fraction(1, divisor) * total
+
+
 def char_sym_square(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
     """Symmetric-square plethysm (f(x)^2 + f(2x)) / 2 of a character f."""
-    f1 = f_at(1)
-    return (_HALF * (f1 * f1 + f_at(2))) + PowerSeries.zero(order)
+    return _plethysm(S2_SYM, f_at, order)
 
 
 def char_antisym_square(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
     """Antisymmetric-square plethysm (f(x)^2 - f(2x)) / 2."""
-    f1 = f_at(1)
-    return (_HALF * (f1 * f1 - f_at(2))) + PowerSeries.zero(order)
+    return _plethysm(A2_ANTISYM, f_at, order)
 
 
 def char_sym_cube(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
     """Symmetric-cube plethysm (f(x)^3 + 3 f(2x) f(x) + 2 f(3x)) / 6."""
-    f1 = f_at(1)
-    combo = f1 * f1 * f1 + 3 * (f_at(2) * f1) + 2 * f_at(3)
-    return (_SIXTH * combo) + PowerSeries.zero(order)
+    return _plethysm(S3_SYM_CUBE, f_at, order)
 
 
 def adjoint_dilations(v: VogelParams, order: int) -> Callable[[int], PowerSeries]:
@@ -127,25 +162,17 @@ def adjoint_dilations(v: VogelParams, order: int) -> Callable[[int], PowerSeries
 
 
 def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
-    f_at = adjoint_dilations(v, order)
-    if identity == S2_SYM:
-        return char_sym_square(f_at, order)
-    if identity == A2_ANTISYM:
-        return char_antisym_square(f_at, order)
-    if identity == S3_SYM_CUBE:
-        return char_sym_cube(f_at, order)
-    raise ValueError(f"unknown identity {identity!r}")
+    return _plethysm(identity, adjoint_dilations(v, order), order)
 
 
-def _rhs_products(identity: str, v: VogelParams) -> list[tuple[Fraction, SinhProduct]]:
+def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]]:
     """The universal characters on the right-hand side, with multiplicities."""
-    one = Fraction(1)
     if identity == S2_SYM:
-        return [(one, y2_product(v, slot)) for slot in ("alpha", "beta", "gamma")]
+        return [(1, y2_product(v, slot)) for slot in ("alpha", "beta", "gamma")]
     if identity == A2_ANTISYM:
-        return [(one, adjoint_product(v)), (one, x2_product(v))]
+        return [(1, adjoint_product(v)), (1, x2_product(v))]
     if identity == S3_SYM_CUBE:
-        return [(Fraction(t.multiplicity), s3_term_product(t, v)) for t in S3_TERMS]
+        return [(t.multiplicity, s3_term_product(t, v)) for t in S3_TERMS]
     raise ValueError(f"unknown identity {identity!r}")
 
 
@@ -160,12 +187,58 @@ def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> P
     return total
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer coefficient vectors, truncated to len(a)."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+
+def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
+    """LHS - RHS at v as the coefficients of x^0, x^2, ..., x^(2*(order // 2)):
+    integer numerators over one positive denominator, not reduced.
+
+    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term of the
+    plethysm with fewer factors than the longest is brought to its
+    denominator by powers of f's denominator; the sum cross-multiplies over
+    the lcm of all denominators."""
+    divisor, terms = _plethysm_terms(identity)
+    f, f_den = adjoint_product(v).even_coefficients(order)
+    f_at = {m: [c * m ** (2 * j) for j, c in enumerate(f)]
+            for _, dilations in terms for m in dilations}
+    degree = max(len(dilations) for _, dilations in terms)
+    lhs = [0] * len(f)
+    for coefficient, dilations in terms:
+        head, *rest = (f_at[m] for m in dilations)
+        scale = coefficient * f_den ** (degree - len(dilations))
+        term = [scale * c for c in head]
+        for factor in rest:
+            term = _convolve(term, factor)
+        lhs = [x + y for x, y in zip(lhs, term)]
+    constant = _rhs_constant(identity)
+    parts = [(lhs, divisor * f_den ** degree),
+             ([-constant.numerator] + [0] * (len(f) - 1), constant.denominator)]
+    for mult, product in _rhs_products(identity, v):
+        nums, den = product.even_coefficients(order)
+        parts.append(([-mult * c for c in nums], den))
+    common = math.lcm(*(den for _, den in parts))
+    residual = [0] * len(f)
+    for nums, den in parts:
+        k = common // den
+        residual = [r + k * c for r, c in zip(residual, nums)]
+    return residual, common
+
+
 def identity_residual_series(identity: str, v: VogelParams,
                              order: int = DEFAULT_ORDER) -> PowerSeries:
-    return identity_lhs(identity, v, order) - identity_rhs(identity, v, order)
+    """LHS - RHS at v to the given order, exactly (odd coefficients are 0)."""
+    nums, den = _residual(identity, v, order)
+    out = [Fraction(0)] * (order + 1)
+    out[::2] = [Fraction(r, den) for r in nums]
+    return PowerSeries(out)
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:
+    """The PLETHYSMS in floats, in the operation order that fixes the last
+    bits of numeric residuals."""
     f1 = adj.value_at(x)
     f2 = adj.value_at(2 * x)
     if identity == S2_SYM:
@@ -256,16 +329,15 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
         v = sample_params("plane", seed, index)
         index += 1
         try:
-            residual = identity_residual_series(identity, v, order)
+            residual, den = _residual(identity, v, order)
         except PoleAtParameters:
             continue
         accepted += 1
-        if not residual.is_zero:
+        first_bad = next((j for j, r in enumerate(residual) if r), None)
+        if first_bad is not None:
             all_zero = False
-            first_bad = residual.valuation()
-            failures.append(
-                (v.as_tuple(), f"coefficient of x^{first_bad} is {residual[first_bad]}")
-            )
+            failures.append((v.as_tuple(), f"coefficient of x^{2 * first_bad} is "
+                                           f"{Fraction(residual[first_bad], den)}"))
     return IdentityReport(
         identity=identity,
         mode=SERIES,
@@ -293,7 +365,7 @@ def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
             adj = adjoint_product(v)
         except PoleAtParameters:
             continue
-        dens = [p.min_abs_denominator() for _, p in products + [(Fraction(1), adj)]]
+        dens = [p.min_abs_denominator() for _, p in products + [(1, adj)]]
         if any(d is not None and float(d) < POLE_MARGIN for d in dens):
             continue
         accepted += 1

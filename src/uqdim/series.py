@@ -10,9 +10,11 @@ identity checker) is built from two primitives defined here:
   built from ``(N, D, label)`` and ``(A, None, label)`` tuples of integers
   over one positive denominator ``q``.  Every quantum dimension in the
   package takes this one form.  It can be expanded into an exact series,
-  evaluated in floating point, or collapsed to its value at ``x = 0``; every
-  check on a factor is an integer test, and a float argument is the
-  correctly rounded ``N / q``.
+  expanded into its even coefficients as integer numerators over one
+  denominator (the form the identity checks and the CLI read), evaluated in
+  floating point, or collapsed to its value at ``x = 0``; every check on a
+  factor is an integer test, and a float argument is the correctly rounded
+  ``N / q``.
 
 A product is expanded in one step, as the exponential of integer power sums
 of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
@@ -21,7 +23,9 @@ whose coefficients come from the tangent numbers (Knuth & Buckholtz,
 1967).  Those coefficients are computed on first use and cached.  The
 exponential is taken in integers over one running denominator, so a product
 of F factors to order K costs O(F*K + K^2) integer operations and one gcd
-per coefficient.
+per coefficient.  Both expansions share that one integer core; the series
+puts each coefficient over its own power of the step ``16 L^2`` (see
+``SinhProduct._log_exp``), which keeps its Fractions small at high order.
 
 All values are immutable after construction and every operation is a pure
 function.  The only shared state is that coefficient cache, which grows
@@ -357,7 +361,27 @@ class SinhProduct:
         return any(n == 0 and d is not None for n, d, _ in self.factors)
 
     def series(self, order: int) -> PowerSeries:
-        """Exact series expansion of the product to the given order.
+        """Exact series expansion of the product to the given order: the
+        :meth:`even_coefficients` at the even powers, zeros at the odd ones."""
+        out = [_ZERO] * (order + 1)
+        nums, den, step = self._log_exp(order)
+        for m, num in enumerate(nums):
+            out[2 * m] = Fraction(num, den)
+            den *= step
+        return PowerSeries(out)
+
+    def even_coefficients(self, order: int) -> tuple[list[int], int]:
+        """The coefficients of x^0, x^2, ..., x^(2*(order // 2)) as integer
+        numerators over one positive integer denominator, not reduced.  Odd
+        coefficients are zero; a zero product gives zeros over 1."""
+        nums, den, step = self._log_exp(order)
+        top = len(nums) - 1
+        return [num * step ** (top - m) for m, num in enumerate(nums)], den * step ** top
+
+    def _log_exp(self, order: int) -> tuple[list[int], int, int]:
+        """The coefficient of x^(2m), m = 0..order // 2, as
+        ``nums[m] / (den * step**m)`` with integers ``nums``, ``den`` and
+        ``step``.
 
         In ``y = x^2``, with ``L = q / gcd(q, all N_j, D_j, A_i)`` and the
         arguments scaled to the integers ``N_j L / q``, ``D_j L / q`` and
@@ -370,23 +394,21 @@ class SinhProduct:
         :func:`log_coefficients`.  Since ``h_k = (4^k - 1) c_k``, a cosh
         argument ``A`` enters the first power sum as the pair ``2A``, ``A``.
         The power sums are plain integers, and the exponential follows from
-        ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.  Odd coefficients are zero.
+        ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.
 
         The recursion runs in integers.  The ``c_k`` are put over ``Omega``,
         the lcm of their denominators, so each weight ``j g_j (16 L^2)^j
         Omega`` is an integer.  ``e_0..e_{m-1}`` are integer numerators over
         one running denominator ``Delta``; each new sum is reduced by one
         gcd, and when its denominator does not divide ``Delta`` the stored
-        numerators are rescaled.  The coefficients are the same exact
-        rationals a ``Fraction`` recursion gives.
+        numerators are rescaled.  ``step`` is ``16 L^2``.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
-        out = [_ZERO] * (order + 1)
+        half = order // 2
         scale = self.dim()
         if scale == 0:  # a zero numerator
-            return PowerSeries(out)
-        half = order // 2
+            return [0] * (half + 1), 1, 1
         weights: dict[int, int] = {}  # |argument| -> weight in the power sum
         for n, d, _ in self.factors:
             pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
@@ -421,12 +443,8 @@ class SinhProduct:
                 exp = [e * grow for e in exp]
                 delta *= grow
             exp.append(num * (delta // den))
-        step = 16 * lcm * lcm
-        num, den = scale.numerator, scale.denominator * delta
-        for m, e in enumerate(exp):
-            out[2 * m] = Fraction(num * e, den)
-            den *= step
-        return PowerSeries(out)
+        num = scale.numerator
+        return [num * e for e in exp], scale.denominator * delta, 16 * lcm * lcm
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors

@@ -116,6 +116,36 @@ class TestQdim:
         assert code == 2
         assert "vanishes" not in doc["results"]["error"]
 
+    # `qdim ... --json` stdout captured before the series came from the
+    # integer even form, without the trailing newline.
+    SERIES_PINS = {
+        ("adjoint", "e8", "--series", "20"): (
+            '{"command": "qdim", "inputs": {"algebra": "e8", "alpha": "-2", "beta": "12", '
+            '"gamma": "20", "kind": "adjoint", "series_order": 20}, "results": '
+            '{"coefficients": [[0, "248"], [2, "18600"], [4, "576600"], [6, "29791000/3"], '
+            '[8, "2269755055/21"], [10, "33768987425/42"], [12, "215546927650183/49896"], '
+            '[14, "158729681259632885/9081072"], [16, "7996570975720991933/145297152"], '
+            '[18, "18467691312633468312941/133382785536"], '
+            '[20, "72071782775223400431322847/253427292518400"]]}, "status": "pass"}'),
+        ("x2", "e6", "--series", "8"): (
+            '{"command": "qdim", "inputs": {"algebra": "e6", "alpha": "-2", "beta": "6", '
+            '"gamma": "8", "kind": "x2", "series_order": 8}, "results": {"coefficients": '
+            '[[0, "2925"], [2, "70200"], [4, "752895"], [6, "9643725/2"], '
+            '[8, "2331693117/112"]]}, "status": "pass"}'),
+        ("z", "--k", "1", "--l", "2", "g2"): (
+            '{"command": "qdim", "inputs": {"algebra": "g2", "alpha": "-2", "beta": "10/3", '
+            '"gamma": "8/3", "k": 1, "kind": "z", "l": 2, "series_order": 20}, "results": '
+            '{"coefficients": [[0, "0"], [2, "0"], [4, "0"], [6, "0"], [8, "0"], [10, "0"], '
+            '[12, "0"], [14, "0"], [16, "0"], [18, "0"], [20, "0"]]}, "status": "pass"}'),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(SERIES_PINS))
+    def test_series_json_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("QDIM_SERIES_ORDER", raising=False)
+        code, out = run(capsys, "qdim", *argv, "--json")
+        assert code == 0
+        assert out == self.SERIES_PINS[argv] + "\n"
+
     def test_input_order_in_text_mode(self, capsys):
         code, out = run(capsys, "qdim", "cartan", "--n", "2", "e8", "--x", "0.5")
         assert code == 0
@@ -203,6 +233,51 @@ class TestInstanton:
     def test_x_pole_exit_code(self, capsys):
         code, _ = run(capsys, "instanton", "sl6", "--x", "0")
         assert code == 4
+
+    def test_fraction_flag(self, capsys):
+        code, doc = run_json(capsys, "instanton", "e8", "--x", "1", "--eps1", "1/3")
+        assert code == 0
+        assert doc["inputs"]["eps1"] == 1 / 3
+        _, same = run(capsys, "instanton", "e8", "--x", "1", "--eps1", repr(1 / 3), "--json")
+        assert json.loads(same) == doc
+
+    def test_fraction_flags_match_floats(self, capsys):
+        _, fractions = run(capsys, "instanton", "sl6", "--eps1", "1/10", "--eps2=-1/5",
+                           "--sigma=-3/2", "--x", "2/5", "--nmax", "3", "--json")
+        _, floats = run(capsys, "instanton", "sl6", "--eps1", "0.1", "--eps2=-0.2",
+                        "--sigma=-1.5", "--x", "0.4", "--nmax", "3", "--json")
+        assert fractions == floats
+
+    @pytest.mark.parametrize("text", [
+        "0.1", "-1", "1e-3", "2.5E+2", " 3 ", "1_000", "inf", "-inf", "nan", "7",
+    ])
+    def test_float_inputs_unchanged(self, text):
+        parsed = cli._real(text)
+        assert parsed == float(text) or (math.isnan(parsed) and math.isnan(float(text)))
+
+    @pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--sigma", "--x"])
+    def test_zero_denominator_is_usage_error(self, capsys, flag):
+        argv = ["instanton", "e8", "--x", "1", flag, "1/0", "--json"]
+        code = cli.main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert doc["status"] == "error"
+        assert doc["results"]["error"] == f"argument {flag}: zero denominator in '1/0'"
+
+    @pytest.mark.parametrize("text, message", [
+        ("one", "expected a float or a fraction p/q"),
+        ("1" * 400 + "/3", "is too large for a float"),
+    ])
+    def test_unreadable_value_is_usage_error(self, capsys, text, message):
+        code, doc = run_json(capsys, "instanton", "e8", "--x", "1", "--eps1", text)
+        assert code == 2
+        assert message in doc["results"]["error"]
+
+    def test_help_names_fraction_flags(self, capsys):
+        code, out = run(capsys, "instanton", "--help")
+        assert code == 0
+        for flag in ("eps1", "eps2", "sigma", "x"):
+            assert f"--{flag}=-1/3" in out
 
 
 def _no_constant(name):

@@ -247,3 +247,81 @@ class TestSampler:
     def test_unknown_region(self):
         with pytest.raises(ValueError):
             sample_params("disc", 0, 0)
+
+
+class TestSeriesPins:
+    """Series-mode output captured before the residual moved to integer
+    vectors; the integer path must reproduce it byte for byte."""
+
+    # `verify IDENT --order K --seed S --mode series --trials 10 --json`
+    # stdout, without the trailing newline.
+    JSON_PINS = {
+        (ident, order, seed): (
+            '{"command": "verify", "inputs": {"identity": "%s", "mode": "series", '
+            '"order": %d, "seed": %d, "trials": 10}, "results": {"exact_zero": true, '
+            '"failures": [], "max_abs_residual": null, "order_checked": %d, '
+            '"points_checked": 10}, "status": "pass"}' % (ident, order, seed, order))
+        for ident, order in ((S2_SYM, 20), (A2_ANTISYM, 20), (S3_SYM_CUBE, 17),
+                             (S3_SYM_CUBE, 20))
+        for seed in (0, 7)
+    }
+
+    @pytest.mark.parametrize("ident, order, seed", sorted(JSON_PINS))
+    def test_json_bytes(self, capsys, ident, order, seed):
+        from uqdim import cli
+
+        code = cli.main(["verify", ident, "--order", str(order), "--seed", str(seed),
+                         "--mode", "series", "--trials", "10", "--json"])
+        assert code == 0
+        assert capsys.readouterr().out == self.JSON_PINS[(ident, order, seed)] + "\n"
+
+    S3_ADJOINT_ONCE = (
+        ((F(17, 27), F(-27, 17), F(15, 13)), "coefficient of x^0 is 15349064579/49028207553"),
+        ((F(-10, 3), F(1, 16), F(31, 29)), "coefficient of x^0 is -3528402397/30033792"),
+        ((F(-25, 6), F(-43, 47), F(-21, 40)),
+         "coefficient of x^0 is -34786580372791/89762715000"),
+    )
+
+    @pytest.mark.parametrize("order", [4, 17])
+    def test_s3_adjoint_multiplicity_one(self, monkeypatch, order):
+        broken = tuple(t._replace(multiplicity=1) if t.kind == "adjoint" else t
+                       for t in identities.S3_TERMS)
+        monkeypatch.setattr(identities, "S3_TERMS", broken)
+        report = verify_identity(S3_SYM_CUBE, mode=SERIES, order=order, trials=3, seed=0)
+        assert report.failures == self.S3_ADJOINT_ONCE
+        assert report.exact_zero is False
+
+    def test_s2_constant_two(self, monkeypatch):
+        monkeypatch.setattr(identities, "_rhs_constant",
+                            lambda ident: F(2) if ident == S2_SYM else F(0))
+        report = verify_identity(S2_SYM, mode=SERIES, order=6, trials=3, seed=1)
+        assert report.failures == (
+            ((F(17, 23), F(-1, 3), F(-1, 2)), "coefficient of x^0 is -1"),
+            ((F(3), F(-25, 46), F(-11)), "coefficient of x^0 is -1"),
+            ((F(3, 4), F(-44, 59), F(1, 8)), "coefficient of x^0 is -1"),
+        )
+
+    def test_first_bad_coefficient_above_constant(self, monkeypatch):
+        # X2 times cosh(3u)/cosh(2u), u = x/4: the same dimension, so the
+        # first nonzero residual coefficient is the one at x^2.
+        from uqdim import SinhProduct
+        from uqdim.universal import x2_product
+
+        def bent(v):
+            p = x2_product(v)
+            q = p.q
+            return SinhProduct(p.factors + ((6 * q, 3 * q, "bend"), (2 * q, 4 * q, "bend")),
+                               q, p.sign)
+
+        monkeypatch.setattr(identities, "x2_product", bent)
+        report = verify_identity(A2_ANTISYM, mode=SERIES, order=6, trials=3, seed=2)
+        assert report.failures == (
+            ((F(5, 4), F(49, 5), F(8, 47)),
+             "coefficient of x^2 is -1535867651764513201398849/2399460163788800000"),
+            ((F(30), F(18, 17), F(-2)), "coefficient of x^2 is -10942387127840/60886809"),
+            ((F(12, 25), F(11, 5), F(-7, 31)),
+             "coefficient of x^2 is -23303155582637333/4525252900000"),
+        )
+        # At order 1 only x^0 is checked, and it still agrees.
+        report = verify_identity(A2_ANTISYM, mode=SERIES, order=1, trials=2, seed=2)
+        assert report.passed and report.exact_zero

@@ -364,6 +364,122 @@ class TestKernelAgainstReference:
             SinhProduct([(2, 1, "")], 1).series(-1)
 
 
+class TestEvenCoefficients:
+    """even_coefficients(order) is the integer form behind series(order):
+    numerators of x^0, x^2, ... over one positive denominator."""
+
+    @staticmethod
+    def check(product, order, where):
+        nums, den = product.even_coefficients(order)
+        series = product.series(order)
+        assert type(den) is int and den > 0, where
+        assert len(nums) == order // 2 + 1, where
+        assert all(type(n) is int for n in nums), where
+        assert [F(n, den) for n in nums] == list(series.coefficients[::2]), where
+        assert not any(series.coefficients[1::2]), where
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_random_products(self, order):
+        rng = random.Random(7000 + order)
+        kinds = set()
+        for trial in range(40 if order < 64 else 10):
+            factors, q, sign = random_product(rng, 8)
+            product = SinhProduct(factors, q, sign)
+            kinds.update("cosh" if d is None else "zero" if n == 0 else
+                         "minus" if n == -d else "ratio" for n, d, _ in product.factors)
+            self.check(product, order, (trial, factors, q, sign))
+        assert {"cosh", "ratio"} <= kinds
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_special_products(self, order):
+        products = [
+            SinhProduct([], 1, -1),
+            SinhProduct([(0, None, ""), (5, 5, ""), (-6, 6, "")], 3, -1),
+            SinhProduct([(-4, 4, ""), (3, None, ""), (-7, 2, "")], 6),
+            cartan_power_product(vogel_params("e8"), 3),
+        ]
+        for product in products:
+            self.check(product, order, product.factors)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_zero_product(self, order):
+        product = SinhProduct([(15, 10, ""), (0, 7, ""), (5, None, "")], 5)
+        assert product.even_coefficients(order) == ([0] * (order // 2 + 1), 1)
+        self.check(product, order, "zero")
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            SinhProduct([(2, 1, "")], 1).even_coefficients(-1)
+
+
+def reference_residual(identity, v, order):
+    """LHS - RHS of an identity from PowerSeries arithmetic, with the
+    plethysms written out here."""
+    from uqdim.identities import S3_TERMS, s3_term_product
+    from uqdim.universal import adjoint_product, x2_product, y2_product
+
+    f = adjoint_product(v).series(order)
+    if identity == "s2":
+        lhs = F(1, 2) * (f * f + f.scale_x(2))
+        rhs = [(1, y2_product(v, slot)) for slot in ("alpha", "beta", "gamma")]
+        total = PowerSeries.one(order)
+    elif identity == "a2":
+        lhs = F(1, 2) * (f * f - f.scale_x(2))
+        rhs = [(1, adjoint_product(v)), (1, x2_product(v))]
+        total = PowerSeries.zero(order)
+    else:
+        lhs = F(1, 6) * (f * f * f + 3 * (f.scale_x(2) * f) + 2 * f.scale_x(3))
+        rhs = [(t.multiplicity, s3_term_product(t, v)) for t in S3_TERMS]
+        total = PowerSeries.zero(order)
+    for mult, product in rhs:
+        total = total + mult * product.series(order)
+    return lhs - total
+
+
+class TestIntegerResidual:
+    """The integer residual of an identity against reference_residual, as a
+    zero residual and, with s3's adjoint multiplicity broken to 1, a nonzero
+    one."""
+
+    @staticmethod
+    def points(identity, count, seed):
+        from uqdim.identities import _rhs_products
+        from uqdim.universal import adjoint_product
+
+        from conftest import sample_regular_points
+
+        return sample_regular_points(
+            seed, count, lambda v: (adjoint_product(v), _rhs_products(identity, v)))
+
+    @staticmethod
+    def check(identity, v, order):
+        from uqdim.identities import _residual, identity_residual_series
+
+        expected = reference_residual(identity, v, order)
+        nums, den = _residual(identity, v, order)
+        assert den > 0 and len(nums) == order // 2 + 1
+        assert [F(n, den) for n in nums] == list(expected.coefficients[::2])
+        assert identity_residual_series(identity, v, order) == expected
+        return expected
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 40])
+    @pytest.mark.parametrize("identity", ["s2", "a2", "s3"])
+    def test_zero_residual(self, identity, order):
+        for v in self.points(identity, 2 if order == 40 else 4, order):
+            assert self.check(identity, v, order).is_zero, v
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 40])
+    def test_broken_residual(self, monkeypatch, order):
+        from uqdim import identities
+
+        broken = tuple(t._replace(multiplicity=1) if t.kind == "adjoint" else t
+                       for t in identities.S3_TERMS)
+        monkeypatch.setattr(identities, "S3_TERMS", broken)
+        for v in self.points("s3", 2, 100 + order):
+            residual = self.check("s3", v, order)
+            assert all(residual[m] != 0 for m in range(0, order + 1, 2)), v
+
+
 def fraction_recursion_series(product, order):
     """The log-exp kernel as it was written in Fraction arithmetic: the
     reference for the integer recursion of SinhProduct.series."""
