@@ -27,9 +27,6 @@ from .identities import (
     S3_SYM_CUBE,
     SERIES,
     IdentityReport,
-    char_antisym_square,
-    char_sym_cube,
-    char_sym_square,
     identity_lhs,
     identity_residual_series,
     identity_rhs,
@@ -77,11 +74,6 @@ from .universal import (
     qdim_y2,
     qdim_z,
     vogel_params,
-    z_block_a,
-    z_block_btilde,
-    z_block_c1,
-    z_block_c2,
-    z_block_f,
 )
 
 __version__ = "0.1.0"
@@ -117,9 +109,6 @@ __all__ = [
     "build_root_system",
     "casimir_adjoint",
     "casimir_y2",
-    "char_antisym_square",
-    "char_sym_cube",
-    "char_sym_square",
     "compute_sigma",
     "cosh_series",
     "dim_adjoint",
@@ -145,9 +134,4 @@ __all__ = [
     "weight_from_dynkin",
     "weyl_dim",
     "weyl_qdim",
-    "z_block_a",
-    "z_block_btilde",
-    "z_block_c1",
-    "z_block_c2",
-    "z_block_f",
 ]

@@ -27,7 +27,6 @@ from .errors import (
     PoleAtParameters,
     PoleAtX,
     UnknownAlgebra,
-    ZeroDenominatorForm,
 )
 from .identities import IDENTITIES, NUMERIC, SERIES, verify_identity
 from .instanton import InstantonParams, one_instanton_sum
@@ -380,7 +379,7 @@ def main(argv=None) -> int:
     except (_UsageError, UnknownAlgebra, InvalidRank, LengthMismatch, ValueError) as exc:
         _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_USAGE
-    except (PoleAtParameters, ZeroDenominatorForm) as exc:
+    except PoleAtParameters as exc:
         _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_PARAM_POLE
     except PoleAtX as exc:

@@ -14,7 +14,10 @@ Identities are checked at seeded random points:
   the coefficient of x^(2j) by m^(2j), products of series are integer
   convolutions, and the sum is cross-multiplied over the lcm of the
   denominators.  A ``Fraction`` is built only for a failure message and for
-  the ``PowerSeries`` view :func:`identity_residual_series`;
+  the three ``PowerSeries`` views of the same integer vectors:
+  :func:`identity_lhs`, :func:`identity_rhs` and
+  :func:`identity_residual_series`.  This is the only exact path for either
+  side;
 * numeric mode checks that the floating-point relative residual is below
   NUMERIC_TOLERANCE at random real points and real x.
 
@@ -28,7 +31,6 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import PoleAtParameters
 from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
@@ -125,44 +127,28 @@ def _plethysm_terms(identity: str) -> tuple[int, tuple]:
         raise ValueError(f"unknown identity {identity!r}") from None
 
 
-def _plethysm(identity: str, f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
+def _lhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
+    """The plethysm of the adjoint at v, as the coefficients of x^0, x^2,
+    ..., x^(2*(order // 2)): integer numerators over one positive
+    denominator, not reduced.
+
+    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term with fewer
+    factors than the longest is brought to its denominator by powers of f's
+    denominator."""
     divisor, terms = _plethysm_terms(identity)
-    total = PowerSeries.zero(order)
+    f, f_den = adjoint_product(v).even_coefficients(order)
+    f_at = {m: [c * m ** (2 * j) for j, c in enumerate(f)]
+            for _, dilations in terms for m in dilations}
+    degree = max(len(dilations) for _, dilations in terms)
+    lhs = [0] * len(f)
     for coefficient, dilations in terms:
-        term = PowerSeries.one(order)
-        for m in dilations:
-            term = term * f_at(m)
-        total = total + coefficient * term
-    return Fraction(1, divisor) * total
-
-
-def char_sym_square(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
-    """Symmetric-square plethysm (f(x)^2 + f(2x)) / 2 of a character f."""
-    return _plethysm(S2_SYM, f_at, order)
-
-
-def char_antisym_square(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
-    """Antisymmetric-square plethysm (f(x)^2 - f(2x)) / 2."""
-    return _plethysm(A2_ANTISYM, f_at, order)
-
-
-def char_sym_cube(f_at: Callable[[int], PowerSeries], order: int) -> PowerSeries:
-    """Symmetric-cube plethysm (f(x)^3 + 3 f(2x) f(x) + 2 f(3x)) / 6."""
-    return _plethysm(S3_SYM_CUBE, f_at, order)
-
-
-def adjoint_dilations(v: VogelParams, order: int) -> Callable[[int], PowerSeries]:
-    """f_at(m) = series of f(m*x), computed once and reindexed exactly."""
-    base = adjoint_product(v).series(order)
-
-    def f_at(m: int) -> PowerSeries:
-        return base if m == 1 else base.scale_x(m)
-
-    return f_at
-
-
-def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _plethysm(identity, adjoint_dilations(v, order), order)
+        head, *rest = (f_at[m] for m in dilations)
+        scale = coefficient * f_den ** (degree - len(dilations))
+        term = [scale * c for c in head]
+        for factor in rest:
+            term = _convolve(term, factor)
+        lhs = [x + y for x, y in zip(lhs, term)]
+    return lhs, divisor * f_den ** degree
 
 
 def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]]:
@@ -180,11 +166,15 @@ def _rhs_constant(identity: str) -> Fraction:
     return Fraction(1) if identity == S2_SYM else Fraction(0)
 
 
-def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
-    total = PowerSeries.constant(_rhs_constant(identity), order)
+def _rhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
+    """The constant plus the universal characters at v, in ``_rhs_products``
+    order, as numerators over one denominator like :func:`_lhs`."""
+    constant = _rhs_constant(identity)
+    parts = [([constant.numerator] + [0] * (order // 2), constant.denominator)]
     for mult, product in _rhs_products(identity, v):
-        total = total + mult * product.series(order)
-    return total
+        nums, den = product.even_coefficients(order)
+        parts.append(([mult * c for c in nums], den))
+    return _over_lcm(parts)
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -192,48 +182,45 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
 
 
-def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """LHS - RHS at v as the coefficients of x^0, x^2, ..., x^(2*(order // 2)):
-    integer numerators over one positive denominator, not reduced.
-
-    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term of the
-    plethysm with fewer factors than the longest is brought to its
-    denominator by powers of f's denominator; the sum cross-multiplies over
-    the lcm of all denominators."""
-    divisor, terms = _plethysm_terms(identity)
-    f, f_den = adjoint_product(v).even_coefficients(order)
-    f_at = {m: [c * m ** (2 * j) for j, c in enumerate(f)]
-            for _, dilations in terms for m in dilations}
-    degree = max(len(dilations) for _, dilations in terms)
-    lhs = [0] * len(f)
-    for coefficient, dilations in terms:
-        head, *rest = (f_at[m] for m in dilations)
-        scale = coefficient * f_den ** (degree - len(dilations))
-        term = [scale * c for c in head]
-        for factor in rest:
-            term = _convolve(term, factor)
-        lhs = [x + y for x, y in zip(lhs, term)]
-    constant = _rhs_constant(identity)
-    parts = [(lhs, divisor * f_den ** degree),
-             ([-constant.numerator] + [0] * (len(f) - 1), constant.denominator)]
-    for mult, product in _rhs_products(identity, v):
-        nums, den = product.even_coefficients(order)
-        parts.append(([-mult * c for c in nums], den))
+def _over_lcm(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
+    """The sum of ``(numerators, denominator)`` vectors, cross-multiplied
+    over the lcm of the denominators."""
     common = math.lcm(*(den for _, den in parts))
-    residual = [0] * len(f)
+    total = [0] * len(parts[0][0])
     for nums, den in parts:
         k = common // den
-        residual = [r + k * c for r, c in zip(residual, nums)]
-    return residual, common
+        total = [t + k * c for t, c in zip(total, nums)]
+    return total, common
+
+
+def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
+    """LHS - RHS at v, as numerators over one denominator like :func:`_lhs`."""
+    lhs, lhs_den = _lhs(identity, v, order)
+    rhs, rhs_den = _rhs(identity, v, order)
+    return _over_lcm([(lhs, lhs_den), ([-c for c in rhs], rhs_den)])
+
+
+def _view(nums: list[int], den: int, order: int) -> PowerSeries:
+    """The ``PowerSeries`` of even coefficients ``nums / den`` (odd ones 0)."""
+    out = [Fraction(0)] * (order + 1)
+    out[::2] = [Fraction(c, den) for c in nums]
+    return PowerSeries(out)
+
+
+def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """The plethysm of the adjoint at v to the given order, exactly."""
+    return _view(*_lhs(identity, v, order), order)
+
+
+def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """The sum of universal characters at v to the given order, exactly."""
+    return _view(*_rhs(identity, v, order), order)
 
 
 def identity_residual_series(identity: str, v: VogelParams,
                              order: int = DEFAULT_ORDER) -> PowerSeries:
     """LHS - RHS at v to the given order, exactly (odd coefficients are 0)."""
-    nums, den = _residual(identity, v, order)
-    out = [Fraction(0)] * (order + 1)
-    out[::2] = [Fraction(r, den) for r in nums]
-    return PowerSeries(out)
+    return _view(*_residual(identity, v, order), order)
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:

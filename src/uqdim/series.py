@@ -167,14 +167,6 @@ class PowerSeries:
     def __rmul__(self, other: RationalLike) -> "PowerSeries":
         return self.__mul__(other)
 
-    def __pow__(self, exponent: int) -> "PowerSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only non-negative integer powers are supported")
-        result = PowerSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         """Series division; a common factor of x^m cancels when both operands
         share m leading zero coefficients."""

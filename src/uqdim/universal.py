@@ -482,32 +482,6 @@ def z_product(v: VogelParams, k: int, l: int) -> SinhProduct:
     return _materialize(_z_program(k, l), v)
 
 
-def _block_series(pair: FormLists, v: VogelParams, order: int,
-                  context: str) -> PowerSeries:
-    nums, dens = pair
-    return _materialize(_forms_program(nums, dens, 1, context), v).series(order)
-
-
-def z_block_a(v: VogelParams, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _block_series(_a_forms(n), v, order, "z_block_a")
-
-
-def z_block_c1(v: VogelParams, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _block_series(_c1_forms(n), v, order, "z_block_c1")
-
-
-def z_block_c2(v: VogelParams, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _block_series(_c2_forms(n), v, order, "z_block_c2")
-
-
-def z_block_f(v: VogelParams, k: int, l: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _block_series(_f_forms(k, l), v, order, "z_block_f")
-
-
-def z_block_btilde(v: VogelParams, l: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return _block_series(_btilde_forms(l), v, order, "z_block_btilde")
-
-
 # ---------------------------------------------------------------------------
 # public series operations
 # ---------------------------------------------------------------------------

@@ -11,9 +11,6 @@ from uqdim import (
     SERIES,
     PowerSeries,
     VogelParams,
-    char_antisym_square,
-    char_sym_cube,
-    char_sym_square,
     identity_lhs,
     identity_residual_series,
     identity_rhs,
@@ -23,48 +20,44 @@ from uqdim import (
     vogel_params,
 )
 from uqdim import identities
-from uqdim.identities import adjoint_dilations
 
-
-def constant_f_at(value, order):
-    def f_at(m):
-        return PowerSeries.constant(value, order)
-    return f_at
+from conftest import reference_lhs, reference_rhs, sample_regular_points
 
 
 class TestPlethysms:
     def test_sym_square_constants(self):
         for name, d in [("e8", 248), ("sl6", 35), ("so12", 66)]:
-            f_at = adjoint_dilations(vogel_params(name), 8)
-            assert char_sym_square(f_at, 8).constant_term == d * (d + 1) // 2
+            lhs = identity_lhs(S2_SYM, vogel_params(name), 8)
+            assert lhs.constant_term == d * (d + 1) // 2
 
     def test_sym_square_rank_one(self):
         # At (-2, 2, 2) the adjoint is the spin-1 character; its symmetric
         # square decomposes as the trivial plus the spin-2 character.
         v = VogelParams(-2, 2, 2)
-        f_at = adjoint_dilations(v, 12)
         from uqdim import sinh_ratio_series
         spin2 = sinh_ratio_series(10, 2, 12)
-        assert char_sym_square(f_at, 12) == PowerSeries.one(12) + spin2
+        assert identity_lhs(S2_SYM, v, 12) == PowerSeries.one(12) + spin2
 
     def test_degenerate_constant_input(self):
-        f_at = constant_f_at(F(7), 6)
-        assert char_sym_square(f_at, 6) == PowerSeries.constant(28, 6)
-        assert char_antisym_square(f_at, 6) == PowerSeries.constant(21, 6)
-        assert char_sym_cube(f_at, 6) == PowerSeries.constant(84, 6)
+        # f = 7 everywhere: Sym^2, Lambda^2 and Sym^3 of a 7-dimensional space.
+        def at_seven(identity):
+            divisor, terms = identities.PLETHYSMS[identity]
+            return F(sum(c * 7 ** len(dilations) for c, dilations in terms), divisor)
+
+        assert at_seven(S2_SYM) == 28
+        assert at_seven(A2_ANTISYM) == 21
+        assert at_seven(S3_SYM_CUBE) == 84
 
     def test_antisym_constants_match_decomposition(self):
         for name, d in [("so12", 66), ("sl6", 35)]:
             v = vogel_params(name)
-            f_at = adjoint_dilations(v, 4)
-            anti = char_antisym_square(f_at, 4).constant_term
+            anti = identity_lhs(A2_ANTISYM, v, 4).constant_term
             assert anti == d * (d - 1) // 2
             assert anti == d + qdim_x2(v, 0).constant_term
 
     def test_sym_cube_constants(self):
         for name, total in [("sl6", 7770), ("f4", 24804), ("so12", 50116)]:
-            f_at = adjoint_dilations(vogel_params(name), 4)
-            assert char_sym_cube(f_at, 4).constant_term == total
+            assert identity_lhs(S3_SYM_CUBE, vogel_params(name), 4).constant_term == total
 
 
 class TestIdentitySides:
@@ -99,8 +92,64 @@ class TestIdentitySides:
 
     def test_lhs_equals_plethysm(self):
         v = VogelParams(F(3, 5), F(-7, 3), F(11, 4))
-        f_at = adjoint_dilations(v, 10)
-        assert identity_lhs(S3_SYM_CUBE, v, 10) == char_sym_cube(f_at, 10)
+        assert identity_lhs(S3_SYM_CUBE, v, 10) == reference_lhs(S3_SYM_CUBE, v, 10)
+
+
+class TestSideViews:
+    """identity_lhs and identity_rhs read the integer vectors of the
+    residual; each side expands only its own products, so it raises only
+    its own poles.  The messages were captured before the sides moved to
+    the integer vectors."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 40])
+    @pytest.mark.parametrize("identity", [S2_SYM, A2_ANTISYM, S3_SYM_CUBE])
+    def test_sides_match_reference(self, identity, order):
+        points = sample_regular_points(
+            900 + order, 2 if order == 40 else 4,
+            lambda v: identities._rhs_products(identity, v))
+        for v in points:
+            lhs = identity_lhs(identity, v, order)
+            rhs = identity_rhs(identity, v, order)
+            assert lhs == reference_lhs(identity, v, order), v
+            assert rhs == reference_rhs(identity, v, order), v
+            assert lhs.order == rhs.order == order
+            assert identity_residual_series(identity, v, order) == lhs - rhs
+
+    POLE_SPLIT = {
+        ("so12", S2_SYM): (2211, 2211),
+        ("so12", A2_ANTISYM): (2145, 2145),
+        ("so12", S3_SYM_CUBE): (
+            50116, "qdim_z(k=3, l=0): sinh denominator -2*alpha+gamma vanishes "
+                   "at these parameters"),
+        ("(-2, 2, 2)", S2_SYM): (
+            6, "qdim_y2(beta): sinh denominator alpha-gamma vanishes at these parameters"),
+        ("(-2, 2, 2)", A2_ANTISYM): (3, 3),
+        ("(-2, 2, 2)", S3_SYM_CUBE): (
+            10, "qdim_z(k=3, l=0): sinh denominator -alpha+gamma vanishes at these parameters"),
+    }
+
+    @pytest.mark.parametrize("point, identity", sorted(POLE_SPLIT))
+    def test_pole_split(self, point, identity):
+        from uqdim import PoleAtParameters
+
+        v = vogel_params("so12") if point == "so12" else VogelParams(-2, 2, 2)
+        lhs_constant, rhs = self.POLE_SPLIT[(point, identity)]
+        assert identity_lhs(identity, v, 2).constant_term == lhs_constant
+        if isinstance(rhs, str):
+            for side in (identity_rhs, identity_residual_series):
+                with pytest.raises(PoleAtParameters) as err:
+                    side(identity, v, 2)
+                assert str(err.value) == rhs
+        else:
+            assert identity_rhs(identity, v, 2).constant_term == rhs
+
+    @pytest.mark.parametrize("side", [identity_lhs, identity_rhs, identity_residual_series])
+    def test_unknown_identity(self, side):
+        # (1, 0, 2) is a pole of the adjoint; the name is checked first.
+        for v in (vogel_params("e8"), VogelParams(1, 0, 2)):
+            with pytest.raises(ValueError) as err:
+                side("s4", v, 2)
+            assert str(err.value) == "unknown identity 's4'"
 
 
 class TestVerifyIdentity:

@@ -26,11 +26,6 @@ from uqdim import (
     sinh_ratio_series,
     vogel_params,
     weyl_qdim,
-    z_block_a,
-    z_block_btilde,
-    z_block_c1,
-    z_block_c2,
-    z_block_f,
 )
 from uqdim import universal
 from uqdim.series import SinhProduct
@@ -55,6 +50,24 @@ DUAL_COXETER = {
     "sl6": 6, "so7": 5, "sp6": 4, "so12": 10, "g2": 4,
     "f4": 9, "e6": 12, "e7": 18, "e8": 30,
 }
+
+
+def _block(forms, context):
+    """The series of one block of the mixed Cartan product at v.  The
+    library compiles whole formulas only; a block's forms go through the
+    same program and product: block(v, *params, order)."""
+    def series(v, *args):
+        *params, order = args
+        program = universal._forms_program(*forms(*params), 1, context)
+        return universal._materialize(program, v).series(order)
+    return series
+
+
+z_block_a = _block(universal._a_forms, "z_block_a")
+z_block_c1 = _block(universal._c1_forms, "z_block_c1")
+z_block_c2 = _block(universal._c2_forms, "z_block_c2")
+z_block_f = _block(universal._f_forms, "z_block_f")
+z_block_btilde = _block(universal._btilde_forms, "z_block_btilde")
 
 
 def j_dim_formula(lam):
