@@ -72,10 +72,8 @@ def _eval_adaptive(product: SinhProduct, x: float) -> float:
     while True:
         series = product.series(order)
         value = series.eval_at(x)
-        nonzero = [m for m, c in enumerate(series.coefficients) if c != 0]
-        if not nonzero:
-            return 0.0
-        last = nonzero[-1]
+        # A product that is not zero has dim != 0, so x^0 is always nonzero.
+        last = max(m for m, c in enumerate(series.coefficients) if c != 0)
         tail = abs(float(series[last])) * abs(x) ** last
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value

@@ -4,12 +4,12 @@ formula on the Weyl line.
 Each family is its Dynkin diagram in Bourbaki numbering (*Lie Groups and Lie
 Algebras*, ch. VI, plates): the squared lengths of the simple roots, as
 integers times one per-family rational scale that gives long roots square
-length 2, and the bonds between them.  Every vector -- roots, rho, theta,
-sigma, weights -- is stored in simple-root coordinates, so the invariant form
-is the diagram's integer form times that scale and all arithmetic is exact.
-The positive roots are generated by height from root strings.  The character
-of the highest-weight module ``lambda`` restricted to the Weyl line
-``x * rho`` is
+length 2, and the bonds between them.  Roots, rho, theta and sigma are stored
+in simple-root coordinates, so the invariant form is the diagram's integer
+form times that scale and all arithmetic is exact.  The positive roots are
+generated by height from root strings.  A weight is stored as its Dynkin
+labels.  The character of the highest-weight module ``lambda`` restricted to
+the Weyl line ``x * rho`` is
 
     prod over positive roots mu of  sinh((x/2)(mu, lambda+rho)) / sinh((x/2)(mu, rho))
 
@@ -19,7 +19,6 @@ independent oracle the universal formulas are validated against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,23 +34,15 @@ def _vec(values) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of an exact rational matrix."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        lead = aug[col][col]
-        aug[col] = [x / lead for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _integers(values) -> tuple[int, ...]:
+    values = _vec(values)
+    if any(v.denominator != 1 for v in values):
+        raise ValueError("vector is not an integral weight")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class DynkinDiagram:
 
     def gram(self, u, v) -> Fraction:
         """Invariant scalar product, normalised so long roots have square 2."""
-        return self.scale * sum(a * b for a, b in zip(u, self.form(v)))
+        return self.scale * _dot(u, self.form(v))
 
 
 def _diagram(family: str, n: int) -> DynkinDiagram:
@@ -97,19 +88,20 @@ def _diagram(family: str, n: int) -> DynkinDiagram:
 
 @dataclass(frozen=True)
 class Weight:
-    """A dominant integral weight, stored in the simple-root coordinates of
-    its root system.  Construct through :meth:`RootSystem.weight` or
-    :func:`weight_from_dynkin` so dominance is validated."""
+    """A dominant integral weight, stored as its Dynkin labels
+    (lambda, alpha_i^vee), non-negative integers in Bourbaki order.
+    Construct through :meth:`RootSystem.weight` or :func:`weight_from_dynkin`
+    so integrality and dominance are validated."""
 
-    vector: Vector
+    labels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """A root system and its Dynkin diagram.  Every vector is in simple-root
     coordinates: the positive roots are integer tuples ordered by height,
-    starting with the simple roots in Bourbaki order; rho and the
-    fundamental weights have rational entries."""
+    starting with the simple roots in Bourbaki order; rho has half-integer
+    entries."""
 
     family: str
     rank: int
@@ -118,7 +110,6 @@ class RootSystem:
     rho: Vector
     theta: Root
     sigma: Root | None
-    fundamental_weights: tuple[Vector, ...]
 
     @property
     def simple_roots(self) -> tuple[Root, ...]:
@@ -133,21 +124,19 @@ class RootSystem:
         return 2 * self.gram(lam, root) / self.gram(root, root)
 
     def weight(self, vector) -> Weight:
-        """Validate dominance and integrality against the simple coroots."""
+        """The weight with these simple-root coordinates; it must be
+        integral and dominant."""
+        return weight_from_dynkin(self, self.dynkin_labels(vector))
+
+    def dynkin_labels(self, vector) -> tuple[int, ...]:
+        """(vector, alpha_i^vee) = 2 (alpha_i, vector) / (alpha_i, alpha_i)
+        for every simple root alpha_i.  Raises ValueError unless the vector
+        has one entry per simple root and its labels are integers."""
         vec = _vec(vector)
         if len(vec) != self.rank:
             raise ValueError("weight vector has wrong dimension")
-        labels = self.dynkin_labels(vec)
-        if min(labels) < 0:
-            raise ValueError(f"vector is not a dominant weight: Dynkin labels {labels}")
-        return Weight(vec)
-
-    def dynkin_labels(self, vector) -> tuple[int, ...]:
-        """(vector, alpha_i^vee) for every simple root alpha_i."""
-        labels = [self.coroot_pairing(_vec(vector), alpha) for alpha in self.simple_roots]
-        if any(label.denominator != 1 for label in labels):
-            raise ValueError("vector is not an integral weight")
-        return tuple(int(label) for label in labels)
+        form = self.diagram.form(vec)
+        return _integers(Fraction(2 * f, length) for f, length in zip(form, self.diagram.lengths))
 
 
 _POSITIVE_COUNT = {
@@ -210,41 +199,35 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise InvalidRank(f"rank {rank} is not valid for family {family}")
 
     diagram = _diagram(family, rank)
-    gram = diagram.gram
+    lengths = diagram.lengths
     count = _POSITIVE_COUNT[family](rank)
     positive = _positive_roots(diagram, count)
-    simple = positive[:rank]
     assert len(positive) == count
 
     rho = tuple(Fraction(sum(column), 2) for column in zip(*positive))
+
+    # (rho, alpha_i^vee) = 1, so 2 (alpha_i, rho) = scale * lengths[i]: the
+    # integer mu . lengths is (rho, mu) up to the positive factor 2 / scale,
+    # and a weight's Dynkin labels give its Weyl arguments.
+    assert [2 * f for f in diagram.form(rho)] == list(lengths)
 
     # Non-simply-laced systems have one dominant root per root length; the
     # highest root is the dominant one of maximal height.
     dominant = [mu for mu in positive if all(x >= 0 for x in diagram.form(mu))]
     assert 1 <= len(dominant) <= 2, f"unexpected dominant roots: {dominant}"
-    theta = max(dominant, key=lambda mu: gram(rho, mu))
-    assert all(gram(rho, mu) < gram(rho, theta) for mu in dominant if mu != theta)
-    assert gram(theta, theta) == 2
-
-    for mu in simple:
-        assert 2 * gram(rho, mu) / gram(mu, mu) == 1
+    theta = max(dominant, key=lambda mu: _dot(mu, lengths))
+    assert all(_dot(mu, lengths) < _dot(theta, lengths) for mu in dominant if mu != theta)
+    assert diagram.gram(theta, theta) == 2
 
     # Highest root of the subsystem orthogonal to theta: the positive root mu
     # with (theta, mu) = 0 maximising (rho, mu), ties broken lexicographically
     # for determinism (the maximiser is unique whenever the orthogonal
     # subsystem is simple).
-    orthogonal = [mu for mu in positive if gram(theta, mu) == 0]
-    sigma = max(orthogonal, key=lambda mu: (gram(rho, mu), mu), default=None)
+    theta_form = diagram.form(theta)
+    orthogonal = [mu for mu in positive if _dot(mu, theta_form) == 0]
+    sigma = max(orthogonal, key=lambda mu: (_dot(mu, lengths), mu), default=None)
 
-    # omega_j is column j of the inverse Gram matrix of the simple roots,
-    # times (alpha_j, alpha_j) / 2; the scale cancels.
-    inverse = _invert([[Fraction(x) for x in diagram.form(mu)] for mu in simple])
-    fundamental = tuple(
-        tuple(row[j] * length / 2 for row in inverse)
-        for j, length in enumerate(diagram.lengths)
-    )
-
-    return RootSystem(family, rank, diagram, tuple(positive), rho, theta, sigma, fundamental)
+    return RootSystem(family, rank, diagram, tuple(positive), rho, theta, sigma)
 
 
 def compute_sigma(rs: RootSystem) -> Root:
@@ -258,27 +241,26 @@ def compute_sigma(rs: RootSystem) -> Root:
 
 
 def weight_from_dynkin(rs: RootSystem, labels: Sequence[int]) -> Weight:
-    """The dominant weight sum_i labels_i * omega_i from its Dynkin labels."""
+    """The weight with these Dynkin labels; they must be non-negative
+    integers, one per simple root."""
     if len(labels) != rs.rank:
         raise LengthMismatch(f"expected {rs.rank} Dynkin labels, got {len(labels)}")
-    return rs.weight(
-        sum(label * omega[k] for label, omega in zip(labels, rs.fundamental_weights))
-        for k in range(rs.rank)
-    )
+    labels = _integers(labels)
+    if min(labels) < 0:
+        raise ValueError(f"vector is not a dominant weight: Dynkin labels {labels}")
+    return Weight(labels)
 
 
 def weyl_qdim_product(rs: RootSystem, lam: Weight) -> SinhProduct:
-    """The Weyl-line character of lam as a product of sinh ratios."""
-    shifted = [a + b for a, b in zip(lam.vector, rs.rho)]
-    # 2 (alpha_i, lam + rho) and 2 (alpha_i, rho), once per simple root
-    # alpha_i, as integers over the lcm q of their denominators.
-    upper = [2 * rs.gram(alpha, shifted) for alpha in rs.simple_roots]
-    lower = [2 * rs.gram(alpha, rs.rho) for alpha in rs.simple_roots]
-    q = math.lcm(*(a.denominator for a in upper + lower))
-    upper = [a.numerator * (q // a.denominator) for a in upper]
-    lower = [a.numerator * (q // a.denominator) for a in lower]
-    factors = [(sum(m * a for m, a in zip(mu, upper)), sum(m * a for m, a in zip(mu, lower)),
-                f"2*(rho, {mu})") for mu in rs.positive_roots]
+    """The Weyl-line character of lam as a product of sinh ratios, one per
+    positive root mu in order.  With scale = p/q, 2 (alpha_i, lam + rho) is
+    p lengths[i] (a_i + 1) / q for the labels a of lam, and 2 (alpha_i, rho)
+    is p lengths[i] / q, so both arguments of mu are integer dot products
+    over q."""
+    p, q = rs.diagram.scale.numerator, rs.diagram.scale.denominator
+    upper = [p * length * (a + 1) for length, a in zip(rs.diagram.lengths, lam.labels)]
+    lower = [p * length for length in rs.diagram.lengths]
+    factors = [(_dot(mu, upper), _dot(mu, lower), f"2*(rho, {mu})") for mu in rs.positive_roots]
     return SinhProduct(factors, q, 1, f"weyl[{rs.family}{rs.rank}]")
 
 

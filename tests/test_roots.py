@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -257,27 +258,59 @@ class TestWeights:
     def test_zero_labels_give_zero_weight(self):
         rs = build_root_system("B", 3)
         lam = weight_from_dynkin(rs, (0, 0, 0))
-        assert all(c == 0 for c in lam.vector)
+        assert lam == rs.weight((0, 0, 0))
+        assert weyl_dim(rs, lam) == 1
 
     def test_dynkin_roundtrip(self):
+        # n*theta + m*rho has labels n*(theta's tabulated labels) + m, since
+        # rho pairs to 1 with every simple coroot.
         rng = random.Random(23)
-        for family, rank in [("A", 4), ("C", 2), ("D", 5), ("F", 4)]:
+        for family, rank, theta_labels in [
+            ("A", 4, (1, 0, 0, 1)), ("C", 2, (2, 0)), ("D", 5, (0, 1, 0, 0, 0)),
+            ("F", 4, (1, 0, 0, 0)),
+        ]:
             rs = build_root_system(family, rank)
-            labels = tuple(rng.randint(0, 4) for _ in range(rank))
-            lam = weight_from_dynkin(rs, labels)
-            assert rs.dynkin_labels(lam.vector) == labels
+            n, m = rng.randint(0, 4), rng.randint(1, 4)
+            vec = tuple(n * t + m * r for t, r in zip(rs.theta, rs.rho))
+            labels = tuple(n * a + m for a in theta_labels)
+            assert rs.dynkin_labels(vec) == labels
+            assert weight_from_dynkin(rs, labels) == rs.weight(vec)
+            assert rs.weight(vec).labels == labels
 
     def test_theta_labels(self):
         rs = build_root_system("A", 5)
         assert rs.dynkin_labels(rs.theta) == (1, 0, 0, 0, 1)
         rs = build_root_system("D", 6)
         three_theta = tuple(3 * c for c in rs.theta)
-        assert weight_from_dynkin(rs, (0, 3, 0, 0, 0, 0)).vector == three_theta
+        assert weight_from_dynkin(rs, (0, 3, 0, 0, 0, 0)) == rs.weight(three_theta)
+        two_theta_sigma = tuple(2 * t + s for t, s in zip(rs.theta, rs.sigma))
+        assert weight_from_dynkin(rs, (0, 1, 0, 1, 0, 0)) == rs.weight(two_theta_sigma)
 
     def test_length_mismatch(self):
         rs = build_root_system("A", 5)
         with pytest.raises(LengthMismatch):
             weight_from_dynkin(rs, (1, 0, 0))
+
+    @pytest.mark.parametrize("labels,message", [
+        ((-1, 0, 0), "vector is not a dominant weight: Dynkin labels (-1, 0, 0)"),
+        ((0.5, 0, 0), "vector is not an integral weight"),
+        ((F(1, 2), 0, 0), "vector is not an integral weight"),
+        ((1, -1, 0.5), "vector is not an integral weight"),
+    ])
+    def test_label_errors(self, labels, message):
+        rs = build_root_system("B", 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            weight_from_dynkin(rs, labels)
+
+    @pytest.mark.parametrize("vec", [(0, 1, 1, 5), (0, 1)])
+    def test_dynkin_labels_reject_wrong_length(self, vec):
+        rs = build_root_system("B", 3)
+        with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
+            rs.dynkin_labels(vec)
+
+    def test_integral_float_labels_are_accepted(self):
+        rs = build_root_system("B", 3)
+        assert weight_from_dynkin(rs, (1.0, 0, F(2))).labels == (1, 0, 2)
 
     def test_rejects_non_dominant(self):
         rs = build_root_system("A", 2)
@@ -607,6 +640,33 @@ class TestPinnedInvariants:
         fundamental = [weyl_dim(rs, weight_from_dynkin(rs, [int(i == j) for i in range(rs.rank)]))
                        for j in range(rs.rank)]
         assert tuple(fundamental) == dims
+
+
+def _reference_factors(rs, vec):
+    """The Weyl product's factors (N/q, D/q, label) worked out from the
+    invariant form: 2 (mu, lam + rho) and 2 (mu, rho) for every positive
+    root mu, dropping the ratios that are identically 1."""
+    shifted = tuple(a + b for a, b in zip(vec, rs.rho))
+    factors = [(2 * rs.gram(mu, shifted), 2 * rs.gram(mu, rs.rho), f"2*(rho, {mu})")
+               for mu in rs.positive_roots]
+    return [factor for factor in factors if factor[0] != factor[1]]
+
+
+class TestWeylProductFactors:
+    @pytest.mark.parametrize("name", sorted(set(PINNED) | {f"{f}{r}" for f, r in NINE}))
+    def test_factors_match_invariant_form(self, name):
+        rs = _build(name)
+        vectors = [tuple(n * t for t in rs.theta) for n in range(4)]
+        if rs.sigma is not None:
+            vectors += [tuple((k + 1) * t + s for t, s in zip(rs.theta, rs.sigma))
+                        for k in range(3)]
+        for vec in vectors:
+            product = weyl_qdim_product(rs, rs.weight(vec))
+            assert product.sign == 1
+            assert product.context == f"weyl[{name}]"
+            got = [(F(n, product.q), F(d, product.q), label)
+                   for n, d, label in product.factors]
+            assert got == _reference_factors(rs, vec), vec
 
 
 class TestRootProperties:
