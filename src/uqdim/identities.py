@@ -2,9 +2,11 @@
 
 The symmetric square, antisymmetric square and symmetric cube of the adjoint
 character restricted to the Weyl line are plethysm combinations of the single
-function f(x) = qdim_adjoint, written once as data in ``PLETHYSMS``.  Each
-identity equates such a combination with a sum of universal characters.
-Identities are checked at seeded random points:
+function f(x) = qdim_adjoint.  Each identity equates such a combination with
+a constant plus a sum of universal characters.  Both sides are written once,
+as one entry of ``IDENTITY_TABLE``; every mode reads the right-hand side
+there, and only numeric mode's float plethysm (``_lhs_value``) mirrors the
+left-hand side instead.  Identities are checked at seeded random points:
 
 * series mode checks that every Taylor coefficient of LHS - RHS up to the
   given order is exactly zero at random rational points of Vogel's plane.
@@ -35,6 +37,7 @@ from fractions import Fraction
 from .errors import PoleAtParameters
 from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
 from .universal import (
+    SLOTS,
     VogelParams,
     adjoint_product,
     x2_product,
@@ -45,7 +48,6 @@ from .universal import (
 S2_SYM = "s2"
 A2_ANTISYM = "a2"
 S3_SYM_CUBE = "s3"
-IDENTITIES = (S2_SYM, A2_ANTISYM, S3_SYM_CUBE)
 
 SERIES = "series"
 NUMERIC = "numeric"
@@ -55,34 +57,67 @@ NUMERIC_TOLERANCE = 1e-9
 #: Numeric-mode rejection margin around the pole set.
 POLE_MARGIN = 1e-3
 
-S3Term = namedtuple("S3Term", "irrep kind perm multiplicity")
+#: One constituent of a right-hand side.  A kind is "adjoint", "x2", "y2"
+#: or a key of Z_ARGS; perm is the VogelParams.permuted order of a Y2 or a
+#: mixed Cartan product (a Y2 is taken in slot SLOTS[perm[0]]).
+Term = namedtuple("Term", "irrep kind perm multiplicity")
+
+#: One identity: the plethysm of f(x) = qdim_adjoint on the left, as
+#: (coefficient, dilations) pairs, each standing for coefficient *
+#: prod_{m in dilations} f(m x), summed over the divisor; on the right the
+#: integer constant plus the constituents in summation order (the order
+#: fixes the last bits of numeric residuals).
+Identity = namedtuple("Identity", "divisor plethysm constant terms")
 
 #: (k, l) of z_product for the two mixed Cartan-product kinds.
-S3_Z_ARGS = {"y3": (3, 0), "z11": (1, 1)}
+Z_ARGS = {"y3": (3, 0), "z11": (1, 1)}
 
-#: The constituents of the symmetric cube of the adjoint, in summation order
-#: (the order fixes the last bits of numeric residuals).  A kind is
-#: "adjoint", "x2" or a key of S3_Z_ARGS; perm is the VogelParams.permuted
-#: order of a mixed Cartan product.
-S3_TERMS = (
-    S3Term("Y3(alpha)", "y3", (0, 1, 2), 1),
-    S3Term("Y3(beta)", "y3", (1, 0, 2), 1),
-    S3Term("Y3(gamma)", "y3", (2, 1, 0), 1),
-    S3Term("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), 1),
-    S3Term("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), 1),
-    S3Term("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), 1),
-    S3Term("X2", "x2", None, 1),
-    S3Term("adjoint", "adjoint", None, 2),
-)
+#: The identities, by name:
+#:   s2 = (f(x)^2 + f(2x)) / 2 = 1 + Y2(alpha) + Y2(beta) + Y2(gamma),
+#:   a2 = (f(x)^2 - f(2x)) / 2 = adjoint + X2,
+#:   s3 = (f(x)^3 + 3 f(2x) f(x) + 2 f(3x)) / 6
+#:      = sum Y3 + sum adjoint.Y2(beta) + X2 + 2 adjoint.
+IDENTITY_TABLE = {
+    S2_SYM: Identity(2, ((1, (1, 1)), (1, (2,))), 1, (
+        Term("Y2(alpha)", "y2", (0, 1, 2), 1),
+        Term("Y2(beta)", "y2", (1, 0, 2), 1),
+        Term("Y2(gamma)", "y2", (2, 1, 0), 1),
+    )),
+    A2_ANTISYM: Identity(2, ((1, (1, 1)), (-1, (2,))), 0, (
+        Term("adjoint", "adjoint", None, 1),
+        Term("X2", "x2", None, 1),
+    )),
+    S3_SYM_CUBE: Identity(6, ((1, (1, 1, 1)), (3, (2, 1)), (2, (3,))), 0, (
+        Term("Y3(alpha)", "y3", (0, 1, 2), 1),
+        Term("Y3(beta)", "y3", (1, 0, 2), 1),
+        Term("Y3(gamma)", "y3", (2, 1, 0), 1),
+        Term("g.Y2(beta)(alpha,beta,gamma)", "z11", (0, 1, 2), 1),
+        Term("g.Y2(beta)(alpha,gamma,beta)", "z11", (0, 2, 1), 1),
+        Term("g.Y2(beta)(beta,gamma,alpha)", "z11", (1, 2, 0), 1),
+        Term("X2", "x2", None, 1),
+        Term("adjoint", "adjoint", None, 2),
+    )),
+}
+IDENTITIES = tuple(IDENTITY_TABLE)
 
 
-def s3_term_product(term: S3Term, v: VogelParams) -> SinhProduct:
-    """The Weyl-line character of one symmetric-cube constituent at v."""
+def _identity(name: str) -> Identity:
+    try:
+        return IDENTITY_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown identity {name!r}") from None
+
+
+def term_product(term: Term, v: VogelParams) -> SinhProduct:
+    """The Weyl-line character of one constituent at v.  The builders are
+    looked up by their module-level names at call time."""
     if term.kind == "adjoint":
         return adjoint_product(v)
     if term.kind == "x2":
         return x2_product(v)
-    return z_product(v.permuted(term.perm), *S3_Z_ARGS[term.kind])
+    if term.kind == "y2":
+        return y2_product(v, SLOTS[term.perm[0]])
+    return z_product(v.permuted(term.perm), *Z_ARGS[term.kind])
 
 
 @dataclass(frozen=True)
@@ -107,70 +142,34 @@ class IdentityReport:
         return not self.failures
 
 
-#: The plethysms of the identities, as data: identity -> (divisor, terms),
-#: each term a (coefficient, dilations) pair standing for coefficient *
-#: prod_{m in dilations} f(m x).  The left-hand side is the sum of the terms
-#: over the divisor:
-#:   s2 = (f(x)^2 + f(2x)) / 2,  a2 = (f(x)^2 - f(2x)) / 2,
-#:   s3 = (f(x)^3 + 3 f(2x) f(x) + 2 f(3x)) / 6.
-PLETHYSMS = {
-    S2_SYM: (2, ((1, (1, 1)), (1, (2,)))),
-    A2_ANTISYM: (2, ((1, (1, 1)), (-1, (2,)))),
-    S3_SYM_CUBE: (6, ((1, (1, 1, 1)), (3, (2, 1)), (2, (3,)))),
-}
-
-
-def _plethysm_terms(identity: str) -> tuple[int, tuple]:
-    try:
-        return PLETHYSMS[identity]
-    except KeyError:
-        raise ValueError(f"unknown identity {identity!r}") from None
-
-
 def _lhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
     """The plethysm of the adjoint at v, as the coefficients of x^0, x^2,
     ..., x^(2*(order // 2)): integer numerators over one positive
     denominator, not reduced.
 
-    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term with fewer
-    factors than the longest is brought to its denominator by powers of f's
-    denominator."""
-    divisor, terms = _plethysm_terms(identity)
+    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term of n
+    factors has denominator divisor * f_den^n."""
+    entry = _identity(identity)
     f, f_den = adjoint_product(v).even_coefficients(order)
-    f_at = {m: [c * m ** (2 * j) for j, c in enumerate(f)]
-            for _, dilations in terms for m in dilations}
-    degree = max(len(dilations) for _, dilations in terms)
-    lhs = [0] * len(f)
-    for coefficient, dilations in terms:
-        head, *rest = (f_at[m] for m in dilations)
-        scale = coefficient * f_den ** (degree - len(dilations))
-        term = [scale * c for c in head]
+    parts = []
+    for coefficient, dilations in entry.plethysm:
+        head, *rest = ([c * m ** (2 * j) for j, c in enumerate(f)] for m in dilations)
+        term = [coefficient * c for c in head]
         for factor in rest:
             term = _convolve(term, factor)
-        lhs = [x + y for x, y in zip(lhs, term)]
-    return lhs, divisor * f_den ** degree
+        parts.append((term, entry.divisor * f_den ** len(dilations)))
+    return _over_lcm(parts)
 
 
 def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]]:
     """The universal characters on the right-hand side, with multiplicities."""
-    if identity == S2_SYM:
-        return [(1, y2_product(v, slot)) for slot in ("alpha", "beta", "gamma")]
-    if identity == A2_ANTISYM:
-        return [(1, adjoint_product(v)), (1, x2_product(v))]
-    if identity == S3_SYM_CUBE:
-        return [(t.multiplicity, s3_term_product(t, v)) for t in S3_TERMS]
-    raise ValueError(f"unknown identity {identity!r}")
-
-
-def _rhs_constant(identity: str) -> Fraction:
-    return Fraction(1) if identity == S2_SYM else Fraction(0)
+    return [(t.multiplicity, term_product(t, v)) for t in _identity(identity).terms]
 
 
 def _rhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """The constant plus the universal characters at v, in ``_rhs_products``
-    order, as numerators over one denominator like :func:`_lhs`."""
-    constant = _rhs_constant(identity)
-    parts = [([constant.numerator] + [0] * (order // 2), constant.denominator)]
+    """The constant plus the universal characters at v, in table order, as
+    numerators over one denominator like :func:`_lhs`."""
+    parts = [([_identity(identity).constant] + [0] * (order // 2), 1)]
     for mult, product in _rhs_products(identity, v):
         nums, den = product.even_coefficients(order)
         parts.append(([mult * c for c in nums], den))
@@ -224,8 +223,9 @@ def identity_residual_series(identity: str, v: VogelParams,
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:
-    """The PLETHYSMS in floats, in the operation order that fixes the last
-    bits of numeric residuals."""
+    """The plethysms of IDENTITY_TABLE written out in floats; it mirrors the
+    table in the operation order that fixes the last bits of numeric
+    residuals (``f1 ** 3`` is not ``f1 * f1 * f1``)."""
     f1 = adj.value_at(x)
     f2 = adj.value_at(2 * x)
     if identity == S2_SYM:
@@ -236,20 +236,19 @@ def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:
     return (f1 ** 3 + 3 * f2 * f1 + 2 * f3) / 6.0
 
 
-def _rhs_value(identity: str, products: list[tuple[Fraction, SinhProduct]],
+def _rhs_value(identity: str, products: list[tuple[int, SinhProduct]],
                x: float) -> float:
-    total = float(_rhs_constant(identity))
+    total = float(_identity(identity).constant)
     for mult, product in products:
         total += float(mult) * product.value_at(x)
     return total
 
 
-def sample_params(region: str, seed: int, index: int) -> VogelParams:
-    """Deterministic pseudo-random rational parameter point.
+def sample_params(seed: int, index: int) -> VogelParams:
+    """Deterministic pseudo-random rational point of Vogel's plane.
 
     Numerators and denominators are bounded by 64 and every coordinate is
-    nonzero.  ``region`` is "plane" or one of "line:sl", "line:so",
-    "line:sp", "line:exc"; line points satisfy their line equation exactly.
+    nonzero.
     """
     rng = random.Random(seed * 1_000_003 + index)
 
@@ -259,24 +258,7 @@ def sample_params(region: str, seed: int, index: int) -> VogelParams:
             if n != 0:
                 return Fraction(n, rng.randint(1, 64))
 
-    region = region.lower()
-    if region == "plane":
-        return VogelParams(draw(), draw(), draw())
-    if region == "line:exc":
-        while True:
-            a, b = draw(), draw()
-            if 2 * (a + b) != 0:
-                return VogelParams(a, b, 2 * (a + b))
-    if region in ("line:sl", "line:so", "line:sp"):
-        while True:
-            n = draw()
-            if region == "line:sl":
-                return VogelParams(-2, 2, n)
-            if region == "line:so" and n != 4:
-                return VogelParams(-2, 4, n - 4)
-            if region == "line:sp" and n != -4:
-                return VogelParams(-2, 1, n / 2 + 2)
-    raise ValueError(f"unknown region {region!r}")
+    return VogelParams(draw(), draw(), draw())
 
 
 def _relative_residual(lhs: float, rhs: float) -> float:
@@ -296,8 +278,7 @@ def verify_identity(identity: str, mode: str = SERIES, order: int = DEFAULT_ORDE
     near) the pole set are rejected and redrawn; the run is deterministic in
     ``seed``.
     """
-    if identity not in IDENTITIES:
-        raise ValueError(f"unknown identity {identity!r}")
+    _identity(identity)
     if order < 1 or trials < 1:
         raise ValueError("order and trials must be positive")
     if mode == SERIES:
@@ -313,7 +294,7 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
     index = 0
     all_zero = True
     while accepted < trials:
-        v = sample_params("plane", seed, index)
+        v = sample_params(seed, index)
         index += 1
         try:
             residual, den = _residual(identity, v, order)

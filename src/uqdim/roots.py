@@ -67,7 +67,10 @@ class DynkinDiagram:
         return out
 
     def gram(self, u, v) -> Fraction:
-        """Invariant scalar product, normalised so long roots have square 2."""
+        """Invariant scalar product, normalised so long roots have square 2.
+        Raises ValueError unless both vectors have one entry per simple root."""
+        if not len(u) == len(v) == len(self.lengths):
+            raise ValueError("weight vector has wrong dimension")
         return self.scale * _dot(u, self.form(v))
 
 

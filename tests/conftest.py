@@ -36,7 +36,7 @@ def sample_regular_points(seed: int, count: int, probe) -> list[VogelParams]:
 
 def reference_lhs(identity: str, v: VogelParams, order: int):
     """The plethysm of the adjoint from PowerSeries arithmetic, written out
-    here rather than read from uqdim.identities.PLETHYSMS."""
+    here rather than read from uqdim.identities.IDENTITY_TABLE."""
     f = adjoint_product(v).series(order)
     if identity == "s2":
         return Fraction(1, 2) * (f * f + f.scale_x(2))
@@ -47,8 +47,9 @@ def reference_lhs(identity: str, v: VogelParams, order: int):
 
 def reference_rhs(identity: str, v: VogelParams, order: int):
     """The universal characters of an identity's right-hand side, summed
-    from their PowerSeries expansions.  S3_TERMS is read at call time, so
-    a test that patches it changes the reference too."""
+    from their PowerSeries expansions.  The s3 terms are read from
+    IDENTITY_TABLE at call time, so a test that patches them changes the
+    reference too."""
     if identity == "s2":
         rhs = [(1, y2_product(v, slot)) for slot in ("alpha", "beta", "gamma")]
         total = PowerSeries.one(order)
@@ -56,8 +57,8 @@ def reference_rhs(identity: str, v: VogelParams, order: int):
         rhs = [(1, adjoint_product(v)), (1, x2_product(v))]
         total = PowerSeries.zero(order)
     else:
-        rhs = [(t.multiplicity, identities.s3_term_product(t, v))
-               for t in identities.S3_TERMS]
+        rhs = [(t.multiplicity, identities.term_product(t, v))
+               for t in identities.IDENTITY_TABLE["s3"].terms]
         total = PowerSeries.zero(order)
     for mult, product in rhs:
         total = total + mult * product.series(order)

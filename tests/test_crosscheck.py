@@ -10,7 +10,7 @@ import pytest
 from uqdim import cli
 from uqdim.crosscheck import TABLES
 from uqdim.errors import PoleAtParameters
-from uqdim.identities import S3_TERMS, S3_Z_ARGS, s3_term_product
+from uqdim.identities import IDENTITY_TABLE, S3_SYM_CUBE, Z_ARGS, term_product
 from uqdim.universal import vogel_params, z_dim_along_line
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,16 +41,17 @@ def test_line_agrees_with_point(which):
     order: wherever a mixed Cartan product is regular at the point, its value
     along the line is the same number."""
     name, (line, value, line_perm), labels = TABLES[which]
-    assert len(labels) == len(S3_TERMS)
+    terms = IDENTITY_TABLE[S3_SYM_CUBE].terms
+    assert len(labels) == len(terms)
     v = vogel_params(name)
     resolved = 0
-    for term in S3_TERMS:
-        if term.kind not in S3_Z_ARGS:
+    for term in terms:
+        if term.kind not in Z_ARGS:
             continue
         perm = tuple(line_perm[i] for i in term.perm)
-        along = z_dim_along_line(line, value, perm, *S3_Z_ARGS[term.kind])
+        along = z_dim_along_line(line, value, perm, *Z_ARGS[term.kind])
         try:
-            at_point = s3_term_product(term, v).dim()
+            at_point = term_product(term, v).dim()
         except PoleAtParameters:
             continue
         assert along == at_point, term.irrep

@@ -41,8 +41,9 @@ class TestPlethysms:
     def test_degenerate_constant_input(self):
         # f = 7 everywhere: Sym^2, Lambda^2 and Sym^3 of a 7-dimensional space.
         def at_seven(identity):
-            divisor, terms = identities.PLETHYSMS[identity]
-            return F(sum(c * 7 ** len(dilations) for c, dilations in terms), divisor)
+            entry = identities.IDENTITY_TABLE[identity]
+            return F(sum(c * 7 ** len(dilations) for c, dilations in entry.plethysm),
+                     entry.divisor)
 
         assert at_seven(S2_SYM) == 28
         assert at_seven(A2_ANTISYM) == 21
@@ -58,6 +59,44 @@ class TestPlethysms:
     def test_sym_cube_constants(self):
         for name, total in [("sl6", 7770), ("f4", 24804), ("so12", 50116)]:
             assert identity_lhs(S3_SYM_CUBE, vogel_params(name), 4).constant_term == total
+
+
+class TestFloatPlethysm:
+    """Numeric mode's float plethysm (_lhs_value) is written out by name;
+    it must agree with the table's plethysm evaluated from adj.value_at."""
+
+    @staticmethod
+    def worst_drift(identity):
+        from uqdim.universal import adjoint_product
+
+        entry = identities.IDENTITY_TABLE[identity]
+        rng = random.Random(41)
+        worst = 0.0
+        for v in sample_regular_points(41, 30, adjoint_product):
+            adj = adjoint_product(v)
+            x = rng.uniform(0.05, 1.0)
+            table = 0.0
+            for coefficient, dilations in entry.plethysm:
+                term = float(coefficient)
+                for m in dilations:
+                    term *= adj.value_at(m * x)
+                table += term
+            table /= entry.divisor
+            written = identities._lhs_value(identity, adj, x)
+            worst = max(worst, abs(written - table) / max(abs(written), abs(table)))
+        return worst
+
+    @pytest.mark.parametrize("identity", identities.IDENTITIES)
+    def test_matches_table(self, identity):
+        assert self.worst_drift(identity) <= 1e-12
+
+    @pytest.mark.parametrize("identity", identities.IDENTITIES)
+    def test_patched_coefficient_is_caught(self, monkeypatch, identity):
+        entry = identities.IDENTITY_TABLE[identity]
+        *head, (coefficient, dilations) = entry.plethysm
+        patched = entry._replace(plethysm=(*head, (coefficient + 1, dilations)))
+        monkeypatch.setitem(identities.IDENTITY_TABLE, identity, patched)
+        assert self.worst_drift(identity) > 1e-6
 
 
 class TestIdentitySides:
@@ -270,32 +309,17 @@ class TestVerifyIdentity:
 
 class TestSampler:
     def test_deterministic(self):
-        a = sample_params("plane", 1, 0)
-        b = sample_params("plane", 1, 0)
+        a = sample_params(1, 0)
+        b = sample_params(1, 0)
         assert a == b
-        assert sample_params("plane", 1, 1) != a
+        assert sample_params(1, 1) != a
 
     def test_components_nonzero_and_bounded(self):
         for index in range(300):
-            v = sample_params("plane", 11, index)
+            v = sample_params(11, index)
             for c in v.as_tuple():
                 assert c != 0
                 assert abs(c.numerator) <= 64 * 64 and 1 <= c.denominator <= 64
-
-    def test_exceptional_line_region(self):
-        for index in range(50):
-            v = sample_params("line:exc", 3, index)
-            assert v.gamma == 2 * (v.alpha + v.beta)
-
-    def test_classical_line_regions(self):
-        for index in range(20):
-            assert sample_params("line:sl", 5, index).as_tuple()[:2] == (-2, 2)
-            assert sample_params("line:so", 5, index).beta == 4
-            assert sample_params("line:sp", 5, index).beta == 1
-
-    def test_unknown_region(self):
-        with pytest.raises(ValueError):
-            sample_params("disc", 0, 0)
 
 
 class TestSeriesPins:
@@ -333,16 +357,18 @@ class TestSeriesPins:
 
     @pytest.mark.parametrize("order", [4, 17])
     def test_s3_adjoint_multiplicity_one(self, monkeypatch, order):
+        entry = identities.IDENTITY_TABLE[S3_SYM_CUBE]
         broken = tuple(t._replace(multiplicity=1) if t.kind == "adjoint" else t
-                       for t in identities.S3_TERMS)
-        monkeypatch.setattr(identities, "S3_TERMS", broken)
+                       for t in entry.terms)
+        monkeypatch.setitem(identities.IDENTITY_TABLE, S3_SYM_CUBE,
+                            entry._replace(terms=broken))
         report = verify_identity(S3_SYM_CUBE, mode=SERIES, order=order, trials=3, seed=0)
         assert report.failures == self.S3_ADJOINT_ONCE
         assert report.exact_zero is False
 
     def test_s2_constant_two(self, monkeypatch):
-        monkeypatch.setattr(identities, "_rhs_constant",
-                            lambda ident: F(2) if ident == S2_SYM else F(0))
+        entry = identities.IDENTITY_TABLE[S2_SYM]
+        monkeypatch.setitem(identities.IDENTITY_TABLE, S2_SYM, entry._replace(constant=2))
         report = verify_identity(S2_SYM, mode=SERIES, order=6, trials=3, seed=1)
         assert report.failures == (
             ((F(17, 23), F(-1, 3), F(-1, 2)), "coefficient of x^0 is -1"),

@@ -308,6 +308,20 @@ class TestWeights:
         with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
             rs.dynkin_labels(vec)
 
+    @pytest.mark.parametrize("u, v", [
+        ((1, 0, 0, 7), (1, 0, 0)),
+        ((1, 0, 0), (1, 0, 0, 7)),
+        ((1, 0), (1, 0, 0)),
+        ((1, 0, 0), (1, 0)),
+    ])
+    def test_pairings_reject_wrong_length(self, u, v):
+        # zip would drop the extra coordinate (both used to return 2 for
+        # the first pair) or the form would fail on a missing one.
+        rs = build_root_system("B", 3)
+        for pairing in (rs.gram, rs.diagram.gram, rs.coroot_pairing):
+            with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
+                pairing(u, v)
+
     def test_integral_float_labels_are_accepted(self):
         rs = build_root_system("B", 3)
         assert weight_from_dynkin(rs, (1.0, 0, F(2))).labels == (1, 0, 2)

@@ -450,9 +450,10 @@ class TestIntegerResidual:
     def test_broken_residual(self, monkeypatch, order):
         from uqdim import identities
 
+        entry = identities.IDENTITY_TABLE["s3"]
         broken = tuple(t._replace(multiplicity=1) if t.kind == "adjoint" else t
-                       for t in identities.S3_TERMS)
-        monkeypatch.setattr(identities, "S3_TERMS", broken)
+                       for t in entry.terms)
+        monkeypatch.setitem(identities.IDENTITY_TABLE, "s3", entry._replace(terms=broken))
         for v in self.points("s3", 2, 100 + order):
             residual = self.check("s3", v, order)
             assert all(residual[m] != 0 for m in range(0, order + 1, 2)), v
