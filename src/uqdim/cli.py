@@ -232,20 +232,28 @@ def cmd_instanton(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _rational(text: str) -> Fraction:
+    """A rational flag; argparse reports unreadable text as invalid Fraction."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
+_rational.__name__ = Fraction.__name__  # the type name in argparse's errors
+
+
 def _real(text: str) -> float:
-    """A float flag: anything float() reads, else a fraction p/q rounded to
-    the nearest float."""
+    """A float flag: what float() reads, else a fraction p/q to the nearest float."""
     try:
         return float(text)
     except ValueError:
         pass
     try:
-        return float(Fraction(text))
+        return float(_rational(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid value {text!r}: expected a float or a fraction p/q") from None
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     except OverflowError:
         raise argparse.ArgumentTypeError(f"{text!r} is too large for a float") from None
 
@@ -253,10 +261,10 @@ def _real(text: str) -> float:
 def _add_param_args(sp) -> None:
     sp.add_argument("algebra", nargs="*",
                     help='algebra name, e.g. "e8", "sl 6", "so 12"')
-    sp.add_argument("--alpha", type=Fraction,
+    sp.add_argument("--alpha", type=_rational,
                     help="rational value; use --alpha=-10/3 for negative fractions")
-    sp.add_argument("--beta", type=Fraction)
-    sp.add_argument("--gamma", type=Fraction)
+    sp.add_argument("--beta", type=_rational)
+    sp.add_argument("--gamma", type=_rational)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,7 @@
 ``verify specialization`` and ``verify g2zero`` suites and the symmetric-cube
 decomposition tables, which regenerate every constituent of the symmetric
 cube in :data:`~uqdim.identities.IDENTITY_TABLE` at one algebra by both
-routes."""
+routes, along :func:`~uqdim.universal.algebra_line` where a row is 0/0."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from .identities import IDENTITY_TABLE, S3_SYM_CUBE, Z_ARGS, term_product
 from .roots import build_root_system, weight_from_dynkin, weyl_dim, weyl_qdim
 from .series import DEFAULT_ORDER
 from .universal import (
+    algebra_line,
     cartan_power_product,
     dim_adjoint,
     parse_algebra,
@@ -23,23 +24,21 @@ from .universal import (
 
 SPECIALIZATION_ALGEBRAS = ("sl6", "so7", "sp6", "so12", "g2", "f4", "e6", "e7", "e8")
 
-#: Symmetric-cube decomposition tables: the algebra; the classical line
-#: through it as (line, value, slot perm), along which a row that is
-#: 0/0-indeterminate at the point is evaluated; and the Dynkin labels of the
-#: modules of each symmetric-cube constituent, in the order of the s3 terms
-#: of IDENTITY_TABLE (None where no module is compared).
+#: Symmetric-cube decomposition tables: the algebra and the Dynkin labels
+#: of the modules of each symmetric-cube constituent, in the order of the s3
+#: terms of IDENTITY_TABLE (None where no module is compared).
 TABLES = {
-    "s3-sl6": ("sl6", ("sl", 6, (0, 1, 2)), (
+    "s3-sl6": ("sl6", (
         ((3, 0, 0, 0, 3),), ((0, 0, 2, 0, 0),), None,
         ((1, 1, 0, 1, 1),), ((2, 0, 0, 0, 2),), ((0, 1, 0, 1, 0),),
         ((2, 0, 0, 1, 0), (0, 1, 0, 0, 2)), ((1, 0, 0, 0, 1),),
     )),
-    "s3-f4": ("f4", ("exc", 1, (0, 2, 1)), (
+    "s3-f4": ("f4", (
         ((3, 0, 0, 0),), ((0, 0, 1, 0),), None,
         ((1, 0, 0, 2),), None, None,
         ((0, 1, 0, 0),), ((1, 0, 0, 0),),
     )),
-    "s3-so12": ("so12", ("so", 12, (0, 1, 2)), (
+    "s3-so12": ("so12", (
         ((0, 3, 0, 0, 0, 0),), ((0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2)), None,
         ((0, 1, 0, 1, 0, 0),), ((2, 1, 0, 0, 0, 0),), None,
         ((1, 0, 1, 0, 0, 0),), ((0, 1, 0, 0, 0, 0),),
@@ -70,7 +69,7 @@ def run_specialization(order: int = DEFAULT_ORDER) -> dict:
     # adjoint*Y2(beta) at the unpermuted point
     terms = IDENTITY_TABLE[S3_SYM_CUBE].terms
     z11 = next(i for i, t in enumerate(terms) if t.kind == "z11" and t.perm == (0, 1, 2))
-    for name, _, labels in TABLES.values():
+    for name, labels in TABLES.values():
         (dynkin,) = labels[z11]
         aid = parse_algebra(name)
         rs = build_root_system(aid.family, aid.rank)
@@ -118,11 +117,12 @@ def build_table_report(which: str) -> dict:
     """Regenerate one symmetric-cube decomposition table from the universal
     formulas and, independently, from the Weyl oracle via Dynkin labels.
     A row whose product is 0/0-indeterminate at the point is evaluated
-    exactly along the table's line (``via`` says which)."""
-    name, (line, value, line_perm), labels = TABLES[which]
+    exactly along the algebra's line (``via`` says which)."""
+    name, labels = TABLES[which]
     cube = IDENTITY_TABLE[S3_SYM_CUBE]
     aid = parse_algebra(name)
     v = vogel_params(aid)
+    line, value, line_perm = algebra_line(aid)
     rs = build_root_system(aid.family, aid.rank)
     rows = []
     total = Fraction(0)

@@ -116,13 +116,9 @@ class AlgebraId:
 
 _ALGEBRA_RE = re.compile(r"^(sl|so|sp|g|f|e)\s*(\d+)$")
 
-_EXCEPTIONAL_PARAMS = {
-    ("G", 2): (-2, Fraction(10, 3), Fraction(8, 3)),
-    ("F", 4): (-2, 5, 6),
-    ("E", 6): (-2, 6, 8),
-    ("E", 7): (-2, 8, 12),
-    ("E", 8): (-2, 12, 20),
-}
+# For algebra_line: a classical family's rank n is at a*n + b on its line.
+_CLASSICAL_LINES = {"A": ("sl", 1, 1), "B": ("so", 2, 1), "C": ("sp", 2, 0), "D": ("so", 2, 0)}
+_EXCEPTIONAL_LINE = {("G", 2): Fraction(-2, 3), ("F", 4): 1, ("E", 6): 2, ("E", 7): 4, ("E", 8): 8}
 
 
 def parse_algebra(name: str) -> AlgebraId:
@@ -151,38 +147,39 @@ def parse_algebra(name: str) -> AlgebraId:
             return AlgebraId("C", num // 2, f"sp{num}")
         raise UnknownAlgebra(f"sp {num} needs even N >= 4")
     family = kind.upper()
-    if (family, num) in _EXCEPTIONAL_PARAMS:
+    if (family, num) in _EXCEPTIONAL_LINE:
         return AlgebraId(family, num, f"{kind}{num}")
     raise UnknownAlgebra(f"no exceptional algebra {name!r}")
 
 
-def vogel_params(algebra: AlgebraId | str) -> VogelParams:
-    """Vogel parameters of a simple Lie algebra, in the alpha = -2
-    normalisation (long roots of square 2, t = dual Coxeter number)."""
+def algebra_line(algebra: AlgebraId | str) -> tuple[str, Fraction, tuple[int, int, int]]:
+    """(line, value, order) of the distinguished line through a simple Lie
+    algebra; its point is ``line_params(line, value).permuted(order)``.  A_n,
+    B_n, C_n, D_n are at N = n+1, 2n+1, 2n, 2n of sl, so, sp, so; G2, F4,
+    E6-E8 are at n = -2/3, 1, 2, 4, 8 of exc, with 2n+4 moved to gamma."""
     if isinstance(algebra, str):
         algebra = parse_algebra(algebra)
     family, n = algebra.family, algebra.rank
-    if family == "A":
-        return VogelParams(-2, 2, n + 1)
-    if family == "B":
-        return VogelParams(-2, 4, 2 * n - 3)
-    if family == "C":
-        return VogelParams(-2, 1, n + 2)
-    if family == "D":
-        return VogelParams(-2, 4, 2 * n - 4)
+    if family in _CLASSICAL_LINES:
+        line, a, b = _CLASSICAL_LINES[family]
+        return line, Fraction(a * n + b), (0, 1, 2)
     try:
-        a, b, c = _EXCEPTIONAL_PARAMS[(family, n)]
+        return "exc", Fraction(_EXCEPTIONAL_LINE[(family, n)]), (0, 2, 1)
     except KeyError:
         raise UnknownAlgebra(f"no Vogel parameters for {family}{n}") from None
-    return VogelParams(a, b, c)
+
+
+def vogel_params(algebra: AlgebraId | str) -> VogelParams:
+    """Vogel parameters of a simple Lie algebra, read from its line: alpha = -2
+    (long roots of square 2, t = dual Coxeter number)."""
+    line, value, order = algebra_line(algebra)
+    return line_params(line, value).permuted(order)
 
 
 def line_params(line: str, value: Rational) -> VogelParams:
-    """A point of one of the distinguished lines of Vogel's plane.
-
-    "sl", "so", "sp" take the defining-representation dimension N;
-    "exc" takes the line parameter n of the exceptional series.
-    """
+    """A point of one of the distinguished lines of Vogel's plane, with
+    alpha = -2.  "sl", "so", "sp" take the defining-representation dimension
+    N; "exc" takes the line parameter n of the exceptional series."""
     value = Fraction(value)
     line = line.lower()
     if line == "sl":
@@ -225,9 +222,7 @@ def casimir_adjoint(v: VogelParams) -> Fraction:
 
 def casimir_y2(v: VogelParams, slot: str) -> Fraction:
     """Quadratic Casimir eigenvalue on Y2(slot): 4t - 2*slot."""
-    if slot not in SLOTS:
-        raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}")
-    return 4 * v.t - 2 * getattr(v, slot)
+    return 4 * v.t - 2 * v.as_tuple()[_slot_order(slot)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +276,7 @@ def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
                    context: str) -> FormProgram:
-    assert len(nums) == len(dens)
-    sinh = tuple((num, den, _form_str(den)) for num, den in zip(nums, dens))
+    sinh = tuple((num, den, _form_str(den)) for num, den in zip(nums, dens, strict=True))
     return FormProgram(sign, sinh, (), context)
 
 
@@ -290,35 +284,32 @@ def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
 # fixed-shape products (adjoint, Y2, X2)
 # ---------------------------------------------------------------------------
 
-# Sinh entries are (num, den, label).  Y2 is written in the slot-first frame;
-# Y2 and X2 use t = (1, 1, 1).
-_ADJOINT_PROGRAM = FormProgram(-1, (
-    ((2, 2, 1), (0, 0, 1), "gamma"),
-    ((2, 1, 2), (0, 1, 0), "beta"),
-    ((1, 2, 2), (1, 0, 0), "alpha"),
-), (), "qdim_adjoint")
+# Rows are (num, den) sinh ratios, unzipped and labelled by den; Y2 is
+# slot-first, its labels in every slot too.  Y2 and X2 use t = (1, 1, 1).
+_ADJOINT_PROGRAM = _forms_program(*zip(
+    ((2, 2, 1), (0, 0, 1)),
+    ((2, 1, 2), (0, 1, 0)),
+    ((1, 2, 2), (1, 0, 0)),
+), -1, "qdim_adjoint")
 
-_Y2_SINH = (
-    ((2, 2, 2), (1, 0, 0), "alpha"),           # 2t / alpha
-    ((-2, -1, -2), (2, 0, 0), "2*alpha"),      # beta - 2t / 2 alpha
-    ((-2, -2, -1), (0, 1, 0), "beta"),         # gamma - 2t / beta
-    ((1, 2, 1), (0, 0, 1), "gamma"),           # beta + t / gamma
-    ((1, 1, 2), (1, -1, 0), "alpha-beta"),     # gamma + t / alpha - beta
-    ((1, -2, -2), (1, 0, -1), "alpha-gamma"),  # 3 alpha - 2t / alpha - gamma
-)
+_Y2_SLOT_FIRST = _forms_program(*zip(
+    ((2, 2, 2), (1, 0, 0)),     # 2t / alpha
+    ((-2, -1, -2), (2, 0, 0)),  # beta - 2t / 2 alpha
+    ((-2, -2, -1), (0, 1, 0)),  # gamma - 2t / beta
+    ((1, 2, 1), (0, 0, 1)),     # beta + t / gamma
+    ((1, 1, 2), (1, -1, 0)),    # gamma + t / alpha - beta
+    ((1, -2, -2), (1, 0, -1)),  # 3 alpha - 2t / alpha - gamma
+), -1, "qdim_y2")
 
-_X2_PROGRAM = FormProgram(1, (
-    ((1, 2, 2), (1, 0, 0), "alpha"),    # 2t - alpha / alpha
-    ((2, 1, 2), (0, 1, 0), "beta"),
-    ((2, 2, 1), (0, 0, 1), "gamma"),
-    ((2, 1, 1), (2, 0, 0), "2*alpha"),  # t + alpha / 2 alpha
-    ((1, 2, 1), (0, 2, 0), "2*beta"),
-    ((1, 1, 2), (0, 0, 2), "2*gamma"),
-), (
-    ((0, 1, 1), "t-alpha"),
-    ((1, 0, 1), "t-beta"),
-    ((1, 1, 0), "t-gamma"),
-), "qdim_x2")
+_X2_PROGRAM = _forms_program(*zip(
+    ((1, 2, 2), (1, 0, 0)),  # 2t - alpha / alpha
+    ((2, 1, 2), (0, 1, 0)),
+    ((2, 2, 1), (0, 0, 1)),
+    ((2, 1, 1), (2, 0, 0)),  # t + alpha / 2 alpha
+    ((1, 2, 1), (0, 2, 0)),
+    ((1, 1, 2), (0, 0, 2)),
+), 1, "qdim_x2")._replace(cosh=(((0, 1, 1), "t-alpha"), ((1, 0, 1), "t-beta"),
+                                  ((1, 1, 0), "t-gamma")))
 
 
 @lru_cache(maxsize=None)
@@ -327,8 +318,8 @@ def _y2_program(slot: str) -> FormProgram:
     # and maps a slot-first form back to (alpha, beta, gamma) as well.
     order = _slot_order(slot)
     sinh = tuple((tuple(num[i] for i in order), tuple(den[i] for i in order), label)
-                 for num, den, label in _Y2_SINH)
-    return FormProgram(-1, sinh, (), f"qdim_y2({slot})")
+                 for num, den, label in _Y2_SLOT_FIRST.sinh)
+    return _Y2_SLOT_FIRST._replace(sinh=sinh, context=f"qdim_y2({slot})")
 
 
 def adjoint_product(v: VogelParams) -> SinhProduct:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +63,88 @@ class TestDim:
     def test_missing_parameters_exit_code(self, capsys):
         code, _ = run(capsys, "dim", "--alpha", "1", "--beta", "2")
         assert code == 2
+
+
+class TestRationalFlags:
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--alpha", "1/0", "--beta", "1", "--gamma", "1"],
+        ["qdim", "adjoint", "--alpha", "1", "--beta", "1", "--gamma", "1/0"],
+    ], ids=["dim", "qdim"])
+    def test_zero_denominator_json(self, capsys, argv):
+        code, doc = run_json(capsys, *argv)
+        flag = argv[argv.index("1/0") - 1]
+        assert code == 2
+        assert doc == {"command": argv[0], "inputs": {}, "status": "error",
+                       "results": {"error": f"argument {flag}: zero denominator in '1/0'"}}
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--alpha", "1/0", "--beta", "1", "--gamma", "1"],
+        ["qdim", "adjoint", "--alpha", "1", "--beta", "1/0", "--gamma", "1"],
+    ], ids=["dim", "qdim"])
+    def test_zero_denominator_text(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        flag = argv[argv.index("1/0") - 1]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: uqdim {argv[0]}")
+        assert captured.err.endswith(
+            f"uqdim {argv[0]}: error: argument {flag}: zero denominator in '1/0'\n")
+
+    @pytest.mark.parametrize("text", ["nan", "1/2/3", "x"])
+    def test_unreadable_value_keeps_text(self, capsys, text):
+        code, doc = run_json(capsys, "dim", "--alpha", text, "--beta", "1", "--gamma", "1")
+        assert code == 2
+        assert doc["results"]["error"] == f"argument --alpha: invalid Fraction value: {text!r}"
+
+
+class TestUsageErrors:
+    """Usage errors raised by the handlers, pinned to their exact output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dim", "e8", "--alpha", "1"],
+         "give an algebra name or --alpha/--beta/--gamma, not both"),
+        (["qdim", "cartan", "e8", "--series", "0"],
+         "qdim cartan requires --n with a positive integer"),
+        (["qdim", "y2", "e8", "--series", "0"], "qdim y2 requires --slot alpha|beta|gamma"),
+        (["qdim", "z", "sl6", "--k", "1", "--series", "0"],
+         "qdim z requires non-negative --k and --l"),
+        (["qdim", "z", "sl6", "--series", "0"], "qdim z requires non-negative --k and --l"),
+    ])
+    def test_exact_output(self, capsys, argv, message):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc == {"command": argv[0], "inputs": {}, "results": {"error": message},
+                       "status": "error"}
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == f"command: {argv[0]}\nerror: {message}\nstatus: error\n"
+
+
+class TestTextLists:
+    def test_list_of_dicts(self, capsys):
+        code, out = run(capsys, "verify", "g2zero")
+        assert code == 0
+        zero = [f"  check=z(k={k}, l={p}) at g2 is the zero series  ok=True"
+                for k in range(4) for p in (2, 3)]
+        closed = [f"  check=z(k={k}, l=1) at g2 equals the Weyl-line closed form  ok=True"
+                  for k in range(4)]
+        assert out.splitlines() == [
+            "command: verify", "  identity: g2zero", "  order: 20", "  seed: 0",
+            "  mode: series", "checks:", *zero, *closed, "status: pass",
+        ]
+
+    def test_list_of_lists(self, capsys):
+        code, out = run(capsys, "instanton", "sl6", "--x", "0.5", "--nmax", "2")
+        assert code == 0
+        assert out.splitlines() == [
+            "command: instanton", "  algebra: sl6", "  alpha: -2", "  beta: 2",
+            "  gamma: 6", "  eps1: 0.0", "  eps2: 0.0", "  sigma: 0.0", "  x: 0.5",
+            "  nmax: 2", "rows:",
+            "  1  70.04872414570714  70.04872414570714",
+            "  2  1966.2718011936313  2036.3205253393385",
+            "converged: False", "converged_at: None", "status: pass",
+        ]
 
 
 class TestQdim:
@@ -407,3 +491,22 @@ class TestModuleEntryPoint:
         golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "dim-e8.json"
         assert done.returncode == 0, done.stderr
         assert done.stdout == golden.read_bytes()
+
+
+def readme_commands():
+    """The ``uqdim ...`` lines of the README's "Command line" block, as argv
+    lists without their trailing comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("uqdim ")]
+
+
+class TestReadme:
+    def test_block_is_found(self):
+        assert len(readme_commands()) == 12
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_line_block_runs(self, capsys, argv):
+        code, _ = run(capsys, *argv)
+        assert code == 0

@@ -11,7 +11,7 @@ from uqdim import cli
 from uqdim.crosscheck import TABLES
 from uqdim.errors import PoleAtParameters
 from uqdim.identities import IDENTITY_TABLE, S3_SYM_CUBE, Z_ARGS, term_product
-from uqdim.universal import vogel_params, z_dim_along_line
+from uqdim.universal import algebra_line, vogel_params, z_dim_along_line
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -40,7 +40,8 @@ def test_line_agrees_with_point(which):
     """Each table's line passes through its algebra in the table's slot
     order: wherever a mixed Cartan product is regular at the point, its value
     along the line is the same number."""
-    name, (line, value, line_perm), labels = TABLES[which]
+    name, labels = TABLES[which]
+    line, value, line_perm = algebra_line(name)
     terms = IDENTITY_TABLE[S3_SYM_CUBE].terms
     assert len(labels) == len(terms)
     v = vogel_params(name)

@@ -14,7 +14,7 @@ from uqdim import (
 )
 from uqdim import instanton
 from uqdim.errors import FloatEvaluationError
-from uqdim.universal import adjoint_product
+from uqdim.universal import adjoint_product, cartan_power_product
 
 
 class TestParams:
@@ -135,6 +135,18 @@ class TestSum:
         table = one_instanton_sum(v, ip)
         assert table.converged
         assert table.converged_at is not None and table.converged_at < 50
+
+    def test_zero_product_term(self):
+        # At alpha + 2 beta + 2 gamma = 0 the first Cartan power is the zero
+        # function while no denominator vanishes, as for `uqdim instanton
+        # --alpha=-4 --beta 1 --gamma 1 --x 0.5 --nmax 1`: the term is 0.0,
+        # and a sum of zeros is reported as not converged.
+        v = VogelParams(-4, 1, 1)
+        assert cartan_power_product(v, 1).is_zero
+        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=1)
+        table = one_instanton_sum(v, ip)
+        assert table.rows == ((1, 0.0, 0.0),)
+        assert not table.converged and table.converged_at is None
 
 
 class TestFloatRange:

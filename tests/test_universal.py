@@ -30,7 +30,9 @@ from uqdim import (
 from uqdim import universal
 from uqdim.series import SinhProduct
 from uqdim.universal import (
+    AlgebraId,
     adjoint_product,
+    algebra_line,
     cartan_power_product,
     x2_product,
     y2_product,
@@ -132,6 +134,55 @@ class TestParameters:
     def test_scaled(self):
         v = VogelParams(-2, 4, 8).scaled(2)
         assert v.as_tuple() == (-1, 2, 4)
+
+
+# Per-family Vogel points written out by hand: a reference independent of
+# the line table.
+def _reference_point(family, n):
+    if family == "A":
+        return (-2, 2, n + 1)
+    if family == "B":
+        return (-2, 4, 2 * n - 3)
+    if family == "C":
+        return (-2, 1, n + 2)
+    if family == "D":
+        return (-2, 4, 2 * n - 4)
+    return {
+        ("G", 2): (-2, F(10, 3), F(8, 3)),
+        ("F", 4): (-2, 5, 6),
+        ("E", 6): (-2, 6, 8),
+        ("E", 7): (-2, 8, 12),
+        ("E", 8): (-2, 12, 20),
+    }[(family, n)]
+
+
+LINE_NAMES = ([f"sl{n + 1}" for n in range(1, 13)] + [f"so{2 * n + 1}" for n in range(2, 13)]
+              + [f"sp{2 * n}" for n in range(2, 13)] + [f"so{2 * n}" for n in range(3, 13)]
+              + ["g2", "f4", "e6", "e7", "e8"])
+
+
+class TestAlgebraLine:
+    @pytest.mark.parametrize("name", LINE_NAMES)
+    def test_point_is_on_its_line(self, name):
+        aid = parse_algebra(name)
+        line, value, order = algebra_line(aid)
+        v = vogel_params(aid)
+        assert v == line_params(line, value).permuted(order)
+        assert v.as_tuple() == _reference_point(aid.family, aid.rank)
+        assert algebra_line(name) == (line, value, order)
+
+    def test_lines_and_orders(self):
+        assert algebra_line("sl6") == ("sl", 6, (0, 1, 2))
+        assert algebra_line("so7") == ("so", 7, (0, 1, 2))
+        assert algebra_line("sp6") == ("sp", 6, (0, 1, 2))
+        assert algebra_line("so12") == ("so", 12, (0, 1, 2))
+        assert algebra_line("g2") == ("exc", F(-2, 3), (0, 2, 1))
+        assert algebra_line("f4") == ("exc", 1, (0, 2, 1))
+
+    @pytest.mark.parametrize("lookup", [algebra_line, vogel_params])
+    def test_no_line(self, lookup):
+        with pytest.raises(UnknownAlgebra, match="^no Vogel parameters for E9$"):
+            lookup(AlgebraId("E", 9, "e9"))
 
 
 class TestDimAndCasimir:
@@ -678,6 +729,10 @@ class TestFormPrograms:
     def test_bad_slot(self):
         with pytest.raises(ValueError, match="slot must be one of"):
             y2_product(VogelParams(1, 2, 3), "delta")
+
+    def test_casimir_bad_slot(self):
+        with pytest.raises(ValueError, match="^slot must be one of .*, got 'delta'$"):
+            casimir_y2(VogelParams(1, 2, 3), "delta")
 
 
 # Points where one denominator form vanishes, with the label the pole message
