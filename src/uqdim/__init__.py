@@ -10,7 +10,6 @@ universal one-instanton partition sum.
 
 from .errors import (
     DivisionByZeroSeries,
-    EmptyOrthogonalSubsystem,
     InvalidRank,
     LengthMismatch,
     PoleAtParameters,
@@ -28,7 +27,6 @@ from .identities import (
     SERIES,
     IdentityReport,
     identity_lhs,
-    identity_residual_series,
     identity_rhs,
     sample_params,
     verify_identity,
@@ -43,7 +41,6 @@ from .roots import (
     RootSystem,
     Weight,
     build_root_system,
-    compute_sigma,
     weight_from_dynkin,
     weyl_dim,
     weyl_qdim,
@@ -83,7 +80,6 @@ __all__ = [
     "AlgebraId",
     "DEFAULT_ORDER",
     "DivisionByZeroSeries",
-    "EmptyOrthogonalSubsystem",
     "IDENTITIES",
     "IdentityReport",
     "InstantonParams",
@@ -109,13 +105,11 @@ __all__ = [
     "build_root_system",
     "casimir_adjoint",
     "casimir_y2",
-    "compute_sigma",
     "cosh_series",
     "dim_adjoint",
     "exc_line_dim",
     "exc_line_params",
     "identity_lhs",
-    "identity_residual_series",
     "identity_rhs",
     "line_params",
     "one_instanton_sum",

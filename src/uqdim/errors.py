@@ -31,10 +31,6 @@ class InvalidRank(QdimError):
     """Rank outside the allowed range for the requested root-system family."""
 
 
-class EmptyOrthogonalSubsystem(QdimError):
-    """No positive root is orthogonal to the highest root (rank too small)."""
-
-
 class LengthMismatch(QdimError):
     """Dynkin label list length differs from the root-system rank."""
 

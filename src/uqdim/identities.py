@@ -16,10 +16,9 @@ left-hand side instead.  Identities are checked at seeded random points:
   the coefficient of x^(2j) by m^(2j), products of series are integer
   convolutions, and the sum is cross-multiplied over the lcm of the
   denominators.  A ``Fraction`` is built only for a failure message and for
-  the three ``PowerSeries`` views of the same integer vectors:
-  :func:`identity_lhs`, :func:`identity_rhs` and
-  :func:`identity_residual_series`.  This is the only exact path for either
-  side;
+  the two ``PowerSeries`` views of the same integer vectors:
+  :func:`identity_lhs` and :func:`identity_rhs`.  This is the only exact
+  path for either side;
 * numeric mode checks that the floating-point relative residual is below
   NUMERIC_TOLERANCE at random real points and real x.
 
@@ -214,12 +213,6 @@ def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> P
 def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The sum of universal characters at v to the given order, exactly."""
     return _view(*_rhs(identity, v, order), order)
-
-
-def identity_residual_series(identity: str, v: VogelParams,
-                             order: int = DEFAULT_ORDER) -> PowerSeries:
-    """LHS - RHS at v to the given order, exactly (odd coefficients are 0)."""
-    return _view(*_residual(identity, v, order), order)
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyOrthogonalSubsystem, InvalidRank, LengthMismatch
+from .errors import InvalidRank, LengthMismatch
 from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
 
 Root = tuple[int, ...]
@@ -113,18 +113,6 @@ class RootSystem:
     rho: Vector
     theta: Root
     sigma: Root | None
-
-    @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        return self.positive_roots[:self.rank]
-
-    def gram(self, u, v) -> Fraction:
-        """Invariant scalar product, normalised so (theta, theta) = 2."""
-        return self.diagram.gram(u, v)
-
-    def coroot_pairing(self, lam, root) -> Fraction:
-        """(lam, root^vee) = 2 (lam, root) / (root, root)."""
-        return 2 * self.gram(lam, root) / self.gram(root, root)
 
     def weight(self, vector) -> Weight:
         """The weight with these simple-root coordinates; it must be
@@ -231,16 +219,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     sigma = max(orthogonal, key=lambda mu: (_dot(mu, lengths), mu), default=None)
 
     return RootSystem(family, rank, diagram, tuple(positive), rho, theta, sigma)
-
-
-def compute_sigma(rs: RootSystem) -> Root:
-    """Highest root of the subsystem orthogonal to theta, as found by
-    :func:`build_root_system`; raises when that subsystem is empty."""
-    if rs.sigma is None:
-        raise EmptyOrthogonalSubsystem(
-            f"no positive root of {rs.family}{rs.rank} is orthogonal to the highest root"
-        )
-    return rs.sigma
 
 
 def weight_from_dynkin(rs: RootSystem, labels: Sequence[int]) -> Weight:

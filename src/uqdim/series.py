@@ -352,6 +352,25 @@ class SinhProduct:
     def is_zero(self) -> bool:
         return any(n == 0 and d is not None for n, d, _ in self.factors)
 
+    @property
+    def is_constant(self) -> bool:
+        """Whether the product is a constant function of x: it is zero, or
+        the weights of its |arguments| all cancel, so that every power sum
+        of :meth:`_log_exp` vanishes."""
+        return self.is_zero or not any(self._weights().values())
+
+    def _weights(self) -> dict[int, int]:
+        """|argument| -> its weight in the power sums of :meth:`_log_exp`:
+        +1 per numerator, -1 per denominator, and a cosh argument A as the
+        pair +2A, -A."""
+        weights: dict[int, int] = {}
+        for n, d, _ in self.factors:
+            pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
+            for a, w in pairs:
+                a = abs(a)
+                weights[a] = weights.get(a, 0) + w
+        return weights
+
     def series(self, order: int) -> PowerSeries:
         """Exact series expansion of the product to the given order: the
         :meth:`even_coefficients` at the even powers, zeros at the odd ones."""
@@ -401,12 +420,7 @@ class SinhProduct:
         scale = self.dim()
         if scale == 0:  # a zero numerator
             return [0] * (half + 1), 1, 1
-        weights: dict[int, int] = {}  # |argument| -> weight in the power sum
-        for n, d, _ in self.factors:
-            pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
-            for a, w in pairs:
-                a = abs(a)
-                weights[a] = weights.get(a, 0) + w
+        weights = self._weights()
         common = math.gcd(self.q, *weights)
         lcm = self.q // common
         bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]

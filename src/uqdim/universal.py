@@ -57,8 +57,7 @@ def _slot_order(slot: str) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class VogelParams:
     """A point of Vogel's plane.  Points are projective and defined up to
-    permutation of the three coordinates; t, s, p are the elementary
-    symmetric combinations."""
+    permutation of the three coordinates; t is their sum."""
 
     alpha: Fraction
     beta: Fraction
@@ -75,14 +74,6 @@ class VogelParams:
     def t(self) -> Fraction:
         return self.alpha + self.beta + self.gamma
 
-    @property
-    def s(self) -> Fraction:
-        return self.alpha * self.beta + self.beta * self.gamma + self.alpha * self.gamma
-
-    @property
-    def p(self) -> Fraction:
-        return self.alpha * self.beta * self.gamma
-
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma)
 
@@ -91,11 +82,6 @@ class VogelParams:
         original coordinate (0 = alpha, 1 = beta, 2 = gamma)."""
         triple = self.as_tuple()
         return VogelParams(triple[order[0]], triple[order[1]], triple[order[2]])
-
-    def slot_first(self, slot: str) -> "VogelParams":
-        """Permutation placing the chosen coordinate in the alpha position."""
-        order = _slot_order(slot)
-        return self if order == (0, 1, 2) else self.permuted(order)
 
     def scaled(self, z: Rational) -> "VogelParams":
         """The projectively equivalent point (alpha/z, beta/z, gamma/z)."""

@@ -1,3 +1,5 @@
+import ast
+import io
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -314,6 +317,14 @@ class TestInstanton:
         assert code == 0
         assert [row[0] for row in doc["results"]["rows"]] == [1, 2, 3, 4, 5, 6]
 
+    def test_constant_cartan_power(self, capsys):
+        # The first Cartan power at (-4, 1, 1) is zero, the second the
+        # constant -1.
+        code, doc = run_json(capsys, "instanton", "--alpha=-4", "--beta", "1", "--gamma", "1",
+                             "--x", "0.5", "--nmax", "2")
+        assert code == 0
+        assert doc["results"]["rows"] == [[1, 0.0, 0.0], [2, -1.0, -1.0]]
+
     def test_x_pole_exit_code(self, capsys):
         code, _ = run(capsys, "instanton", "sl6", "--x", "0")
         assert code == 4
@@ -493,13 +504,28 @@ class TestModuleEntryPoint:
         assert done.stdout == golden.read_bytes()
 
 
+def readme_block(heading, language):
+    """The body of the README's first fenced block under ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(rf"## {heading}\n\n```{language}\n(.*?)```", readme, re.S).group(1)
+
+
 def readme_commands():
     """The ``uqdim ...`` lines of the README's "Command line" block, as argv
     lists without their trailing comments."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
-    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in readme_block("Command line", "sh").splitlines()
             if line.startswith("uqdim ")]
+
+
+def readme_library():
+    """The top-level statements of the README's "Library" block, each with
+    the text of the comment that ends its last line, or None."""
+    block = readme_block("Library", "python")
+    comments = {tok.start[0]: tok.string[1:].strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    return [(node, comments.get(node.end_lineno)) for node in ast.parse(block).body]
 
 
 class TestReadme:
@@ -510,3 +536,22 @@ class TestReadme:
     def test_command_line_block_runs(self, capsys, argv):
         code, _ = run(capsys, *argv)
         assert code == 0
+
+    def test_library_block_runs(self):
+        # A comment that starts with True promises the value True; one that
+        # starts with PowerSeries( promises the repr, up to its "...".
+        namespace, promised = {}, 0
+        for node, comment in readme_library():
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            if comment and comment.startswith("True"):
+                assert value is True, ast.unparse(node)
+                promised += 1
+            elif comment and comment.startswith("PowerSeries("):
+                head, dots, _ = comment.partition("...")
+                got = repr(value)
+                assert got.startswith(head) if dots else got == comment, (got, comment)
+                promised += 1
+        assert promised == 3

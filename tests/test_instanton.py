@@ -148,6 +148,14 @@ class TestSum:
         assert table.rows == ((1, 0.0, 0.0),)
         assert not table.converged and table.converged_at is None
 
+    def test_constant_product_term(self, monkeypatch):
+        # The second Cartan power at (-4, 1, 1) is the constant -1, whose
+        # x^0 coefficient the tail rule alone would read as a tail at every
+        # order; it returns at the first order.
+        monkeypatch.setattr(instanton, "_MAX_ORDER", instanton._START_ORDER)
+        product = cartan_power_product(VogelParams(-4, 1, 1), 2)
+        assert instanton._eval_adaptive(product, 0.5) == -1.0
+
 
 class TestFloatRange:
     def test_no_convergence_by_the_order_cap(self, monkeypatch):

@@ -6,12 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from uqdim import (
-    EmptyOrthogonalSubsystem,
     InvalidRank,
     LengthMismatch,
     PowerSeries,
     build_root_system,
-    compute_sigma,
     sinh_ratio_series,
     vogel_params,
     weight_from_dynkin,
@@ -22,6 +20,12 @@ from uqdim.roots import weyl_qdim_product
 
 NINE = [("A", 5), ("B", 3), ("C", 3), ("D", 6), ("G", 2), ("F", 4),
         ("E", 6), ("E", 7), ("E", 8)]
+
+
+def coroot_pairing(rs, lam, root):
+    """(lam, root^vee) = 2 (lam, root) / (root, root)."""
+    g = rs.diagram.gram
+    return 2 * g(lam, root) / g(root, root)
 
 
 class TestConstruction:
@@ -45,13 +49,13 @@ class TestConstruction:
     @pytest.mark.parametrize("family,rank", NINE)
     def test_long_root_normalisation(self, family, rank):
         rs = build_root_system(family, rank)
-        assert rs.gram(rs.theta, rs.theta) == 2
+        assert rs.diagram.gram(rs.theta, rs.theta) == 2
 
     @pytest.mark.parametrize("family,rank", NINE)
     def test_rho_pairs_to_one_with_simple_coroots(self, family, rank):
         rs = build_root_system(family, rank)
-        for mu in rs.simple_roots:
-            assert rs.coroot_pairing(rs.rho, mu) == 1
+        for mu in rs.positive_roots[:rs.rank]:
+            assert coroot_pairing(rs, rs.rho, mu) == 1
 
     @pytest.mark.parametrize("family,rank", NINE)
     def test_rho_is_half_sum(self, family, rank):
@@ -67,16 +71,16 @@ class TestConstruction:
 
     def test_g2_theta_in_simple_basis(self):
         rs = build_root_system("G", 2)
-        a1, a2 = rs.simple_roots
+        a1, a2 = rs.positive_roots[:rs.rank]
         expected = tuple(3 * x + 2 * y for x, y in zip(a1, a2))
         assert rs.theta == expected
 
     def test_g2_root_lengths(self):
         rs = build_root_system("G", 2)
-        a1, a2 = rs.simple_roots
-        assert rs.gram(a1, a1) == F(2, 3)
-        assert rs.gram(a2, a2) == 2
-        assert rs.gram(a1, a2) == -1
+        a1, a2 = rs.positive_roots[:rs.rank]
+        assert rs.diagram.gram(a1, a1) == F(2, 3)
+        assert rs.diagram.gram(a2, a2) == 2
+        assert rs.diagram.gram(a1, a2) == -1
 
 
 class TestThetaStrings:
@@ -84,8 +88,8 @@ class TestThetaStrings:
         # 32 roots pair to 1 with theta, in strings of lengths 16, 10, 6
         # starting at heights 1, 4, 6.
         rs = build_root_system("E", 7)
-        heights = [rs.gram(rs.rho, mu) for mu in rs.positive_roots
-                   if rs.gram(rs.theta, mu) == 1]
+        heights = [rs.diagram.gram(rs.rho, mu) for mu in rs.positive_roots
+                   if rs.diagram.gram(rs.theta, mu) == 1]
         assert len(heights) == 32
         expected = Counter()
         for start, length in [(F(1), 16), (F(4), 10), (F(6), 6)]:
@@ -107,8 +111,8 @@ class TestThetaStrings:
         for start, length in zip(starts, lengths):
             for i in range(int(length)):
                 expected[start + i] += 1
-        got = Counter(rs.gram(rs.rho, mu) for mu in rs.positive_roots
-                      if rs.gram(rs.theta, mu) == 1)
+        got = Counter(rs.diagram.gram(rs.rho, mu) for mu in rs.positive_roots
+                      if rs.diagram.gram(rs.theta, mu) == 1)
         assert got == expected
 
     @pytest.mark.parametrize("name", ["sp6", "g2"])
@@ -122,30 +126,30 @@ class TestThetaStrings:
 
 class TestSigma:
     def test_a1_has_no_orthogonal_root(self):
-        rs = build_root_system("A", 1)
-        assert rs.sigma is None
-        with pytest.raises(EmptyOrthogonalSubsystem):
-            compute_sigma(rs)
+        assert build_root_system("A", 1).sigma is None
+
+    def test_a2_has_no_orthogonal_root(self):
+        assert build_root_system("A", 2).sigma is None
 
     def test_g2_sigma_is_short_simple_root(self):
         rs = build_root_system("G", 2)
-        sigma = compute_sigma(rs)
-        assert sigma == rs.simple_roots[0]
-        assert rs.gram(rs.theta, sigma) == 0
+        sigma = rs.sigma
+        assert sigma == rs.positive_roots[0]
+        assert rs.diagram.gram(rs.theta, sigma) == 0
 
     def test_e7_sigma(self):
         rs = build_root_system("E", 7)
-        sigma = compute_sigma(rs)
-        assert rs.gram(rs.theta, sigma) == 0
-        assert rs.gram(sigma, sigma) == 2
+        sigma = rs.sigma
+        assert rs.diagram.gram(rs.theta, sigma) == 0
+        assert rs.diagram.gram(sigma, sigma) == 2
 
     def test_sigma_maximises_height(self):
         for family, rank in [("A", 5), ("D", 6), ("F", 4), ("E", 7)]:
             rs = build_root_system(family, rank)
-            sigma = compute_sigma(rs)
+            sigma = rs.sigma
             for mu in rs.positive_roots:
-                if rs.gram(rs.theta, mu) == 0 and mu != sigma:
-                    assert rs.gram(rs.rho, mu) < rs.gram(rs.rho, sigma)
+                if rs.diagram.gram(rs.theta, mu) == 0 and mu != sigma:
+                    assert rs.diagram.gram(rs.rho, mu) < rs.diagram.gram(rs.rho, sigma)
 
     @pytest.mark.parametrize("name,family,rank,labels", [
         ("sl6", "A", 5, (1, 1, 0, 1, 1)),
@@ -318,9 +322,8 @@ class TestWeights:
         # zip would drop the extra coordinate (both used to return 2 for
         # the first pair) or the form would fail on a missing one.
         rs = build_root_system("B", 3)
-        for pairing in (rs.gram, rs.diagram.gram, rs.coroot_pairing):
-            with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
-                pairing(u, v)
+        with pytest.raises(ValueError, match="^weight vector has wrong dimension$"):
+            rs.diagram.gram(u, v)
 
     def test_integral_float_labels_are_accepted(self):
         rs = build_root_system("B", 3)
@@ -642,15 +645,16 @@ class TestPinnedInvariants:
     def test_matches_orthogonal_realisation(self, name):
         count, rho, theta, norm, theta_labels, sigma_labels, gram, dims = PINNED[name]
         rs = _build(name)
+        g = rs.diagram.gram
         positive = rs.positive_roots
         assert len(positive) == count
-        assert _multiset(rs.gram(rs.rho, mu) for mu in positive) == rho
-        assert _multiset(rs.gram(rs.theta, mu) for mu in positive) == theta
-        assert _multiset(rs.gram(mu, mu) for mu in positive) == norm
+        assert _multiset(g(rs.rho, mu) for mu in positive) == rho
+        assert _multiset(g(rs.theta, mu) for mu in positive) == theta
+        assert _multiset(g(mu, mu) for mu in positive) == norm
         assert rs.dynkin_labels(rs.theta) == theta_labels
         assert (None if rs.sigma is None else rs.dynkin_labels(rs.sigma)) == sigma_labels
-        assert "/".join(" ".join(str(rs.gram(a, b)) for b in rs.simple_roots)
-                        for a in rs.simple_roots) == gram
+        simple = positive[:rs.rank]
+        assert "/".join(" ".join(str(g(a, b)) for b in simple) for a in simple) == gram
         fundamental = [weyl_dim(rs, weight_from_dynkin(rs, [int(i == j) for i in range(rs.rank)]))
                        for j in range(rs.rank)]
         assert tuple(fundamental) == dims
@@ -660,8 +664,9 @@ def _reference_factors(rs, vec):
     """The Weyl product's factors (N/q, D/q, label) worked out from the
     invariant form: 2 (mu, lam + rho) and 2 (mu, rho) for every positive
     root mu, dropping the ratios that are identically 1."""
+    g = rs.diagram.gram
     shifted = tuple(a + b for a, b in zip(vec, rs.rho))
-    factors = [(2 * rs.gram(mu, shifted), 2 * rs.gram(mu, rs.rho), f"2*(rho, {mu})")
+    factors = [(2 * g(mu, shifted), 2 * g(mu, rs.rho), f"2*(rho, {mu})")
                for mu in rs.positive_roots]
     return [factor for factor in factors if factor[0] != factor[1]]
 
@@ -687,10 +692,10 @@ class TestRootProperties:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_simple_reflections_permute_other_positive_roots(self, name):
         rs = _build(name)
-        for alpha in rs.simple_roots:
+        for alpha in rs.positive_roots[:rs.rank]:
             others = {mu for mu in rs.positive_roots if mu != alpha}
             reflected = {
-                tuple(m - rs.coroot_pairing(mu, alpha) * a for m, a in zip(mu, alpha))
+                tuple(m - coroot_pairing(rs, mu, alpha) * a for m, a in zip(mu, alpha))
                 for mu in others
             }
             assert reflected == others

