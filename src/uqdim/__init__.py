@@ -13,7 +13,6 @@ from .errors import (
     InvalidRank,
     LengthMismatch,
     PoleAtParameters,
-    PoleAtX,
     QdimError,
     UnknownAlgebra,
     ZeroDenominatorForm,
@@ -88,7 +87,6 @@ __all__ = [
     "LengthMismatch",
     "NUMERIC",
     "PoleAtParameters",
-    "PoleAtX",
     "PowerSeries",
     "QdimError",
     "Rational",

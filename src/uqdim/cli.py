@@ -6,8 +6,8 @@ Every command is deterministic given its full flag set (including --seed) and
 values are printed as rational strings "p/q", never as floats.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 parameter-space pole, 4 evaluation pole in x, 5 float evaluation out of
-range (a value that overflows, or a series that does not converge).
+3 parameter-space pole, 5 float evaluation out of range (a value that
+overflows, or a series that does not converge).  4 is no longer produced.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     InvalidRank,
     LengthMismatch,
     PoleAtParameters,
-    PoleAtX,
     UnknownAlgebra,
 )
 from .identities import IDENTITIES, NUMERIC, SERIES, verify_identity
@@ -50,7 +49,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PARAM_POLE = 3
-EXIT_X_POLE = 4
 EXIT_FLOAT = 5
 
 
@@ -277,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact universal quantum dimensions on Vogel's plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    real = "float or fraction p/q; use --%s=-1/3 for a negative fraction"
 
     p = sub.add_parser("dim", parents=[common],
                        help="adjoint dimension and Casimir values")
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot", choices=list(SLOTS), help="Y2 slot (kind=y2)")
     p.add_argument("--k", type=int, help="adjoint factors (kind=z)")
     p.add_argument("--l", type=int, help="Y2(beta) factors (kind=z)")
-    p.add_argument("--x", type=float, help="evaluate numerically at x")
+    p.add_argument("--x", type=_real, help="evaluate numerically at x, a " + real % "x")
     p.add_argument("--series", type=int, metavar="ORDER",
                    help="emit exact series coefficients to this order "
                         f"(0..{MAX_SERIES_ORDER}; default QDIM_SERIES_ORDER "
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instanton", parents=[common],
                        help="one-instanton term table")
     _add_param_args(p)
-    real = "float or fraction p/q; use --%s=-1/3 for a negative fraction"
     p.add_argument("--eps1", type=_real, default=0.0, help=real % "eps1")
     p.add_argument("--eps2", type=_real, default=0.0, help=real % "eps2")
     p.add_argument("--sigma", type=_real, default=0.0, help=real % "sigma")
@@ -390,9 +388,6 @@ def main(argv=None) -> int:
     except PoleAtParameters as exc:
         _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_PARAM_POLE
-    except PoleAtX as exc:
-        _emit(_error_doc(args.command, str(exc)), as_json)
-        return EXIT_X_POLE
     except FloatEvaluationError as exc:
         _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_FLOAT

@@ -18,10 +18,6 @@ class PoleAtParameters(QdimError):
     parameter point.  The offending form is named in the message."""
 
 
-class PoleAtX(QdimError):
-    """Numeric evaluation hit a vanishing sinh denominator in the x variable."""
-
-
 class FloatEvaluationError(QdimError):
     """A floating-point evaluation left the range of floats: a value that
     overflows, or a series that does not converge by the order cap."""

@@ -285,7 +285,6 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
     failures = []
     accepted = 0
     index = 0
-    all_zero = True
     while accepted < trials:
         v = sample_params(seed, index)
         index += 1
@@ -296,7 +295,6 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
         accepted += 1
         first_bad = next((j for j, r in enumerate(residual) if r), None)
         if first_bad is not None:
-            all_zero = False
             failures.append((v.as_tuple(), f"coefficient of x^{2 * first_bad} is "
                                            f"{Fraction(residual[first_bad], den)}"))
     return IdentityReport(
@@ -305,7 +303,7 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
         order_checked=order,
         points_checked=accepted,
         seed=seed,
-        exact_zero=all_zero,
+        exact_zero=not failures,
         failures=tuple(failures),
     )
 

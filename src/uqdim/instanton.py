@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FloatEvaluationError, PoleAtX
+from .errors import FloatEvaluationError
 from .series import SinhProduct
 from .universal import VogelParams, cartan_power_product
 
@@ -33,8 +33,8 @@ class InstantonParams:
 
     ``sigma_n`` is the expansion parameter multiplying eps1 + eps2 (named to
     avoid any confusion with the root called sigma elsewhere in the package);
-    ``x`` is the Weyl-line coordinate and must avoid the real zero x = 0 of
-    the sinh denominators.
+    ``x`` is the Weyl-line coordinate, any finite float (at x = 0 term n is
+    the weight times the dimension of the n-th Cartan power).
     """
 
     eps1: float
@@ -48,8 +48,6 @@ class InstantonParams:
             raise ValueError("n_max must be at least 1")
         if not all(math.isfinite(v) for v in (self.eps1, self.eps2, self.sigma_n, self.x)):
             raise ValueError("instanton parameters must be finite")
-        if self.x == 0:
-            raise PoleAtX("x = 0 is a zero of every sinh denominator")
 
 
 @dataclass(frozen=True)

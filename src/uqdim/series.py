@@ -44,7 +44,6 @@ from .errors import (
     DivisionByZeroSeries,
     FloatEvaluationError,
     PoleAtParameters,
-    PoleAtX,
     ZeroDenominatorForm,
 )
 
@@ -465,7 +464,9 @@ class SinhProduct:
         return Fraction(num, den)
 
     def value_at(self, x: float) -> float:
-        """Direct floating-point evaluation at a real x (x = 0 gives dim).
+        """Direct floating-point evaluation at a real x (x = 0 gives dim).  A
+        ratio sinh(a)/sinh(b) whose sinh(b) underflows to 0 is its limit N/D;
+        one whose sinh overflows is sgn(ab) e^(|a|-|b|) (1 - e^(-2|a|)) / (1 - e^(-2|b|)).
         A value that is not a finite float raises FloatEvaluationError."""
         if x == 0:
             return float(self.dim())
@@ -476,10 +477,13 @@ class SinhProduct:
                 if d is None:
                     acc *= 2.0 * math.cosh(n / q * x / 4.0)
                     continue
-                s = math.sinh(d / q * x / 4.0)
-                if s == 0.0:
-                    raise PoleAtX(f"sinh({Fraction(d, q)} * x/4) vanishes at x={x}")
-                acc *= math.sinh(n / q * x / 4.0) / s
+                try:
+                    s = math.sinh(d / q * x / 4.0)
+                    acc *= math.sinh(n / q * x / 4.0) / s if s else n / d
+                except OverflowError:
+                    a, b = n / q * x / 4.0, d / q * x / 4.0
+                    acc *= (math.copysign(math.exp(abs(a) - abs(b)), a * b)
+                            * math.expm1(-2 * abs(a)) / math.expm1(-2 * abs(b)))
         except OverflowError:
             acc = math.inf
         if not math.isfinite(acc):

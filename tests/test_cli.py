@@ -233,6 +233,19 @@ class TestQdim:
         assert code == 0
         assert out == self.SERIES_PINS[argv] + "\n"
 
+    def test_fraction_x(self, capsys):
+        code, fraction = run(capsys, "qdim", "adjoint", "e8", "--x", "1/3", "--json")
+        assert code == 0
+        assert json.loads(fraction)["results"]["value"] == 66663.84930614666
+        _, decimal = run(capsys, "qdim", "adjoint", "e8", "--x", "0.3333333333333333",
+                         "--json")
+        assert fraction == decimal
+
+    def test_help_names_fraction_x(self, capsys):
+        code, out = run(capsys, "qdim", "--help")
+        assert code == 0
+        assert "--x=-1/3" in out
+
     def test_input_order_in_text_mode(self, capsys):
         code, out = run(capsys, "qdim", "cartan", "--n", "2", "e8", "--x", "0.5")
         assert code == 0
@@ -325,9 +338,11 @@ class TestInstanton:
         assert code == 0
         assert doc["results"]["rows"] == [[1, 0.0, 0.0], [2, -1.0, -1.0]]
 
-    def test_x_pole_exit_code(self, capsys):
-        code, _ = run(capsys, "instanton", "sl6", "--x", "0")
-        assert code == 4
+    def test_x_zero_rows(self, capsys):
+        # x = 0 is no pole: the rows are the Cartan powers' dimensions.
+        code, doc = run_json(capsys, "instanton", "sl6", "--x", "0", "--nmax", "2")
+        assert code == 0
+        assert doc["results"]["rows"] == [[1, 35.0, 35.0], [2, 405.0, 440.0]]
 
     def test_fraction_flag(self, capsys):
         code, doc = run_json(capsys, "instanton", "e8", "--x", "1", "--eps1", "1/3")
@@ -381,17 +396,30 @@ def _no_constant(name):
 class TestFloatRange:
     @pytest.mark.parametrize("x", ["100", "25"])
     def test_overflow_exit_code(self, capsys, x):
+        # e8's adjoint at x = 25 is about e^725, past the float range.
         code = cli.main(["qdim", "adjoint", "e8", "--x", x, "--json"])
         doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
         assert code == cli.EXIT_FLOAT == 5
         assert doc["status"] == "error"
-        assert "not a finite float" in doc["results"]["error"]
+        assert doc["results"]["error"] == f"qdim_adjoint at x={x}.0 is not a finite float"
+
+    def test_overflowing_sinh_with_finite_value(self, capsys):
+        # sl2's adjoint is sinh(3x/2) / sinh(x/2): math.sinh(750) overflows,
+        # but the value at x = 500 is about e^500.
+        code, doc = run_json(capsys, "qdim", "adjoint", "sl2", "--x", "500")
+        assert code == 0
+        assert doc["results"]["value"] == pytest.approx(math.exp(500), rel=1e-15)
+
+    def test_underflowing_sinh_gives_dimension(self, capsys):
+        code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", "5e-324")
+        assert code == 0
+        assert doc["results"]["value"] == 248.0
 
     @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_non_finite_x_is_usage_error(self, capsys, x):
         code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", x)
         assert code == 2
-        assert "finite" in doc["results"]["error"]
+        assert doc["results"]["error"] == f"--x must be finite, got {x}"
 
     def test_instanton_overflow_exit_code(self, capsys):
         code = cli.main(["instanton", "e8", "--x", "100", "--nmax", "1", "--json"])

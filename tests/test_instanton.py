@@ -4,7 +4,6 @@ import pytest
 
 from uqdim import (
     InstantonParams,
-    PoleAtX,
     VogelParams,
     build_root_system,
     one_instanton_sum,
@@ -22,9 +21,16 @@ class TestParams:
         with pytest.raises(ValueError):
             InstantonParams(eps1=0.1, eps2=0.1, sigma_n=-1.0, x=0.5, n_max=0)
 
-    def test_rejects_x_zero(self):
-        with pytest.raises(PoleAtX):
-            InstantonParams(eps1=0.1, eps2=0.1, sigma_n=-1.0, x=0.0, n_max=3)
+    def test_x_zero_sums_dimensions(self):
+        # x = 0 is no pole: term n is exp(n sigma (eps1 + eps2)) times the
+        # dimension of the n-th Cartan power, 35, 405 and 2695 at sl6.
+        ip = InstantonParams(eps1=0.1, eps2=0.1, sigma_n=-1.0, x=0.0, n_max=3)
+        table = one_instanton_sum(vogel_params("sl6"), ip)
+        partial = 0.0
+        for (n, term, running), dim in zip(table.rows, (35, 405, 2695), strict=True):
+            weighted = math.exp(n * ip.sigma_n * (ip.eps1 + ip.eps2)) * dim
+            partial += weighted
+            assert (term, running) == (weighted, partial)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

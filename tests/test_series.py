@@ -18,7 +18,7 @@ from uqdim import (
 from uqdim import series as series_module
 from uqdim.errors import FloatEvaluationError
 from uqdim.series import cosh_series, log_coefficients, tangent_numbers
-from uqdim.universal import cartan_power_product
+from uqdim.universal import adjoint_product, cartan_power_product
 
 from conftest import rand_fraction, reference_lhs, reference_rhs
 
@@ -243,6 +243,25 @@ class TestSinhProduct:
             p.value_at(250.0)
         with pytest.raises(FloatEvaluationError):
             SinhProduct([(4, None, "")], 1).value_at(1000.0)
+
+    def test_value_at_underflow_gives_limit(self):
+        # e8's adjoint is -sinh(40u) sinh(48u) sinh(62u) / (sinh(20u) sinh(12u)
+        # sinh(-2u)) with u = x/4.  At the smallest float, 40u and 20u are 10
+        # and 5 of its units and 48u and 12u are 12 and 3, so those ratios are
+        # exact; math.sinh(-2u) is 0, and that ratio contributes its limit -31.
+        p = adjoint_product(vogel_params("e8"))
+        assert math.sinh(-2 * 5e-324 / 4) == 0.0
+        assert p.value_at(5e-324) == 248.0 == (-1) * 2 * 4 * (-31)
+
+    def test_value_at_sinh_overflow(self):
+        # math.sinh(750) overflows; sinh(750) / sinh(250) is about e^500.
+        p = SinhProduct([(6, -2, "")], 1, sign=-1)
+        with pytest.raises(OverflowError):
+            math.sinh(750.0)
+        assert p.value_at(500.0) == pytest.approx(math.exp(500), rel=1e-15)
+        assert p.value_at(-500.0) == p.value_at(500.0)
+        assert SinhProduct([(3, 1, "")], 1).value_at(1000.0) == pytest.approx(
+            math.exp(500), rel=1e-15)
 
     def test_value_at_non_finite_x(self):
         p = SinhProduct([(3, 1, "")], 1)
