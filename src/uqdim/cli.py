@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -67,6 +68,12 @@ class _ParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e-3 and -1/3 are values, not options (argparse's own pattern
+        # reads only the likes of -5 and -0.5 as negative numbers)
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d./eE+-]*$")
+
     def error(self, message):
         raise _ParseError(self, message)
 
@@ -259,8 +266,7 @@ def _real(text: str) -> float:
 def _add_param_args(sp) -> None:
     sp.add_argument("algebra", nargs="*",
                     help='algebra name, e.g. "e8", "sl 6", "so 12"')
-    sp.add_argument("--alpha", type=_rational,
-                    help="rational value; use --alpha=-10/3 for negative fractions")
+    sp.add_argument("--alpha", type=_rational, help="rational value, e.g. -10/3")
     sp.add_argument("--beta", type=_rational)
     sp.add_argument("--gamma", type=_rational)
 
@@ -275,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact universal quantum dimensions on Vogel's plane.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    real = "float or fraction p/q; use --%s=-1/3 for a negative fraction"
+    real = "float or fraction p/q"
 
     p = sub.add_parser("dim", parents=[common],
                        help="adjoint dimension and Casimir values")
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slot", choices=list(SLOTS), help="Y2 slot (kind=y2)")
     p.add_argument("--k", type=int, help="adjoint factors (kind=z)")
     p.add_argument("--l", type=int, help="Y2(beta) factors (kind=z)")
-    p.add_argument("--x", type=_real, help="evaluate numerically at x, a " + real % "x")
+    p.add_argument("--x", type=_real, help="evaluate numerically at x, a " + real)
     p.add_argument("--series", type=int, metavar="ORDER",
                    help="emit exact series coefficients to this order "
                         f"(0..{MAX_SERIES_ORDER}; default QDIM_SERIES_ORDER "
@@ -316,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instanton", parents=[common],
                        help="one-instanton term table")
     _add_param_args(p)
-    p.add_argument("--eps1", type=_real, default=0.0, help=real % "eps1")
-    p.add_argument("--eps2", type=_real, default=0.0, help=real % "eps2")
-    p.add_argument("--sigma", type=_real, default=0.0, help=real % "sigma")
-    p.add_argument("--x", type=_real, required=True, help=real % "x")
+    p.add_argument("--eps1", type=_real, default=0.0, help=real)
+    p.add_argument("--eps2", type=_real, default=0.0, help=real)
+    p.add_argument("--sigma", type=_real, default=0.0, help=real)
+    p.add_argument("--x", type=_real, required=True, help=real)
     p.add_argument("--nmax", type=int, default=10)
     p.set_defaults(handler=cmd_instanton)
 

@@ -269,10 +269,10 @@ def verify_identity(identity: str, mode: str = SERIES, order: int = DEFAULT_ORDE
     numeric mode demands relative residuals below ``NUMERIC_TOLERANCE`` at
     random real parameters and x in [0.05, 1].  Points on (or, numerically,
     near) the pole set are rejected and redrawn; the run is deterministic in
-    ``seed``.
+    ``seed``.  Only series mode reads ``order``.
     """
     _identity(identity)
-    if order < 1 or trials < 1:
+    if trials < 1 or (mode == SERIES and order < 1):
         raise ValueError("order and trials must be positive")
     if mode == SERIES:
         return _verify_series(identity, order, trials, seed)

@@ -17,26 +17,27 @@ identity checker) is built from two primitives defined here:
   ``N / q``.
 
 A product is expanded in one step, as the exponential of integer power sums
-of its arguments: ``log(sinh z / z)`` and ``log cosh z`` are even series
-whose coefficients come from the tangent numbers (Knuth & Buckholtz,
-*Computation of tangent, Euler, and Bernoulli numbers*, Math. Comp. 21,
-1967).  Those coefficients are computed on first use and cached.  The
-exponential is taken in integers over one running denominator, so a product
-of F factors to order K costs O(F*K + K^2) integer operations and one gcd
-per coefficient.  Both expansions share that one integer core; the series
-puts each coefficient over its own power of the step ``16 L^2`` (see
+of its arguments: ``log(sinh z / z)`` is an even series whose coefficients
+come from the tangent numbers (Knuth & Buckholtz, *Computation of tangent,
+Euler, and Bernoulli numbers*, Math. Comp. 21, 1967).  The exponential is
+taken in integers over one running denominator, so a product of F factors
+to order K costs O(F*K + K^2) integer operations and one gcd per
+coefficient.  Both expansions share that one integer core; the series puts
+each coefficient over its own power of the step ``16 L^2`` (see
 ``SinhProduct._log_exp``), which keeps its Fractions small at high order.
 
 All values are immutable after construction and every operation is a pure
-function.  The only shared state is that coefficient cache, which grows
-under a lock, so concurrent use needs no locking by the caller.
+function.  The one cache, :func:`log_sinh_numerators`, memoises a pure
+function of an integer and holds immutable tuples, so concurrent use needs
+no locking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-import threading
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -281,32 +282,16 @@ def tangent_numbers(n: int) -> list[int]:
     return t
 
 
-_LOG_COEFFS: tuple[tuple[Fraction, Fraction], ...] = ()
-_LOG_COEFFS_LOCK = threading.Lock()
-
-
-def log_coefficients(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """At least n pairs ``(c_k, h_k)``, k = 1, 2, ..., of the even series
-    ``log(sinh z / z) = sum c_k z^{2k}`` and ``log cosh z = sum h_k z^{2k}``.
-
-    ``h_k = (-1)^(k-1) T_{2k-1} / (2k)!`` and ``c_k = h_k / (4^k - 1)``, the
-    latter from ``sinh 2z = 2 sinh z cosh z``.  The cache only grows: a
-    longer request appends entries and keeps the existing ones.
-    """
-    global _LOG_COEFFS
-    with _LOG_COEFFS_LOCK:
-        have = len(_LOG_COEFFS)
-        if have < n:
-            size = max(n, 2 * have)
-            tangent = tangent_numbers(size)
-            factorial = math.factorial(2 * have)
-            fresh = []
-            for k in range(have + 1, size + 1):
-                factorial *= (2 * k - 1) * (2 * k)
-                h = Fraction((-1) ** (k - 1) * tangent[k - 1], factorial)
-                fresh.append((h / (4 ** k - 1), h))
-            _LOG_COEFFS += tuple(fresh)
-        return _LOG_COEFFS
+@functools.cache
+def log_sinh_numerators(half: int) -> tuple[tuple[int, ...], int]:
+    """The coefficients c_1..c_half of the even series ``log(sinh z / z) =
+    sum c_k z^{2k}`` as ``(nums, omega)``: ``c_k = nums[k-1] / omega``, where
+    ``omega`` is the lcm of the reduced denominators of the ``c_k`` and
+    ``c_k = (-1)^(k-1) T_{2k-1} / ((2k)! (4^k - 1))``."""
+    coeffs = [Fraction((-1) ** k * t, math.factorial(2 * k + 2) * (4 ** (k + 1) - 1))
+              for k, t in enumerate(tangent_numbers(half))]
+    omega = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (omega // c.denominator) for c in coeffs), omega
 
 
 class SinhProduct:
@@ -393,24 +378,23 @@ class SinhProduct:
         ``nums[m] / (den * step**m)`` with integers ``nums``, ``den`` and
         ``step``.
 
-        In ``y = x^2``, with ``L = q / gcd(q, all N_j, D_j, A_i)`` and the
-        arguments scaled to the integers ``N_j L / q``, ``D_j L / q`` and
-        ``A_i L / q`` (written N_j, D_j, A_i below),
+        In ``y = x^2``, with ``L = q / gcd(q, all arguments)`` and each
+        argument ``a`` scaled to the integer ``a L / q``,
 
             product = dim * exp(sum_{k>=1} g_k y^k),
-            g_k = (c_k sum_j (N_j^{2k} - D_j^{2k}) + h_k sum_i A_i^{2k}) / (16 L^2)^k,
+            g_k = c_k sum_a w_a a^{2k} / (16 L^2)^k,
 
-        where ``dim`` is :meth:`dim` and ``c_k``, ``h_k`` are the
-        :func:`log_coefficients`.  Since ``h_k = (4^k - 1) c_k``, a cosh
-        argument ``A`` enters the first power sum as the pair ``2A``, ``A``.
-        The power sums are plain integers, and the exponential follows from
+        where ``dim`` is :meth:`dim`, ``w_a`` the :meth:`_weights` and
+        ``c_k = nums[k-1] / Omega`` from :func:`log_sinh_numerators`.  A cosh
+        argument ``A`` enters as the pair ``2A``, ``A`` because ``log cosh z =
+        sum (4^k - 1) c_k z^{2k}``, from ``sinh 2z = 2 sinh z cosh z``.  The
+        power sums are plain integers, and the exponential follows from
         ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.
 
-        The recursion runs in integers.  The ``c_k`` are put over ``Omega``,
-        the lcm of their denominators, so each weight ``j g_j (16 L^2)^j
-        Omega`` is an integer.  ``e_0..e_{m-1}`` are integer numerators over
-        one running denominator ``Delta``; each new sum is reduced by one
-        gcd, and when its denominator does not divide ``Delta`` the stored
+        The recursion runs in integers: each weight ``j g_j (16 L^2)^j Omega``
+        is an integer, and ``e_0..e_{m-1}`` are integer numerators over one
+        running denominator ``Delta``; each new sum is reduced by one gcd,
+        and when its denominator does not divide ``Delta`` the stored
         numerators are rescaled.  ``step`` is ``16 L^2``.
         """
         if order < 0:
@@ -424,15 +408,14 @@ class SinhProduct:
         lcm = self.q // common
         bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
         powers = [1] * len(bases)
-        coeffs = log_coefficients(half)[:half]
-        omega = math.lcm(*(c.denominator for c, _ in coeffs))
+        coeffs, omega = log_sinh_numerators(half)
         weighted = []  # j * g_j * (16 L^2)^j * omega, an integer, for j = 1..half
-        for k, (c, _) in enumerate(coeffs, 1):
+        for k, c in enumerate(coeffs, 1):
             total = 0
             for i, (square, w) in enumerate(bases):
                 powers[i] *= square
                 total += w * powers[i]
-            weighted.append(c.numerator * (omega // c.denominator) * k * total)
+            weighted.append(c * k * total)
         # Exponentiate in u = y / (16 L^2), where the coefficients keep small
         # denominators, and return to y at the end.  e_i = exp[i] / delta.
         exp = [1]
@@ -465,23 +448,24 @@ class SinhProduct:
 
     def value_at(self, x: float) -> float:
         """Direct floating-point evaluation at a real x (x = 0 gives dim).  A
-        ratio sinh(a)/sinh(b) whose sinh(b) underflows to 0 is its limit N/D;
-        one whose sinh overflows is sgn(ab) e^(|a|-|b|) (1 - e^(-2|a|)) / (1 - e^(-2|b|)).
+        ratio sinh(a)/sinh(b) with a or b below the smallest normal float in
+        magnitude is its limit N/D; one whose sinh overflows is
+        sgn(ab) e^(|a|-|b|) (1 - e^(-2|a|)) / (1 - e^(-2|b|)).
         A value that is not a finite float raises FloatEvaluationError."""
         if x == 0:
             return float(self.dim())
         q = self.q
+        tiny = sys.float_info.min
         acc = float(self.sign)
         try:
             for n, d, _ in self.factors:
                 if d is None:
                     acc *= 2.0 * math.cosh(n / q * x / 4.0)
                     continue
+                a, b = n / q * x / 4.0, d / q * x / 4.0
                 try:
-                    s = math.sinh(d / q * x / 4.0)
-                    acc *= math.sinh(n / q * x / 4.0) / s if s else n / d
+                    acc *= n / d if abs(a) < tiny or abs(b) < tiny else math.sinh(a) / math.sinh(b)
                 except OverflowError:
-                    a, b = n / q * x / 4.0, d / q * x / 4.0
                     acc *= (math.copysign(math.exp(abs(a) - abs(b)), a * b)
                             * math.expm1(-2 * abs(a)) / math.expm1(-2 * abs(b)))
         except OverflowError:

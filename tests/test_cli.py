@@ -101,6 +101,24 @@ class TestRationalFlags:
         assert doc["results"]["error"] == f"argument --alpha: invalid Fraction value: {text!r}"
 
 
+class TestNegativeValues:
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["qdim", "adjoint", "e8"], "--x", "-1e-3"),
+        (["dim", "--beta", "1", "--gamma", "1"], "--alpha", "-1/3"),
+        (["instanton", "e8", "--x", "0.1", "--nmax", "1"], "--sigma", "-2e-1"),
+    ], ids=["qdim-x", "dim-alpha", "instanton-sigma"])
+    def test_spaced_value_matches_equals_form(self, capsys, argv, flag, value):
+        code, spaced = run_json(capsys, *argv, flag, value)
+        assert code == 0
+        assert run_json(capsys, *argv, f"{flag}={value}") == (0, spaced)
+
+    @pytest.mark.parametrize("text", ["-inf", "-nan"])
+    def test_non_numbers_stay_options(self, capsys, text):
+        code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", text)
+        assert code == 2
+        assert doc["results"]["error"] == "argument --x: expected one argument"
+
+
 class TestUsageErrors:
     """Usage errors raised by the handlers, pinned to their exact output."""
 
@@ -244,7 +262,8 @@ class TestQdim:
     def test_help_names_fraction_x(self, capsys):
         code, out = run(capsys, "qdim", "--help")
         assert code == 0
-        assert "--x=-1/3" in out
+        assert "float or fraction p/q" in out
+        assert "=-1/3" not in out
 
     def test_input_order_in_text_mode(self, capsys):
         code, out = run(capsys, "qdim", "cartan", "--n", "2", "e8", "--x", "0.5")
@@ -276,6 +295,18 @@ class TestVerify:
         assert doc["inputs"]["order"] == 512
         assert doc["results"]["order_checked"] is None
         assert doc["results"]["exact_zero"] is None
+
+    def test_numeric_mode_accepts_order_zero(self, capsys):
+        code, doc = run_json(capsys, "verify", "s2", "--mode", "numeric",
+                             "--order", "0", "--trials", "3")
+        assert code == 0
+        assert doc["inputs"]["order"] == 0
+        assert doc["results"]["points_checked"] == 3
+
+    def test_series_mode_rejects_order_zero(self, capsys):
+        code, doc = run_json(capsys, "verify", "s2", "--order", "0", "--trials", "3")
+        assert code == 2
+        assert doc["results"]["error"] == "order and trials must be positive"
 
     def test_g2zero(self, capsys):
         code, doc = run_json(capsys, "verify", "g2zero", "--order", "12")
@@ -385,8 +416,8 @@ class TestInstanton:
     def test_help_names_fraction_flags(self, capsys):
         code, out = run(capsys, "instanton", "--help")
         assert code == 0
-        for flag in ("eps1", "eps2", "sigma", "x"):
-            assert f"--{flag}=-1/3" in out
+        assert out.count("float or fraction p/q") == 4
+        assert "=-1/3" not in out
 
 
 def _no_constant(name):
@@ -412,6 +443,12 @@ class TestFloatRange:
 
     def test_underflowing_sinh_gives_dimension(self, capsys):
         code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", "5e-324")
+        assert code == 0
+        assert doc["results"]["value"] == 248.0
+
+    @pytest.mark.parametrize("x", ["2.5e-323", "1e-310", "2.3e-308"])
+    def test_subnormal_sinh_argument_gives_dimension(self, capsys, x):
+        code, doc = run_json(capsys, "qdim", "adjoint", "e8", "--x", x)
         assert code == 0
         assert doc["results"]["value"] == 248.0
 

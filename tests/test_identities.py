@@ -302,6 +302,12 @@ class TestVerifyIdentity:
             verify_identity(S2_SYM, mode="exact")
         with pytest.raises(ValueError):
             verify_identity(S2_SYM, order=0)
+        with pytest.raises(ValueError):
+            verify_identity(S2_SYM, mode=NUMERIC, trials=0)
+
+    def test_numeric_mode_reads_no_order(self):
+        report = verify_identity(S2_SYM, mode=NUMERIC, order=0, trials=3, seed=1)
+        assert report == verify_identity(S2_SYM, mode=NUMERIC, order=20, trials=3, seed=1)
 
 
 class TestSampler:

@@ -15,9 +15,8 @@ from uqdim import (
     sinh_series,
     vogel_params,
 )
-from uqdim import series as series_module
 from uqdim.errors import FloatEvaluationError
-from uqdim.series import cosh_series, log_coefficients, tangent_numbers
+from uqdim.series import cosh_series, log_sinh_numerators, tangent_numbers
 from uqdim.universal import adjoint_product, cartan_power_product
 
 from conftest import rand_fraction, reference_lhs, reference_rhs
@@ -252,6 +251,27 @@ class TestSinhProduct:
         p = adjoint_product(vogel_params("e8"))
         assert math.sinh(-2 * 5e-324 / 4) == 0.0
         assert p.value_at(5e-324) == 248.0 == (-1) * 2 * 4 * (-31)
+
+    @pytest.mark.parametrize("x", [2.5e-323, 1e-310, 2.3e-308])
+    def test_value_at_subnormal_argument_gives_limit(self, x):
+        # Some sinh argument of e8's adjoint is subnormal at these x, where
+        # sinh(a) / sinh(b) has lost bits; each such ratio is its limit N/D.
+        p = adjoint_product(vogel_params("e8"))
+        assert p.value_at(x) == 248.0
+
+    @pytest.mark.parametrize("name", ["e8", "g2", "sl6", "f4"])
+    def test_value_at_normal_arguments_keep_sinh_ratios(self, name):
+        p = adjoint_product(vogel_params(name))
+        rng = random.Random(name)
+        for _ in range(200):
+            x = rng.uniform(-3.0, 3.0)
+            expected = float(p.sign)
+            for n, d, _ in p.factors:
+                if d is None:
+                    expected *= 2.0 * math.cosh(n / p.q * x / 4.0)
+                else:
+                    expected *= math.sinh(n / p.q * x / 4.0) / math.sinh(d / p.q * x / 4.0)
+            assert p.value_at(x) == expected
 
     def test_value_at_sinh_overflow(self):
         # math.sinh(750) overflows; sinh(750) / sinh(250) is about e^500.
@@ -491,6 +511,13 @@ class TestIntegerResidual:
             assert all(residual[m] != 0 for m in range(0, order + 1, 2)), v
 
 
+def log_sinh_coefficients(half):
+    """c_1..c_half of log(sinh z / z) as Fractions, read from the kernel's
+    integer numerators over their lcm denominator."""
+    nums, omega = log_sinh_numerators(half)
+    return [F(num, omega) for num in nums]
+
+
 def fraction_recursion_series(product, order):
     """The log-exp kernel as it was written in Fraction arithmetic: the
     reference for the integer recursion of SinhProduct.series."""
@@ -508,14 +535,14 @@ def fraction_recursion_series(product, order):
     lcm = product.q // common
     bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
     powers = [1] * len(bases)
-    coeffs = log_coefficients(half)
+    coeffs = log_sinh_coefficients(half)
     weighted = []
     for k in range(1, half + 1):
         total = 0
         for i, (square, w) in enumerate(bases):
             powers[i] *= square
             total += w * powers[i]
-        weighted.append(coeffs[k - 1][0] * (k * total))
+        weighted.append(coeffs[k - 1] * (k * total))
     exp = [F(1)]
     for m in range(1, half + 1):
         exp.append(sum(weighted[j - 1] * exp[m - j] for j in range(1, m + 1)) / m)
@@ -722,12 +749,22 @@ class TestLogCoefficients:
         assert tangent_numbers(0) == []
 
     def test_log_sinh_coefficients(self):
-        c = [ck for ck, _ in log_coefficients(4)[:4]]
+        c = log_sinh_coefficients(4)
         assert c == [F(1, 6), F(-1, 180), F(1, 2835), F(-1, 37800)]
 
     def test_log_cosh_coefficients(self):
-        h = [hk for _, hk in log_coefficients(4)[:4]]
+        # log cosh z = sum h_k z^{2k} with h_k = (4^k - 1) c_k, from
+        # sinh 2z = 2 sinh z cosh z: why a cosh argument A enters the kernel
+        # as the pair 2A, A.
+        h = [(4 ** k - 1) * c for k, c in enumerate(log_sinh_coefficients(4), start=1)]
         assert h == [F(1, 2), F(-1, 12), F(1, 45), F(-17, 2520)]
+
+    def test_numerators_over_lcm(self):
+        assert log_sinh_numerators(0) == ((), 1)
+        for half in (1, 2, 5, 20):
+            nums, omega = log_sinh_numerators(half)
+            assert len(nums) == half
+            assert omega == math.lcm(*(F(num, omega).denominator for num in nums))
 
     def test_against_taylor_series(self):
         # log(sinh z / z) and log cosh z from exact Taylor series of
@@ -745,13 +782,12 @@ class TestLogCoefficients:
         sinhc = sinh_series(4, order + 1) / PowerSeries([0, 1], order=order + 1)
         log_sinhc = log_one_plus(sinhc - one)
         log_cosh = log_one_plus(cosh_series(4, order) - one)
-        for k, (c, h) in enumerate(log_coefficients(order // 2)[: order // 2], start=1):
+        for k, c in enumerate(log_sinh_coefficients(order // 2), start=1):
             assert log_sinhc[2 * k] == c
-            assert log_cosh[2 * k] == h
+            assert log_cosh[2 * k] == (4 ** k - 1) * c
 
-    def test_prefix_kept_when_cache_grows(self):
-        prefix = log_coefficients(6)[:6]
-        grown = log_coefficients(len(series_module._LOG_COEFFS) + 40)
-        assert len(series_module._LOG_COEFFS) >= len(prefix) + 40
-        assert grown[:6] == prefix
-        assert all(a is b for a, b in zip(grown, prefix))
+    def test_halves_agree_on_common_prefix(self):
+        longest = log_sinh_coefficients(40)
+        for half in range(1, 41):
+            assert log_sinh_coefficients(half) == longest[:half]
+        assert log_sinh_numerators(40) is log_sinh_numerators(40)
