@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -53,13 +52,9 @@ EXIT_PARAM_POLE = 3
 EXIT_FLOAT = 5
 
 
-#: Largest series order accepted from --series, --order or
-#: QDIM_SERIES_ORDER; it bounds the time and memory of one expansion.
+#: Largest series order accepted from --series or --order; it bounds the
+#: time and memory of one expansion.
 MAX_SERIES_ORDER = 512
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _ParseError(Exception):
@@ -79,20 +74,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _series_order(given: int | None) -> int:
-    """The series order given on the command line, else QDIM_SERIES_ORDER,
-    else DEFAULT_ORDER, checked against 0..MAX_SERIES_ORDER."""
-    if given is not None:
-        order, source = given, "series order"
-    else:
-        source = "QDIM_SERIES_ORDER"
-        raw = os.environ.get(source, str(DEFAULT_ORDER))
-        try:
-            order = int(raw)
-        except ValueError:
-            raise _UsageError(f"{source} must be an integer, got {raw!r}") from None
+    """The series order given on the command line, else DEFAULT_ORDER,
+    checked against 0..MAX_SERIES_ORDER."""
+    order = DEFAULT_ORDER if given is None else given
     if not 0 <= order <= MAX_SERIES_ORDER:
-        raise _UsageError(f"{source} must be between 0 and MAX_SERIES_ORDER = "
-                          f"{MAX_SERIES_ORDER}, got {order}")
+        raise ValueError("series order must be between 0 and MAX_SERIES_ORDER = "
+                         f"{MAX_SERIES_ORDER}, got {order}")
     return order
 
 
@@ -105,7 +92,7 @@ def _resolve_params(args) -> tuple[VogelParams, dict]:
     tokens = getattr(args, "algebra", [])
     explicit = (args.alpha, args.beta, args.gamma)
     if tokens and any(x is not None for x in explicit):
-        raise _UsageError("give an algebra name or --alpha/--beta/--gamma, not both")
+        raise ValueError("give an algebra name or --alpha/--beta/--gamma, not both")
     if tokens:
         aid = parse_algebra(" ".join(tokens))
         v = vogel_params(aid)
@@ -114,7 +101,7 @@ def _resolve_params(args) -> tuple[VogelParams, dict]:
         v = VogelParams(*explicit)
         inputs = {"algebra": None}
     else:
-        raise _UsageError("an algebra name or all of --alpha/--beta/--gamma is required")
+        raise ValueError("an algebra name or all of --alpha/--beta/--gamma is required")
     inputs.update(alpha=str(v.alpha), beta=str(v.beta), gamma=str(v.gamma))
     return v, inputs
 
@@ -125,17 +112,17 @@ def _qdim_product(args, v: VogelParams):
         return adjoint_product(v)
     if kind == "cartan":
         if args.n is None or args.n < 1:
-            raise _UsageError("qdim cartan requires --n with a positive integer")
+            raise ValueError("qdim cartan requires --n with a positive integer")
         return cartan_power_product(v, args.n)
     if kind == "y2":
         if args.slot not in SLOTS:
-            raise _UsageError("qdim y2 requires --slot alpha|beta|gamma")
+            raise ValueError("qdim y2 requires --slot alpha|beta|gamma")
         return y2_product(v, args.slot)
     if kind == "x2":
         return x2_product(v)
     if kind == "z":
         if args.k is None or args.l is None or args.k < 0 or args.l < 0:
-            raise _UsageError("qdim z requires non-negative --k and --l")
+            raise ValueError("qdim z requires non-negative --k and --l")
         return z_product(v, args.k, args.l)
     raise AssertionError(kind)
 
@@ -168,9 +155,9 @@ def cmd_qdim(args) -> dict:
     # (a large Cartan power) or hit a parameter pole.
     if args.x is not None:
         if args.series is not None:
-            raise _UsageError("--x and --series are mutually exclusive")
+            raise ValueError("--x and --series are mutually exclusive")
         if not math.isfinite(args.x):
-            raise _UsageError(f"--x must be finite, got {args.x}")
+            raise ValueError(f"--x must be finite, got {args.x}")
         inputs["x"] = args.x
         results = {"value": _qdim_product(args, v).value_at(args.x)}
     else:
@@ -299,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_real, help="evaluate numerically at x, a " + real)
     p.add_argument("--series", type=int, metavar="ORDER",
                    help="emit exact series coefficients to this order "
-                        f"(0..{MAX_SERIES_ORDER}; default QDIM_SERIES_ORDER "
-                        f"or {DEFAULT_ORDER})")
+                        f"(0..{MAX_SERIES_ORDER}; default {DEFAULT_ORDER})")
     p.set_defaults(handler=cmd_qdim)
 
     p = sub.add_parser("verify", parents=[common],
@@ -308,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("identity", choices=[*IDENTITIES, *SUITES])
     p.add_argument("--order", type=int,
                    help=f"series truncation order (0..{MAX_SERIES_ORDER}; "
-                        f"default QDIM_SERIES_ORDER or {DEFAULT_ORDER})")
+                        f"default {DEFAULT_ORDER})")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[SERIES, NUMERIC], default=SERIES)
@@ -388,7 +374,7 @@ def main(argv=None) -> int:
     as_json = args.json
     try:
         doc = args.handler(args)
-    except (_UsageError, UnknownAlgebra, InvalidRank, LengthMismatch, ValueError) as exc:
+    except (UnknownAlgebra, InvalidRank, LengthMismatch, ValueError) as exc:
         _emit(_error_doc(args.command, str(exc)), as_json)
         return EXIT_USAGE
     except PoleAtParameters as exc:

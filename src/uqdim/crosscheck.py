@@ -54,10 +54,11 @@ def run_specialization(order: int = DEFAULT_ORDER) -> dict:
     reference algebras, plus the adjoint*Y2(beta) dimension against its
     tabulated Dynkin weight for each table algebra."""
     checks = []
+    systems = {}
     for name in SPECIALIZATION_ALGEBRAS:
         aid = parse_algebra(name)
         v = vogel_params(aid)
-        rs = build_root_system(aid.family, aid.rank)
+        rs = systems[name] = build_root_system(aid.family, aid.rank)
         for n in range(1, 4):
             lam = rs.weight(tuple(n * c for c in rs.theta))
             universal = cartan_power_product(v, n).series(order)
@@ -71,9 +72,8 @@ def run_specialization(order: int = DEFAULT_ORDER) -> dict:
     z11 = next(i for i, t in enumerate(terms) if t.kind == "z11" and t.perm == (0, 1, 2))
     for name, labels in TABLES.values():
         (dynkin,) = labels[z11]
-        aid = parse_algebra(name)
-        rs = build_root_system(aid.family, aid.rank)
-        constant = term_product(terms[z11], vogel_params(aid)).dim()
+        rs = systems[name]
+        constant = term_product(terms[z11], vogel_params(name)).dim()
         oracle = weyl_dim(rs, weight_from_dynkin(rs, dynkin))
         checks.append({
             "check": f"{name}: adjoint*Y2(beta) dimension vs Dynkin "

@@ -63,17 +63,16 @@ class InstantonTermTable:
 def _eval_adaptive(product: SinhProduct, x: float) -> float:
     """Evaluate an entire-series product at x, doubling the truncation order
     until the last retained coefficient contributes less than TAIL_TOLERANCE
-    relative to the value.  A constant product returns its x^0 term."""
-    if product.is_zero:
-        return 0.0
+    relative to the value.  A constant product (zero included) returns its
+    dimension: the tail rule would read its x^0 term as a tail forever."""
+    if product.is_constant:
+        return float(product.dim())
     order = _START_ORDER
     while True:
         series = product.series(order)
         value = series.eval_at(x)
         # A product that is not zero has dim != 0, so x^0 is always nonzero.
         last = max(m for m, c in enumerate(series.coefficients) if c != 0)
-        if last == 0 and product.is_constant:
-            return value  # the tail rule would read c_0 as a tail forever
         tail = abs(float(series[last])) * abs(x) ** last
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value

@@ -245,8 +245,7 @@ class TestQdim:
     }
 
     @pytest.mark.parametrize("argv", sorted(SERIES_PINS))
-    def test_series_json_bytes(self, capsys, monkeypatch, argv):
-        monkeypatch.delenv("QDIM_SERIES_ORDER", raising=False)
+    def test_series_json_bytes(self, capsys, argv):
         code, out = run(capsys, "qdim", *argv, "--json")
         assert code == 0
         assert out == self.SERIES_PINS[argv] + "\n"
@@ -493,11 +492,25 @@ class TestOutputContract:
         _, doc = run_json(capsys, "dim", "g2")
         assert set(doc) == {"command", "inputs", "results", "status"}
 
-    def test_series_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDIM_SERIES_ORDER", "6")
-        _, doc = run_json(capsys, "qdim", "adjoint", "e6")
-        assert doc["inputs"]["series_order"] == 6
-        assert len(doc["results"]["coefficients"]) == 4
+    def test_series_order_ignores_environment(self, capsys, monkeypatch):
+        # The order comes from --series/--order or DEFAULT_ORDER only;
+        # QDIM_SERIES_ORDER changes nothing.
+        monkeypatch.delenv("QDIM_SERIES_ORDER", raising=False)
+        _, unset = run(capsys, "qdim", "adjoint", "e6", "--json")
+        assert json.loads(unset)["inputs"]["series_order"] == 20
+        for value in ("6", "abc"):
+            monkeypatch.setenv("QDIM_SERIES_ORDER", value)
+            assert run(capsys, "qdim", "adjoint", "e6", "--json") == (0, unset)
+            code, _ = run_json(capsys, "verify", "s2", "--mode", "numeric",
+                               "--trials", "3")
+            assert code == 0
+
+    def test_package_reads_no_environment(self):
+        # Every document is a function of the command line alone.
+        readers = re.compile(r"\b(environ|getenv)\b|^\s*(import|from) os\b", re.M)
+        sources = sorted(Path(uqdim.__file__).parent.glob("*.py"))
+        assert sources
+        assert [path.name for path in sources if readers.search(path.read_text())] == []
 
     def test_exact_values_never_floats(self, capsys):
         _, doc = run_json(capsys, "table", "s3-sl6")
@@ -527,20 +540,6 @@ class TestSeriesOrderCap:
                              "--trials", "3", "--order", "512")
         assert code == 0
         assert doc["inputs"]["order"] == 512
-
-    def test_env_order_above_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDIM_SERIES_ORDER", "100000")
-        code, doc = run_json(capsys, "qdim", "adjoint", "e6")
-        assert code == 2
-        assert "QDIM_SERIES_ORDER" in doc["results"]["error"]
-        assert "512" in doc["results"]["error"]
-
-    @pytest.mark.parametrize("command", [["qdim", "adjoint", "e6"], ["verify", "s2"]])
-    def test_env_order_not_an_integer(self, capsys, monkeypatch, command):
-        monkeypatch.setenv("QDIM_SERIES_ORDER", "abc")
-        code, doc = run_json(capsys, *command)
-        assert code == 2
-        assert doc["results"]["error"] == "QDIM_SERIES_ORDER must be an integer, got 'abc'"
 
     def test_env_order_unused_with_x(self, capsys, monkeypatch):
         monkeypatch.setenv("QDIM_SERIES_ORDER", "abc")

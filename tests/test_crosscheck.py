@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from uqdim import cli
+from uqdim import cli, crosscheck
 from uqdim.crosscheck import TABLES
 from uqdim.errors import PoleAtParameters
 from uqdim.identities import IDENTITY_TABLE, S3_SYM_CUBE, Z_ARGS, term_product
@@ -33,6 +33,19 @@ def test_stdout_matches_golden(argv):
     assert code == 0
     golden = (BENCH / "golden" / ("-".join(argv) + ".json")).read_bytes()
     assert out.getvalue().encode() == golden
+
+
+def test_specialization_builds_each_root_system_once(monkeypatch):
+    built = []
+    build = crosscheck.build_root_system
+
+    def counting(family, rank):
+        built.append((family, rank))
+        return build(family, rank)
+
+    monkeypatch.setattr(crosscheck, "build_root_system", counting)
+    assert crosscheck.run_specialization()["passed"]
+    assert len(built) == len(set(built)) == len(crosscheck.SPECIALIZATION_ALGEBRAS) == 9
 
 
 @pytest.mark.parametrize("which", sorted(TABLES))

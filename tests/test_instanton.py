@@ -13,6 +13,7 @@ from uqdim import (
 )
 from uqdim import instanton
 from uqdim.errors import FloatEvaluationError
+from uqdim.series import SinhProduct
 from uqdim.universal import adjoint_product, cartan_power_product
 
 
@@ -161,6 +162,20 @@ class TestSum:
         monkeypatch.setattr(instanton, "_MAX_ORDER", instanton._START_ORDER)
         product = cartan_power_product(VogelParams(-4, 1, 1), 2)
         assert instanton._eval_adaptive(product, 0.5) == -1.0
+
+    def test_constant_products_expand_no_series(self, monkeypatch):
+        # Constant products, zero included, return their dimension before
+        # any series is built.
+        def no_series(self, order):
+            raise AssertionError("a constant product was expanded")
+
+        monkeypatch.setattr(SinhProduct, "series", no_series)
+        point = VogelParams(-4, 1, 1)
+        assert instanton._eval_adaptive(cartan_power_product(point, 2), 0.5) == -1.0
+        zero = instanton._eval_adaptive(cartan_power_product(point, 1), 0.5)
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert instanton._eval_adaptive(cartan_power_product(vogel_params("sl6"), 0),
+                                        0.5) == 1.0
 
 
 class TestFloatRange:
