@@ -16,9 +16,9 @@ left-hand side instead.  Identities are checked at seeded random points:
   the coefficient of x^(2j) by m^(2j), products of series are integer
   convolutions, and the sum is cross-multiplied over the lcm of the
   denominators.  A ``Fraction`` is built only for a failure message and for
-  the two ``PowerSeries`` views of the same integer vectors:
-  :func:`identity_lhs` and :func:`identity_rhs`.  This is the only exact
-  path for either side;
+  the two ``PowerSeries`` views of the same integer vectors, which
+  :func:`identity_lhs` and :func:`identity_rhs` build with ``from_even``, as
+  ``SinhProduct.series`` does.  This is the only exact path for either side;
 * numeric mode checks that the floating-point relative residual is below
   NUMERIC_TOLERANCE at random real points and real x.
 
@@ -198,21 +198,14 @@ def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int
     return _over_lcm([(lhs, lhs_den), ([-c for c in rhs], rhs_den)])
 
 
-def _view(nums: list[int], den: int, order: int) -> PowerSeries:
-    """The ``PowerSeries`` of even coefficients ``nums / den`` (odd ones 0)."""
-    out = [Fraction(0)] * (order + 1)
-    out[::2] = [Fraction(c, den) for c in nums]
-    return PowerSeries(out)
-
-
 def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The plethysm of the adjoint at v to the given order, exactly."""
-    return _view(*_lhs(identity, v, order), order)
+    return PowerSeries.from_even(*_lhs(identity, v, order), order)
 
 
 def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The sum of universal characters at v to the given order, exactly."""
-    return _view(*_rhs(identity, v, order), order)
+    return PowerSeries.from_even(*_rhs(identity, v, order), order)
 
 
 def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:

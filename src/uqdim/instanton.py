@@ -3,8 +3,9 @@
 On the Weyl line the one-instanton sum for pure N=2 super Yang-Mills is a sum
 over Cartan powers of the adjoint: term n carries the weight
 exp(n * sigma * (eps1 + eps2)) times the quantum dimension of the n-th Cartan
-power evaluated at x.  Terms are computed through the exact series with an
-adaptively doubled truncation order, which reuses the exact core and avoids
+power evaluated at x.  Terms are computed from the exact even coefficients
+of the series kernel (integers over one denominator, the form ``qdim
+--series`` prints) with an adaptively doubled truncation order, which avoids
 cancellation-prone direct sinh arithmetic.
 """
 
@@ -64,16 +65,21 @@ def _eval_adaptive(product: SinhProduct, x: float) -> float:
     """Evaluate an entire-series product at x, doubling the truncation order
     until the last retained coefficient contributes less than TAIL_TOLERANCE
     relative to the value.  A constant product (zero included) returns its
-    dimension: the tail rule would read its x^0 term as a tail forever."""
+    dimension: the tail rule would read its x^0 term as a tail forever.
+    Horner's rule runs over every power, 0.0 at the odd ones and the correctly
+    rounded n / den of :meth:`SinhProduct.even_coefficients` at the even."""
     if product.is_constant:
         return float(product.dim())
     order = _START_ORDER
     while True:
-        series = product.series(order)
-        value = series.eval_at(x)
-        # A product that is not zero has dim != 0, so x^0 is always nonzero.
-        last = max(m for m, c in enumerate(series.coefficients) if c != 0)
-        tail = abs(float(series[last])) * abs(x) ** last
+        nums, den = product.even_coefficients(order)
+        value = 0.0
+        for n in reversed(nums):
+            value = (value * x + 0.0) * x + n / den
+        # A product that is not zero has dim != 0, so x^0 is always nonzero;
+        # the last is found on the integers, since a float may underflow.
+        last = max(m for m, n in enumerate(nums) if n)
+        tail = abs(nums[last] / den) * abs(x) ** (2 * last)
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value
         if order >= _MAX_ORDER:

@@ -9,9 +9,8 @@ identity checker) is built from two primitives defined here:
   ``sinh(N*x/(4q)) / sinh(D*x/(4q))`` and cosh factors ``2*cosh(A*x/(4q))``,
   built from ``(N, D, label)`` and ``(A, None, label)`` tuples of integers
   over one positive denominator ``q``.  Every quantum dimension in the
-  package takes this one form.  It can be expanded into an exact series,
-  expanded into its even coefficients as integer numerators over one
-  denominator (the form the identity checks and the CLI read), evaluated in
+  package takes this one form.  It can be expanded into its even
+  coefficients as integer numerators over one denominator, evaluated in
   floating point, or collapsed to its value at ``x = 0``; every check on a
   factor is an integer test, and a float argument is the correctly rounded
   ``N / q``.
@@ -22,9 +21,10 @@ come from the tangent numbers (Knuth & Buckholtz, *Computation of tangent,
 Euler, and Bernoulli numbers*, Math. Comp. 21, 1967).  The exponential is
 taken in integers over one running denominator, so a product of F factors
 to order K costs O(F*K + K^2) integer operations and one gcd per
-coefficient.  Both expansions share that one integer core; the series puts
-each coefficient over its own power of the step ``16 L^2`` (see
-``SinhProduct._log_exp``), which keeps its Fractions small at high order.
+coefficient.  That integer form, :meth:`SinhProduct.even_coefficients`, is
+the kernel's only output: the identity checks, ``qdim --series`` and the
+instanton evaluator read it as it is, and :meth:`SinhProduct.series` is its
+``PowerSeries`` view (:meth:`PowerSeries.from_even`).
 
 All values are immutable after construction and every operation is a pure
 function.  The one cache, :func:`log_sinh_numerators`, memoises a pure
@@ -91,6 +91,14 @@ class PowerSeries:
     @classmethod
     def constant(cls, value: RationalLike, order: int) -> "PowerSeries":
         return cls([_as_rational(value)], order=order)
+
+    @classmethod
+    def from_even(cls, nums: Iterable[int], den: int, order: int) -> "PowerSeries":
+        """The series of even coefficients ``nums[m] / den`` at x^(2m) and
+        zeros at the odd powers: :meth:`SinhProduct.even_coefficients`."""
+        coeffs = [_ZERO] * (order + 1)
+        coeffs[::2] = [Fraction(n, den) for n in nums]
+        return cls(coeffs)
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":
@@ -340,13 +348,13 @@ class SinhProduct:
     def is_constant(self) -> bool:
         """Whether the product is a constant function of x: it is zero, or
         the weights of its |arguments| all cancel, so that every power sum
-        of :meth:`_log_exp` vanishes."""
+        of :meth:`even_coefficients` vanishes."""
         return self.is_zero or not any(self._weights().values())
 
     def _weights(self) -> dict[int, int]:
-        """|argument| -> its weight in the power sums of :meth:`_log_exp`:
-        +1 per numerator, -1 per denominator, and a cosh argument A as the
-        pair +2A, -A."""
+        """|argument| -> its weight in the power sums of
+        :meth:`even_coefficients`: +1 per numerator, -1 per denominator, and
+        a cosh argument A as the pair +2A, -A."""
         weights: dict[int, int] = {}
         for n, d, _ in self.factors:
             pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
@@ -357,26 +365,13 @@ class SinhProduct:
 
     def series(self, order: int) -> PowerSeries:
         """Exact series expansion of the product to the given order: the
-        :meth:`even_coefficients` at the even powers, zeros at the odd ones."""
-        out = [_ZERO] * (order + 1)
-        nums, den, step = self._log_exp(order)
-        for m, num in enumerate(nums):
-            out[2 * m] = Fraction(num, den)
-            den *= step
-        return PowerSeries(out)
+        :class:`PowerSeries` view of :meth:`even_coefficients`."""
+        return PowerSeries.from_even(*self.even_coefficients(order), order)
 
     def even_coefficients(self, order: int) -> tuple[list[int], int]:
         """The coefficients of x^0, x^2, ..., x^(2*(order // 2)) as integer
         numerators over one positive integer denominator, not reduced.  Odd
-        coefficients are zero; a zero product gives zeros over 1."""
-        nums, den, step = self._log_exp(order)
-        top = len(nums) - 1
-        return [num * step ** (top - m) for m, num in enumerate(nums)], den * step ** top
-
-    def _log_exp(self, order: int) -> tuple[list[int], int, int]:
-        """The coefficient of x^(2m), m = 0..order // 2, as
-        ``nums[m] / (den * step**m)`` with integers ``nums``, ``den`` and
-        ``step``.
+        coefficients are zero; a zero product gives zeros over 1.
 
         In ``y = x^2``, with ``L = q / gcd(q, all arguments)`` and each
         argument ``a`` scaled to the integer ``a L / q``,
@@ -395,14 +390,14 @@ class SinhProduct:
         is an integer, and ``e_0..e_{m-1}`` are integer numerators over one
         running denominator ``Delta``; each new sum is reduced by one gcd,
         and when its denominator does not divide ``Delta`` the stored
-        numerators are rescaled.  ``step`` is ``16 L^2``.
+        numerators are rescaled.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
         half = order // 2
         scale = self.dim()
         if scale == 0:  # a zero numerator
-            return [0] * (half + 1), 1, 1
+            return [0] * (half + 1), 1
         weights = self._weights()
         common = math.gcd(self.q, *weights)
         lcm = self.q // common
@@ -431,8 +426,10 @@ class SinhProduct:
                 exp = [e * grow for e in exp]
                 delta *= grow
             exp.append(num * (delta // den))
+        step = 16 * lcm * lcm
         num = scale.numerator
-        return [num * e for e in exp], scale.denominator * delta, 16 * lcm * lcm
+        return ([num * e * step ** (half - m) for m, e in enumerate(exp)],
+                scale.denominator * delta * step ** half)
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors

@@ -271,21 +271,21 @@ def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
 # ---------------------------------------------------------------------------
 
 # Rows are (num, den) sinh ratios, unzipped and labelled by den; Y2 is
-# slot-first, its labels in every slot too.  Y2 and X2 use t = (1, 1, 1).
+# slot-first and compiled per slot.  Y2 and X2 use t = (1, 1, 1).
 _ADJOINT_PROGRAM = _forms_program(*zip(
     ((2, 2, 1), (0, 0, 1)),
     ((2, 1, 2), (0, 1, 0)),
     ((1, 2, 2), (1, 0, 0)),
 ), -1, "qdim_adjoint")
 
-_Y2_SLOT_FIRST = _forms_program(*zip(
+_Y2_SLOT_FIRST = (
     ((2, 2, 2), (1, 0, 0)),     # 2t / alpha
     ((-2, -1, -2), (2, 0, 0)),  # beta - 2t / 2 alpha
     ((-2, -2, -1), (0, 1, 0)),  # gamma - 2t / beta
     ((1, 2, 1), (0, 0, 1)),     # beta + t / gamma
     ((1, 1, 2), (1, -1, 0)),    # gamma + t / alpha - beta
     ((1, -2, -2), (1, 0, -1)),  # 3 alpha - 2t / alpha - gamma
-), -1, "qdim_y2")
+)
 
 _X2_PROGRAM = _forms_program(*zip(
     ((1, 2, 2), (1, 0, 0)),  # 2t - alpha / alpha
@@ -303,9 +303,8 @@ def _y2_program(slot: str) -> FormProgram:
     # Each slot order swaps at most two coordinates, so it is its own inverse
     # and maps a slot-first form back to (alpha, beta, gamma) as well.
     order = _slot_order(slot)
-    sinh = tuple((tuple(num[i] for i in order), tuple(den[i] for i in order), label)
-                 for num, den, label in _Y2_SLOT_FIRST.sinh)
-    return _Y2_SLOT_FIRST._replace(sinh=sinh, context=f"qdim_y2({slot})")
+    rows = [tuple(tuple(form[i] for i in order) for form in row) for row in _Y2_SLOT_FIRST]
+    return _forms_program(*zip(*rows), -1, f"qdim_y2({slot})")
 
 
 def adjoint_product(v: VogelParams) -> SinhProduct:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import math
@@ -341,6 +342,30 @@ class TestTable:
 
 
 class TestInstanton:
+    # SHA-256 of the stdout of `uqdim instanton ARGS --json`, captured before
+    # the instanton evaluator read the kernel's integer coefficients.  The
+    # first is the README's example.
+    DOCUMENT_PINS = {
+        "e7 --eps1 0.1 --eps2 0.2 --sigma -20 --x 0.1 --nmax 10":
+            "73441c98125a72470d19f2d80bd7a8b977b3f6d4f4b7640ec1924a32c85d9af1",
+        "sl6 --x 0.5 --eps1 1/3":
+            "9d60408f4cadf991cae412aff432f5626ee0bfb3391576040943b01b701c8d0c",
+        "sl6 --x 0 --nmax 2":
+            "fbde521c20107f80cd7205f14379db01ba16fb9b37fe0a4dc3ae8100cf47a6b7",
+        "--alpha=-4 --beta 1 --gamma 1 --x 0.5 --nmax 2":
+            "904bfb1d5e5303fad6abeab6bfe546b588b83ef361090da5fae2bd0d7bca9b00",
+        "g2 --x 2.5":
+            "5fb03e1ce3c4eb7b5f0742c1988f7f81a48f06ece7b2a5a1107c391b78327557",
+        "f4 --x -1.5 --sigma -3 --eps1 1":
+            "942c08933addff4d15107490d4f298dd4ab0c93d0fd167797a3c4aaccc84e6c7",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DOCUMENT_PINS))
+    def test_document_bytes(self, capsys, args):
+        code, out = run(capsys, "instanton", *args.split(), "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DOCUMENT_PINS[args]
+
     def test_single_term(self, capsys):
         code, doc = run_json(capsys, "instanton", "e7", "--eps1", "0.1",
                              "--eps2", "0.2", "--sigma", "-1", "--x", "0.5",

@@ -159,7 +159,7 @@ class TestSideViews:
             50116, "qdim_z(k=3, l=0): sinh denominator -2*alpha+gamma vanishes "
                    "at these parameters"),
         ("(-2, 2, 2)", S2_SYM): (
-            6, "qdim_y2(beta): sinh denominator alpha-gamma vanishes at these parameters"),
+            6, "qdim_y2(beta): sinh denominator beta-gamma vanishes at these parameters"),
         ("(-2, 2, 2)", A2_ANTISYM): (3, 3),
         ("(-2, 2, 2)", S3_SYM_CUBE): (
             10, "qdim_z(k=3, l=0): sinh denominator -alpha+gamma vanishes at these parameters"),

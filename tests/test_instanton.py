@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -12,9 +14,17 @@ from uqdim import (
     weyl_qdim,
 )
 from uqdim import instanton
-from uqdim.errors import FloatEvaluationError
+from uqdim.errors import FloatEvaluationError, PoleAtParameters
 from uqdim.series import SinhProduct
-from uqdim.universal import adjoint_product, cartan_power_product
+from uqdim.universal import (
+    adjoint_product,
+    cartan_power_product,
+    x2_product,
+    y2_product,
+    z_product,
+)
+
+from conftest import rand_params
 
 
 class TestParams:
@@ -170,12 +180,84 @@ class TestSum:
             raise AssertionError("a constant product was expanded")
 
         monkeypatch.setattr(SinhProduct, "series", no_series)
+        monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
         point = VogelParams(-4, 1, 1)
         assert instanton._eval_adaptive(cartan_power_product(point, 2), 0.5) == -1.0
         zero = instanton._eval_adaptive(cartan_power_product(point, 1), 0.5)
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
         assert instanton._eval_adaptive(cartan_power_product(vogel_params("sl6"), 0),
                                         0.5) == 1.0
+
+
+def reference_eval_adaptive(product, x):
+    """The adaptive evaluator as it read series(): Horner over the Fraction
+    coefficients, with the last nonzero coefficient found on the exact
+    values."""
+    if product.is_constant:
+        return float(product.dim())
+    order = instanton._START_ORDER
+    while True:
+        series = product.series(order)
+        value = series.eval_at(x)
+        last = max(m for m, c in enumerate(series.coefficients) if c != 0)
+        tail = abs(float(series[last])) * abs(x) ** last
+        if tail <= instanton.TAIL_TOLERANCE * max(abs(value), 1e-300):
+            return value
+        if order >= instanton._MAX_ORDER:
+            raise FloatEvaluationError(
+                f"series evaluation did not converge at x={x} by order {order}")
+        order *= 2
+
+
+def outcome(evaluate, product, x):
+    try:
+        return evaluate(product, x).hex()
+    except (FloatEvaluationError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIntegerEvaluator:
+    """_eval_adaptive reads even_coefficients and gives the bits of the
+    series() evaluator above."""
+
+    @staticmethod
+    def draw_product(rng):
+        if rng.random() < 0.25:
+            name = rng.choice(["e7", "e8", "f4", "g2", "sl6"])
+            return cartan_power_product(vogel_params(name), rng.randint(1, 10))
+        v = rand_params(rng, bound=12)
+        kind = rng.choice(["cartan", "z", "y2", "x2", "adjoint"])
+        if kind == "cartan":
+            return cartan_power_product(v, rng.randint(1, 6))
+        if kind == "z":
+            return z_product(v, rng.randint(0, 3), rng.randint(0, 2))
+        if kind == "y2":
+            return y2_product(v, rng.choice(["alpha", "beta", "gamma"]))
+        return x2_product(v) if kind == "x2" else adjoint_product(v)
+
+    def test_bit_identical_to_series_evaluator(self, monkeypatch):
+        monkeypatch.setattr(instanton, "_MAX_ORDER", 256)
+        rng = random.Random(2020)
+        point = VogelParams(-4, 1, 1)
+        # A constant, a zero and a divergent product (radius 4 pi / 5 < 3).
+        cases = [(cartan_power_product(point, 2), -0.5), (cartan_power_product(point, 1), 0.5),
+                 (cartan_power_product(VogelParams(-2, F(7, 3), 5), 1), 3.0)]
+        assert cases[0][0].is_constant and cases[1][0].is_zero
+        while len(cases) < 400:
+            try:
+                product = self.draw_product(rng)
+            except PoleAtParameters:
+                continue
+            size = rng.choice([10.0 ** rng.uniform(-8.0, -1.0), rng.uniform(0.1, 0.6)])
+            x = rng.choice([-1.0, 1.0]) * size
+            cases.append((product, x))
+        kinds = set()
+        for product, x in cases:
+            expected = outcome(reference_eval_adaptive, product, x)
+            assert outcome(instanton._eval_adaptive, product, x) == expected, (
+                product.factors, product.q, x)
+            kinds.add(type(expected))
+        assert kinds == {str, tuple}
 
 
 class TestFloatRange:

@@ -414,18 +414,20 @@ class TestKernelAgainstReference:
 
 
 class TestEvenCoefficients:
-    """even_coefficients(order) is the integer form behind series(order):
-    numerators of x^0, x^2, ... over one positive denominator."""
+    """even_coefficients(order) is the kernel's output: numerators of x^0,
+    x^2, ... over one positive denominator, checked against the Fraction
+    recursion, and series(order) is its view."""
 
     @staticmethod
     def check(product, order, where):
         nums, den = product.even_coefficients(order)
-        series = product.series(order)
+        reference = fraction_recursion_series(product, order)
         assert type(den) is int and den > 0, where
         assert len(nums) == order // 2 + 1, where
         assert all(type(n) is int for n in nums), where
-        assert [F(n, den) for n in nums] == list(series.coefficients[::2]), where
-        assert not any(series.coefficients[1::2]), where
+        assert [F(n, den) for n in nums] == list(reference.coefficients[::2]), where
+        assert not any(reference.coefficients[1::2]), where
+        assert product.series(order) == reference, where
 
     @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
     def test_random_products(self, order):

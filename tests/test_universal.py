@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -556,18 +557,28 @@ def ref_adjoint(v):
     return ref_product(factors, -1, "qdim_adjoint")
 
 
+# The denominators of Y2(slot) in factor order, written in (alpha, beta,
+# gamma): the slot-first forms with the slot swapped to the front.
+Y2_LABELS = {
+    "alpha": ("alpha", "2*alpha", "beta", "gamma", "alpha-beta", "alpha-gamma"),
+    "beta": ("beta", "2*beta", "alpha", "gamma", "-alpha+beta", "beta-gamma"),
+    "gamma": ("gamma", "2*gamma", "beta", "alpha", "-beta+gamma", "-alpha+gamma"),
+}
+
+
 def ref_y2(v, slot):
     w = v.permuted(universal._SLOT_ORDERS[slot])
     a, b, c = w.as_tuple()
     t = w.t
-    factors = [
-        (2 * t, a, "alpha"),
-        (b - 2 * t, 2 * a, "2*alpha"),
-        (c - 2 * t, b, "beta"),
-        (b + t, c, "gamma"),
-        (c + t, a - b, "alpha-beta"),
-        (3 * a - 2 * t, a - c, "alpha-gamma"),
+    ratios = [
+        (2 * t, a),
+        (b - 2 * t, 2 * a),
+        (c - 2 * t, b),
+        (b + t, c),
+        (c + t, a - b),
+        (3 * a - 2 * t, a - c),
     ]
+    factors = [(n, d, label) for (n, d), label in zip(ratios, Y2_LABELS[slot], strict=True)]
     return ref_product(factors, -1, f"qdim_y2({slot})")
 
 
@@ -746,12 +757,12 @@ POLE_PINS = [
         ((-1, -1, 1), 'alpha-beta'), ((-1, 1, -1), 'alpha-gamma'),
     ]),
     ('qdim_y2(beta)', y2_product, ('beta',), [
-        ((-1, 0, -1), 'alpha'), ((0, -1, 1), 'beta'), ((-1, 1, 0), 'gamma'),
-        ((-1, -1, 1), 'alpha-beta'), ((-1, 1, 1), 'alpha-gamma'),
+        ((-1, 0, -1), 'beta'), ((0, -1, 1), 'alpha'), ((-1, 1, 0), 'gamma'),
+        ((-1, -1, 1), '-alpha+beta'), ((-1, 1, 1), 'beta-gamma'),
     ]),
     ('qdim_y2(gamma)', y2_product, ('gamma',), [
-        ((-1, -1, 0), 'alpha'), ((-1, 0, 1), 'beta'), ((0, -1, 1), 'gamma'),
-        ((-1, 1, 1), 'alpha-beta'), ((-1, 1, -1), 'alpha-gamma'),
+        ((-1, -1, 0), 'gamma'), ((-1, 0, 1), 'beta'), ((0, -1, 1), 'alpha'),
+        ((-1, 1, 1), '-beta+gamma'), ((-1, 1, -1), '-alpha+gamma'),
     ]),
     ('qdim_x2', x2_product, (), [
         ((0, -1, -1), 'alpha'), ((-1, 0, -1), 'beta'), ((-1, -1, 0), 'gamma'),
@@ -822,6 +833,35 @@ class TestPoleMessages:
             assert str(info.value) == (
                 f"{context}: sinh denominator {label} vanishes at these parameters"
             )
+
+    @pytest.mark.parametrize("slot", ["alpha", "beta", "gamma"])
+    def test_y2_names_the_vanishing_form(self, slot):
+        # For each slot-first denominator, moved into the slot, the message
+        # at a point on its zero set names a form that vanishes there.
+        slot_first = ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1))
+        order = universal._SLOT_ORDERS[slot]
+        rng = random.Random(sum(map(ord, slot)))
+        for form in slot_first:
+            den = [0, 0, 0]
+            for i, c in zip(order, form):
+                den[i] = c
+            for _ in range(4):
+                point = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                         for _ in range(3)]
+                j = next(i for i, c in enumerate(den) if c)
+                point[j] = -sum(c * p for i, (c, p) in enumerate(zip(den, point))
+                                if i != j) / den[j]
+                v = VogelParams(*point)
+                with pytest.raises(PoleAtParameters) as info:
+                    y2_product(v, slot)
+                label = re.fullmatch(
+                    rf"qdim_y2\({slot}\): sinh denominator (\S+) vanishes at these "
+                    "parameters", str(info.value)).group(1)
+                terms = re.findall(r"([+-]?)(?:(\d+)\*)?(alpha|beta|gamma)", label)
+                assert "".join(f"{s}{m}{'*' if m else ''}{n}" for s, m, n in terms) == label
+                value = sum((-1 if s == "-" else 1) * int(m or 1) * getattr(v, n)
+                            for s, m, n in terms)
+                assert value == 0, (slot, form, point, label)
 
     def test_family_message_text(self):
         with pytest.raises(PoleAtParameters) as info:
