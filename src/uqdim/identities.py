@@ -301,6 +301,13 @@ def _verify_series(identity: str, order: int, trials: int, seed: int) -> Identit
     )
 
 
+def _near_pole(product: SinhProduct) -> bool:
+    """Whether a retained sinh denominator has |D| / q < POLE_MARGIN.  int / int
+    is correctly rounded, so this is float(min_abs_denominator()) < POLE_MARGIN."""
+    q = product.q
+    return any(d is not None and abs(d) / q < POLE_MARGIN for _, d, _ in product.factors)
+
+
 def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
     rng = random.Random(seed * 1_000_003 + 12345)
     failures = []
@@ -317,8 +324,7 @@ def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
             adj = adjoint_product(v)
         except PoleAtParameters:
             continue
-        dens = [p.min_abs_denominator() for _, p in products + [(1, adj)]]
-        if any(d is not None and float(d) < POLE_MARGIN for d in dens):
+        if _near_pole(adj) or any(_near_pole(p) for _, p in products):
             continue
         accepted += 1
         lhs = _lhs_value(identity, adj, x)

@@ -5,8 +5,15 @@ over Cartan powers of the adjoint: term n carries the weight
 exp(n * sigma * (eps1 + eps2)) times the quantum dimension of the n-th Cartan
 power evaluated at x.  Terms are computed from the exact even coefficients
 of the series kernel (integers over one denominator, the form ``qdim
---series`` prints) with an adaptively doubled truncation order, which avoids
-cancellation-prone direct sinh arithmetic.
+--series`` prints) with an adaptively doubled truncation order, and the
+series is truncated once its last retained term is below TAIL_TOLERANCE
+relative to the value.  It is not the more accurate float path: against
+an 80-digit reference over Cartan powers at algebra points and random Z
+products, the direct sinh arithmetic of
+:meth:`~uqdim.series.SinhProduct.value_at` erred by a median of 1.3 ulps
+and at most 9.5, this path by up to 1774 ulps (truncation, within
+TAIL_TOLERANCE).  The series path is kept so that ``instanton --json``
+documents stay byte-identical.
 """
 
 from __future__ import annotations

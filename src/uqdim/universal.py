@@ -6,9 +6,10 @@ beta, gamma).  Each formula -- adjoint, Y2(slot), X2, the n-th Cartan power
 and the mixed Cartan product Z(k, l) -- is compiled once into a cached
 :class:`FormProgram`: a sign, integer coefficient vectors for every sinh
 numerator, denominator and cosh argument, the pole labels and a context
-string.  At a point, the coordinates are put over their common denominator q,
-so each form costs one integer dot product, and the products keep those
-integers over q as their exact arguments.  The builders return
+string.  A :class:`VogelParams` holds its coordinates over their common
+denominator q, as integers computed once when the point is made, so each form
+costs one integer dot product, and every product built at the point keeps
+those integers over the same q as its exact arguments.  The builders return
 :class:`~uqdim.series.SinhProduct` objects; the public ``qdim_*`` functions
 expand them to exact series.  A vanishing denominator form raises
 :class:`PoleAtParameters` before anything is expanded; no limits are taken
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -57,18 +58,28 @@ def _slot_order(slot: str) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class VogelParams:
     """A point of Vogel's plane.  Points are projective and defined up to
-    permutation of the three coordinates; t is their sum."""
+    permutation of the three coordinates; t is their sum.  ``point`` is
+    ``(A, B, C, q)``, computed once, with (alpha, beta, gamma) = (A, B, C) / q
+    over the lcm q of their denominators, so a form f takes the exact value
+    Fraction(f . (A, B, C), q).  It is left out of ``==``, hash and repr."""
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
+    point: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if self.alpha == self.beta == self.gamma == 0:
+        a, b, c = (x if type(x) is Fraction else Fraction(x)
+                   for x in (self.alpha, self.beta, self.gamma))
+        q = math.lcm(a.denominator, b.denominator, c.denominator)
+        point = (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
+                 c.numerator * (q // c.denominator), q)
+        if point[:3] == (0, 0, 0):
             raise ValueError("(alpha, beta, gamma) must not all vanish")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "gamma", c)
+        object.__setattr__(self, "point", point)
 
     @property
     def t(self) -> Fraction:
@@ -241,18 +252,9 @@ def _form_str(form: Form) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _integer_point(v: VogelParams) -> tuple[int, int, int, int]:
-    """(A, B, C, q) with (alpha, beta, gamma) = (A, B, C) / q, so a form f
-    takes the exact value Fraction(f . (A, B, C), q)."""
-    a, b, c = v.alpha, v.beta, v.gamma
-    q = math.lcm(a.denominator, b.denominator, c.denominator)
-    return (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
-            c.numerator * (q // c.denominator), q)
-
-
 def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
     """The product of a program at one point of Vogel's plane."""
-    A, B, C, q = _integer_point(v)
+    A, B, C, q = v.point
     factors = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
                for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
     factors += [(f0 * A + f1 * B + f2 * C, None, label)
@@ -509,7 +511,7 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
     """
     value0 = Fraction(value0)
     program = _z_program(k, l)
-    points = (_integer_point(params_at(value0)), _integer_point(params_at(value0 + 1)))
+    points = (params_at(value0).point, params_at(value0 + 1).point)
 
     def at(form: Form) -> tuple[Fraction, Fraction]:
         return tuple(Fraction(form[0] * A + form[1] * B + form[2] * C, q)

@@ -19,6 +19,7 @@ from uqdim import (
     vogel_params,
 )
 from uqdim import identities
+from uqdim.series import SinhProduct
 
 from conftest import reference_lhs, reference_rhs, sample_regular_points
 
@@ -308,6 +309,76 @@ class TestVerifyIdentity:
     def test_numeric_mode_reads_no_order(self):
         report = verify_identity(S2_SYM, mode=NUMERIC, order=0, trials=3, seed=1)
         assert report == verify_identity(S2_SYM, mode=NUMERIC, order=20, trials=3, seed=1)
+
+
+def exact_margin_rule(product):
+    """The pole-margin rule on the exact smallest ratio |D| / q."""
+    d = product.min_abs_denominator()
+    return d is not None and float(d) < identities.POLE_MARGIN
+
+
+class TestPoleMargin:
+    """identities._near_pole rejects exactly the products the float of
+    min_abs_denominator() puts below POLE_MARGIN."""
+
+    @pytest.mark.parametrize("identity, seed", [(S2_SYM, 11), (A2_ANTISYM, 12),
+                                                (S3_SYM_CUBE, 0)])
+    def test_numeric_runs_agree_with_exact_rule(self, monkeypatch, identity, seed):
+        near_pole = identities._near_pole
+        outcomes = []
+
+        def checked(product):
+            outcome = near_pole(product)
+            assert outcome == exact_margin_rule(product), product.factors
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(identities, "_near_pole", checked)
+        report = verify_identity(identity, mode=NUMERIC, trials=1000, seed=seed)
+        assert report.points_checked == 1000
+        # a2's denominators are multiples of single coordinates, which the
+        # coordinate margin screens first, so only s2 and s3 reject here
+        assert len(outcomes) >= 2000 and any(outcomes) == (identity != A2_ANTISYM)
+
+    @pytest.mark.parametrize("identity", [S2_SYM, A2_ANTISYM, S3_SYM_CUBE])
+    def test_draws_near_the_pole_set(self, identity):
+        # gamma within 0.003 of a linear form in alpha and beta, so many
+        # products have a denominator near the margin
+        rng = random.Random(2121)
+        rejected = accepted = 0
+        for _ in range(400):
+            a, b = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+            c = rng.choice((1, -1)) * rng.choice((0.0, a, b, a - b, a + b, 2 * a))
+            v = VogelParams(F(a), F(b), F(c + rng.uniform(-0.003, 0.003)))
+            try:
+                products = [p for _, p in identities._rhs_products(identity, v)]
+                products.append(identities.adjoint_product(v))
+            except identities.PoleAtParameters:
+                continue
+            for product in products:
+                outcome = identities._near_pole(product)
+                assert outcome == exact_margin_rule(product), (v, product.factors)
+                rejected += outcome
+                accepted += not outcome
+        assert rejected > 50 and accepted > 500
+
+    @pytest.mark.parametrize("den, q, near", [
+        (1, 1000, False),         # float(1/1000) == POLE_MARGIN: accepted
+        (999, 10 ** 6, True),
+        (-999, 10 ** 6, True),
+        (10 ** 30 - 1, 10 ** 33, False),  # below 1/1000, but rounds to it
+        (1001, 10 ** 6, False),
+        (1, 2 ** 52, True),
+    ])
+    def test_boundary_products(self, den, q, near):
+        product = SinhProduct([(3 * q, 5 * q, "a"), (7, den, "b"), (q, None, "c")], q)
+        assert identities._near_pole(product) is near
+        assert exact_margin_rule(product) is near
+
+    def test_no_sinh_denominator(self):
+        for product in (SinhProduct([], 1), SinhProduct([(1, None, "c")], 10 ** 9)):
+            assert identities._near_pole(product) is False
+            assert product.min_abs_denominator() is None
 
 
 class TestSampler:

@@ -137,6 +137,63 @@ class TestParameters:
         assert v.as_tuple() == (-1, 2, 4)
 
 
+def integer_point_cases():
+    """Coordinate triples of every kind VogelParams takes: ints, small
+    Fractions and Fractions of floats (2^k denominators up to 2^60), with
+    negative and zero entries."""
+    rng = random.Random(2101)
+    cases = [
+        (1, 2, 3), (-2, 12, 20), (0, 0, 1), (-7, 0, 5),
+        (F(1, 2), F(-3, 4), 5), (F(-2), F(10, 3), F(8, 3)),
+        (F(0.1), F(-0.3), F(7.25)), (F(-1e-3), F(2.5e-7), F(3)),
+        (F(1, 2 ** 50), F(-3, 2 ** 49), F(5, 2 ** 60)),
+    ]
+    for _ in range(40):
+        cases.append((rand_fraction(rng), rand_fraction(rng), rand_fraction(rng)))
+        cases.append(tuple(F(rng.uniform(-8.0, 8.0)) for _ in range(3)))
+        cases.append((rng.randint(-9, 9), F(rng.uniform(-8.0, 8.0)), rand_fraction(rng)))
+    return cases
+
+
+class TestIntegerPoint:
+    def test_point_is_exact_over_the_lcm(self):
+        for triple in integer_point_cases():
+            v = VogelParams(*triple)
+            A, B, C, q = v.point
+            assert all(type(n) is int for n in v.point), triple
+            assert (F(A, q), F(B, q), F(C, q)) == tuple(map(F, triple)) == v.as_tuple()
+            assert q == math.lcm(*(F(c).denominator for c in triple)), triple
+
+    def test_permuted_point(self):
+        for triple in integer_point_cases():
+            v = VogelParams(*triple)
+            A, B, C, q = v.point
+            for order in itertools.permutations(range(3)):
+                w = v.permuted(order)
+                assert w.point == (*((A, B, C)[i] for i in order), q), (triple, order)
+                assert w.as_tuple() == tuple(v.as_tuple()[i] for i in order)
+
+    def test_fields_are_fractions(self):
+        v = VogelParams(1, F(2), 0.5)
+        assert all(type(c) is F for c in v.as_tuple())
+        assert v.point == (2, 4, 1, 2)
+
+    def test_equality_hash_and_repr_ignore_the_point(self):
+        v = VogelParams(1, 2, 3)
+        w = VogelParams(F(1), F(2), F(3))
+        assert v == w and hash(v) == hash(w)
+        assert hash(v) == hash((F(1), F(2), F(3)))
+        assert v != VogelParams(1, 3, 2)
+        assert v == VogelParams(F(2, 2), 2.0, F(6, 2))
+        assert repr(v) == ("VogelParams(alpha=Fraction(1, 1), beta=Fraction(2, 1), "
+                           "gamma=Fraction(3, 1))")
+        assert {v: 1}[VogelParams(1, 2, F(3))] == 1
+
+    def test_point_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            VogelParams(1, 2, 3, (1, 2, 3, 1))
+
+
 # Per-family Vogel points written out by hand: a reference independent of
 # the line table.
 def _reference_point(family, n):
@@ -744,6 +801,65 @@ class TestFormPrograms:
     def test_casimir_bad_slot(self):
         with pytest.raises(ValueError, match="^slot must be one of .*, got 'delta'$"):
             casimir_y2(VogelParams(1, 2, 3), "delta")
+
+
+def form_signature(program, order=(0, 1, 2)):
+    """(form weights, overall sign, denominator forms) of a program, with
+    each form's coordinates taken in the given order.  A sinh form f is
+    identified with -f (first nonzero coefficient positive), flipping the
+    sign; a cosh argument A enters as the ratio of sinh forms 2A over A.
+    Two programs with equal signatures are the same function of (alpha,
+    beta, gamma, x), with the same poles."""
+    sign, weights, dens = program.sign, {}, set()
+
+    def enter(form, weight):
+        nonlocal sign
+        form = tuple(form[i] for i in order)
+        if next((c for c in form if c), 0) < 0:
+            form, sign = tuple(-c for c in form), -sign
+        weights[form] = weights.get(form, 0) + weight
+        return form
+
+    for num, den, _ in program.sinh:
+        enter(num, 1)
+        dens.add(enter(den, -1))
+    for arg, _ in program.cosh:
+        enter(tuple(2 * c for c in arg), 1)
+        enter(arg, -1)
+    return {f: w for f, w in weights.items() if w}, sign, dens
+
+
+class TestFormLevelIdentities:
+    """The low-dimensional formulas are members of the Z(k, l) family,
+    compared on the compiled programs with no point and no expansion."""
+
+    @pytest.mark.parametrize("left, right", [
+        (lambda: universal._ADJOINT_PROGRAM, lambda: universal._cartan_program(1)),
+        (lambda: universal._y2_program("alpha"), lambda: universal._cartan_program(2)),
+        (lambda: universal._y2_program("beta"), lambda: universal._z_program(0, 1)),
+    ] + [
+        (lambda n=n: universal._cartan_program(n), lambda n=n: universal._z_program(n, 0))
+        for n in range(13)
+    ])
+    def test_same_function(self, left, right):
+        assert form_signature(left()) == form_signature(right())
+
+    def test_y2_gamma_is_z01_with_beta_and_gamma_swapped(self):
+        assert (form_signature(universal._y2_program("gamma"))
+                == form_signature(universal._z_program(0, 1), (0, 2, 1)))
+
+    def test_signature_tells_formulas_apart(self):
+        for left, right in ((universal._cartan_program(1), universal._cartan_program(2)),
+                            (universal._y2_program("alpha"), universal._z_program(0, 1))):
+            assert form_signature(left) != form_signature(right)
+
+    def test_signature_reads_cosh_as_a_sinh_ratio(self):
+        # X2's cosh(t - alpha) written as sinh(2(t - alpha)) / sinh(t - alpha)
+        x2 = universal._X2_PROGRAM
+        as_sinh = x2._replace(cosh=(), sinh=x2.sinh + tuple(
+            (tuple(2 * c for c in arg), arg, label) for arg, label in x2.cosh))
+        assert form_signature(x2)[:2] == form_signature(as_sinh)[:2]
+        assert form_signature(x2) != form_signature(x2._replace(cosh=x2.cosh[:2]))
 
 
 # Points where one denominator form vanishes, with the label the pole message
