@@ -19,17 +19,20 @@ A product is expanded in one step, as the exponential of integer power sums
 of its arguments: ``log(sinh z / z)`` is an even series whose coefficients
 come from the tangent numbers (Knuth & Buckholtz, *Computation of tangent,
 Euler, and Bernoulli numbers*, Math. Comp. 21, 1967).  The exponential is
-taken in integers over one running denominator, so a product of F factors
-to order K costs O(F*K + K^2) integer operations and one gcd per
-coefficient.  That integer form, :meth:`SinhProduct.even_coefficients`, is
-the kernel's only output: the identity checks, ``qdim --series`` and the
-instanton evaluator read it as it is, and :meth:`SinhProduct.series` is its
-``PowerSeries`` view (:meth:`PowerSeries.from_even`).
+taken on factorial-scaled (Hurwitz) coefficients, in integers over one
+running denominator that stays small.  A product of F factors to order K
+costs O(F*K) for the power sums, one gcd per coefficient and about K^2/8
+big-integer products, whose operand sizes add up to about the size of the
+coefficient they build, since a large term meets a small one.  That
+integer form, :meth:`SinhProduct.even_coefficients`, is the kernel's only
+output: the identity checks, ``qdim --series`` and the instanton evaluator
+read it as it is, and :meth:`SinhProduct.series` is its ``PowerSeries`` view
+(:meth:`PowerSeries.from_even`).
 
 All values are immutable after construction and every operation is a pure
-function.  The one cache, :func:`log_sinh_numerators`, memoises a pure
-function of an integer and holds immutable tuples, so concurrent use needs
-no locking.
+function.  The two caches, :func:`log_sinh_hurwitz` and the low rows of
+:func:`odd_binomials`, memoise pure functions of an integer and hold
+immutable tuples, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -291,15 +294,40 @@ def tangent_numbers(n: int) -> list[int]:
 
 
 @functools.cache
-def log_sinh_numerators(half: int) -> tuple[tuple[int, ...], int]:
-    """The coefficients c_1..c_half of the even series ``log(sinh z / z) =
-    sum c_k z^{2k}`` as ``(nums, omega)``: ``c_k = nums[k-1] / omega``, where
-    ``omega`` is the lcm of the reduced denominators of the ``c_k`` and
-    ``c_k = (-1)^(k-1) T_{2k-1} / ((2k)! (4^k - 1))``."""
-    coeffs = [Fraction((-1) ** k * t, math.factorial(2 * k + 2) * (4 ** (k + 1) - 1))
+def log_sinh_hurwitz(half: int) -> tuple[tuple[int, ...], int]:
+    """The Hurwitz coefficients gamma_1..gamma_half of the even series
+    ``log(sinh z / z) = sum gamma_k z^{2k} / (2k)!`` as ``(nums, g)``:
+    ``gamma_k = nums[k-1] / g``, where ``g`` is the lcm of the reduced
+    denominators of the ``gamma_k`` and ``gamma_k = (-1)^(k-1) T_{2k-1} /
+    (4^k - 1) = 2^{2k} B_{2k} / (2k)``: 1/3, -2/15, 16/63, -16/15, ..."""
+    coeffs = [Fraction((-1) ** k * t, 4 ** (k + 1) - 1)
               for k, t in enumerate(tangent_numbers(half))]
-    omega = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (omega // c.denominator) for c in coeffs), omega
+    g = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (g // c.denominator) for c in coeffs), g
+
+
+#: Rows of :func:`odd_binomials` kept once built: those of an expansion to
+#: order 512, the CLI's largest series order (2.1 MB).  Only the instanton
+#: evaluator's doubling goes past it, up to order 4096, where keeping every
+#: row would hold about 0.5 GB; larger rows are rebuilt per call.
+_CACHED_ROWS = 256
+
+
+def odd_binomials(m: int) -> tuple[int, ...]:
+    """Row ``2m - 1`` of Pascal's triangle at its odd places: ``C(2m - 1,
+    2j - 1)`` for j = 1..m, which is ``(j / m) C(2m, 2j)``."""
+    return _cached_odd_binomials(m) if m <= _CACHED_ROWS else _odd_binomials(m)
+
+
+def _odd_binomials(m: int) -> tuple[int, ...]:
+    n = 2 * m - 1
+    row = [n]
+    for k in range(1, n - 1, 2):  # C(n, k + 2) from C(n, k)
+        row.append(row[-1] * (n - k) * (n - k - 1) // ((k + 1) * (k + 2)))
+    return tuple(row)
+
+
+_cached_odd_binomials = functools.cache(_odd_binomials)
 
 
 class SinhProduct:
@@ -373,24 +401,34 @@ class SinhProduct:
         numerators over one positive integer denominator, not reduced.  Odd
         coefficients are zero; a zero product gives zeros over 1.
 
-        In ``y = x^2``, with ``L = q / gcd(q, all arguments)`` and each
-        argument ``a`` scaled to the integer ``a L / q``,
+        In ``u = (x / (4 L))^2``, with ``L = q / gcd(q, all arguments)`` and
+        each argument ``a`` scaled to the integer ``a L / q``,
 
-            product = dim * exp(sum_{k>=1} g_k y^k),
-            g_k = c_k sum_a w_a a^{2k} / (16 L^2)^k,
+            product = dim * exp(sum_{j>=1} gamma_j P_j u^j / (2j)!),
+            P_j = sum_a w_a a^{2j},
 
         where ``dim`` is :meth:`dim`, ``w_a`` the :meth:`_weights` and
-        ``c_k = nums[k-1] / Omega`` from :func:`log_sinh_numerators`.  A cosh
-        argument ``A`` enters as the pair ``2A``, ``A`` because ``log cosh z =
-        sum (4^k - 1) c_k z^{2k}``, from ``sinh 2z = 2 sinh z cosh z``.  The
-        power sums are plain integers, and the exponential follows from
-        ``m e_m = sum_{j=1}^{m} j g_j e_{m-j}``.
+        ``gamma_j = nums[j-1] / G`` from :func:`log_sinh_hurwitz`.  A cosh
+        argument ``A`` enters as the pair ``2A``, ``A`` because ``log cosh z
+        = sum (4^j - 1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z
+        cosh z``.  The exponential is taken on its Hurwitz coefficients
+        ``E_m = (2m)! e_m``, where ``product = dim * sum e_m u^m``:
 
-        The recursion runs in integers: each weight ``j g_j (16 L^2)^j Omega``
-        is an integer, and ``e_0..e_{m-1}`` are integer numerators over one
-        running denominator ``Delta``; each new sum is reduced by one gcd,
-        and when its denominator does not divide ``Delta`` the stored
-        numerators are rescaled.
+            E_0 = 1,  E_m = sum_{j=1}^{m} C(2m-1, 2j-1) gamma_j P_j E_{m-j},
+
+        from ``m e_m = sum_j j (gamma_j P_j / (2j)!) e_{m-j}`` and ``(j / m)
+        C(2m, 2j) = C(2m-1, 2j-1)`` (:func:`odd_binomials`).  The recursion
+        runs in integers: ``E_0..E_{m-1}`` are numerators over one running
+        denominator ``D``; each new sum, over ``G D``, is reduced by one gcd,
+        and when its denominator does not divide ``D`` the stored numerators
+        are rescaled.  The factorial scaling keeps ``G`` and ``D`` small:
+        for e7's eighth Cartan power at order 256 they have 363 and 18 bits,
+        where the lcm under the plain ``c_j`` and the running denominator of
+        the plain ``e_m`` have 1484 and 1434.  A large ``gamma_j P_j`` meets
+        a small ``E_{m-j}``, so the ``h^2 / 2`` products (``h = order //
+        2``) have operands whose sizes add up to about the size of ``E_m``.
+        The output is ``dim * E_m / ((2m)! (16 L^2)^m)`` over ``den(dim) D
+        (2h)! (16 L^2)^h``.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
@@ -401,35 +439,36 @@ class SinhProduct:
         weights = self._weights()
         common = math.gcd(self.q, *weights)
         lcm = self.q // common
-        bases = [((a // common) ** 2, w) for a, w in weights.items() if a and w]
-        powers = [1] * len(bases)
-        coeffs, omega = log_sinh_numerators(half)
-        weighted = []  # j * g_j * (16 L^2)^j * omega, an integer, for j = 1..half
-        for k, c in enumerate(coeffs, 1):
-            total = 0
-            for i, (square, w) in enumerate(bases):
-                powers[i] *= square
-                total += w * powers[i]
-            weighted.append(c * k * total)
-        # Exponentiate in u = y / (16 L^2), where the coefficients keep small
-        # denominators, and return to y at the end.  e_i = exp[i] / delta.
-        exp = [1]
+        squares = [(a // common) ** 2 for a, w in weights.items() if a and w]
+        powers = [w for a, w in weights.items() if a and w]
+        coeffs, g = log_sinh_hurwitz(half)
+        weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
+        for c in coeffs:
+            powers = list(map(operator.mul, powers, squares))
+            weighted.append(c * sum(powers))
+        exp = [1]  # E_i = exp[i] / delta
         delta = 1
         for m in range(1, half + 1):
-            num = sum(map(operator.mul, weighted, reversed(exp)))
-            den = m * omega * delta
-            g = math.gcd(num, den)
-            num //= g
-            den //= g
+            num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
+                          reversed(exp)))
+            den = g * delta
+            d = math.gcd(num, den)
+            num //= d
+            den //= d
             if delta % den:
                 grow = den // math.gcd(delta, den)
                 exp = [e * grow for e in exp]
                 delta *= grow
             exp.append(num * (delta // den))
+        # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
         step = 16 * lcm * lcm
-        num = scale.numerator
-        return ([num * e * step ** (half - m) for m, e in enumerate(exp)],
-                scale.denominator * delta * step ** half)
+        top = 1
+        nums = [0] * (half + 1)
+        for m in range(half, 0, -1):
+            nums[m] = scale.numerator * exp[m] * top
+            top *= 2 * m * (2 * m - 1) * step
+        nums[0] = scale.numerator * exp[0] * top
+        return nums, scale.denominator * delta * top
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors

@@ -16,7 +16,7 @@ from uqdim import (
     vogel_params,
 )
 from uqdim.errors import FloatEvaluationError
-from uqdim.series import cosh_series, log_sinh_numerators, tangent_numbers
+from uqdim.series import cosh_series, log_sinh_hurwitz, odd_binomials, tangent_numbers
 from uqdim.universal import adjoint_product, cartan_power_product
 
 from conftest import rand_fraction, reference_lhs, reference_rhs
@@ -514,10 +514,11 @@ class TestIntegerResidual:
 
 
 def log_sinh_coefficients(half):
-    """c_1..c_half of log(sinh z / z) as Fractions, read from the kernel's
-    integer numerators over their lcm denominator."""
-    nums, omega = log_sinh_numerators(half)
-    return [F(num, omega) for num in nums]
+    """c_1..c_half of log(sinh z / z) as Fractions, computed here from the
+    tangent numbers, c_k = (-1)^(k-1) T_{2k-1} / ((2k)! (4^k - 1)), so that
+    the reference below does not read the kernel's table."""
+    return [F((-1) ** (k - 1) * t, math.factorial(2 * k) * (4 ** k - 1))
+            for k, t in enumerate(tangent_numbers(half), start=1)]
 
 
 def fraction_recursion_series(product, order):
@@ -578,6 +579,34 @@ class TestKernelAgainstFractionRecursion:
         assert product.series(order) == fraction_recursion_series(product, order)
 
 
+def wide_product(seed):
+    """A seeded random product over a 50- to 64-bit q that is not constant."""
+    rng = random.Random(seed)
+    while True:
+        factors, q, sign = random_product(rng, 8)
+        product = SinhProduct(factors, q, sign)
+        if 50 <= q.bit_length() <= 64 and not product.is_constant:
+            return product
+
+
+class TestPrefixProperty:
+    """even_coefficients(K) cut to order K/2 is even_coefficients(K/2): the
+    instanton evaluator doubles its order on this, and reading one expansion
+    prefix by prefix would rest on it."""
+
+    @pytest.mark.parametrize("which", ["e7-cartan-8", 8101, 8102])
+    def test_cut_expansion_is_the_shorter_one(self, which):
+        if which == "e7-cartan-8":
+            product = cartan_power_product(vogel_params("e7"), 8)
+        else:
+            product = wide_product(which)
+        for order in (32, 64, 128, 256):
+            nums, den = product.even_coefficients(order)
+            short, short_den = product.even_coefficients(order // 2)
+            assert [F(n, den) for n in nums[:len(short)]] == [F(n, short_den) for n in short], (
+                which, order)
+
+
 def times_binomial(poly, k, c):
     """poly(t) * (t^k + c) over the integers."""
     out = [c * p for p in poly] + [0] * k
@@ -630,6 +659,11 @@ class TestKernelAgainstLaurentPolynomial:
     def test_cartan_power(self, algebra, n):
         product = cartan_power_product(vogel_params(algebra), n)
         assert product.series(256) == laurent_series(product, 256)
+
+    def test_past_the_cached_rows(self):
+        # order 528 reads the binomial rows m = 257..264, which are rebuilt
+        product = cartan_power_product(vogel_params("g2"), 2)
+        assert product.series(528) == laurent_series(product, 528)
 
     def test_oracle_closed_form(self):
         # sinh(-3u)/sinh(u) * 2 cosh(u) = -(1 + 2 cosh 2u) * 2 cosh u, u = x/4
@@ -762,11 +796,56 @@ class TestLogCoefficients:
         assert h == [F(1, 2), F(-1, 12), F(1, 45), F(-17, 2520)]
 
     def test_numerators_over_lcm(self):
-        assert log_sinh_numerators(0) == ((), 1)
+        assert log_sinh_hurwitz(0) == ((), 1)
         for half in (1, 2, 5, 20):
-            nums, omega = log_sinh_numerators(half)
+            nums, g = log_sinh_hurwitz(half)
             assert len(nums) == half
-            assert omega == math.lcm(*(F(num, omega).denominator for num in nums))
+            assert g == math.lcm(*(F(num, g).denominator for num in nums))
+
+    def test_hurwitz_values(self):
+        nums, g = log_sinh_hurwitz(4)
+        assert [F(num, g) for num in nums] == [F(1, 3), F(-2, 15), F(16, 63), F(-16, 15)]
+
+    def test_hurwitz_is_factorial_scaled(self):
+        nums, g = log_sinh_hurwitz(40)
+        for j, (num, c) in enumerate(zip(nums, log_sinh_coefficients(40)), start=1):
+            assert F(num, g) == math.factorial(2 * j) * c, j
+
+    def test_hurwitz_against_bernoulli(self):
+        # gamma_j = 2^{2j} B_{2j} / (2j), with B_n from the Akiyama-Tanigawa
+        # algorithm in Fractions (B_1 = +1/2; only even n are read).
+        count = 60
+        row, bernoulli = [], []
+        for n in range(2 * count + 1):
+            row.append(F(1, n + 1))
+            for k in range(n, 0, -1):
+                row[k - 1] = k * (row[k - 1] - row[k])
+            bernoulli.append(row[0])
+        assert bernoulli[:5] == [1, F(1, 2), F(1, 6), 0, F(-1, 30)]
+        nums, g = log_sinh_hurwitz(count)
+        for j, num in enumerate(nums, start=1):
+            assert F(num, g) == 4 ** j * bernoulli[2 * j] / (2 * j), j
+
+    def test_odd_binomials_against_pascal(self):
+        pascal = [[1]]
+        for n in range(1, 129):
+            prev = pascal[-1]
+            pascal.append([1] + [a + b for a, b in zip(prev, prev[1:])] + [1])
+        assert odd_binomials(1) == (1,)
+        for m in range(1, 65):
+            row = pascal[2 * m - 1]
+            assert odd_binomials(m) == tuple(row[1::2]), m
+            # (j / m) C(2m, 2j) = C(2m - 1, 2j - 1), the kernel's identity
+            assert all(m * row[2 * j - 1] == j * pascal[2 * m][2 * j]
+                       for j in range(1, m + 1)), m
+        assert odd_binomials(64) is odd_binomials(64)
+
+    def test_odd_binomials_above_the_cache(self):
+        for m in (255, 256, 257, 300):
+            assert odd_binomials(m) == tuple(math.comb(2 * m - 1, 2 * j - 1)
+                                             for j in range(1, m + 1)), m
+        assert odd_binomials(256) is odd_binomials(256)
+        assert odd_binomials(300) is not odd_binomials(300)  # rebuilt, not kept
 
     def test_against_taylor_series(self):
         # log(sinh z / z) and log cosh z from exact Taylor series of
@@ -789,7 +868,9 @@ class TestLogCoefficients:
             assert log_cosh[2 * k] == (4 ** k - 1) * c
 
     def test_halves_agree_on_common_prefix(self):
-        longest = log_sinh_coefficients(40)
+        nums, g = log_sinh_hurwitz(40)
+        longest = [F(num, g) for num in nums]
         for half in range(1, 41):
-            assert log_sinh_coefficients(half) == longest[:half]
-        assert log_sinh_numerators(40) is log_sinh_numerators(40)
+            nums, g = log_sinh_hurwitz(half)
+            assert [F(num, g) for num in nums] == longest[:half]
+        assert log_sinh_hurwitz(40) is log_sinh_hurwitz(40)
