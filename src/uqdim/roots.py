@@ -13,7 +13,8 @@ the Weyl line ``x * rho`` is
 
     prod over positive roots mu of  sinh((x/2)(mu, lambda+rho)) / sinh((x/2)(mu, rho))
 
-which :func:`weyl_qdim` expands as an exact series.  This module is the
+which :func:`weyl_qdim_product` builds as a :class:`~uqdim.series.SinhProduct`
+and :func:`weyl_qdim` expands as an exact series.  This module is the
 independent oracle the universal formulas are validated against.
 """
 

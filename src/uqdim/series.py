@@ -27,7 +27,11 @@ coefficient they build, since a large term meets a small one.  That
 integer form, :meth:`SinhProduct.even_coefficients`, is the kernel's only
 output: the identity checks, ``qdim --series`` and the instanton evaluator
 read it as it is, and :meth:`SinhProduct.series` is its ``PowerSeries`` view
-(:meth:`PowerSeries.from_even`).
+(:meth:`PowerSeries.from_even`), which no command reads.
+
+:meth:`SinhProduct.same_function` tells whether two products are the same
+function of x without expanding either, by the weights of their |arguments|
+(:meth:`SinhProduct._normal_form`, which the kernel also reads).
 
 All values are immutable after construction and every operation is a pure
 function.  The two caches, :func:`log_sinh_hurwitz` and the low rows of
@@ -375,21 +379,40 @@ class SinhProduct:
     @property
     def is_constant(self) -> bool:
         """Whether the product is a constant function of x: it is zero, or
-        the weights of its |arguments| all cancel, so that every power sum
-        of :meth:`even_coefficients` vanishes."""
-        return self.is_zero or not any(self._weights().values())
+        its :meth:`_normal_form` has no weights, so that every power sum of
+        :meth:`even_coefficients` vanishes."""
+        return self.is_zero or not self._normal_form()[1]
 
-    def _weights(self) -> dict[int, int]:
-        """|argument| -> its weight in the power sums of
-        :meth:`even_coefficients`: +1 per numerator, -1 per denominator, and
-        a cosh argument A as the pair +2A, -A."""
+    def same_function(self, other: "SinhProduct") -> bool:
+        """Whether the two products are the same function of x, for every x
+        at once: both are zero, or their :meth:`dim` and their
+        :meth:`_normal_form` are equal."""
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
+        return self.dim() == other.dim() and self._normal_form() == other._normal_form()
+
+    def _normal_form(self) -> tuple[int, dict[int, int]]:
+        """``(L, {a: w})`` such that a nonzero product is :meth:`dim` times
+        the product over ``a`` of ``(sinh(a y) / (a y))^w``, ``y = x / (4 L)``.
+
+        Each |argument| is weighted +1 per numerator and -1 per denominator,
+        and a cosh argument A as the pair +2A, -A.  Arguments 0 and zero
+        weights are dropped, and ``q`` and the rest are divided by their gcd.
+        The form is fixed by the function alone: with ``t = e^y``, ``sinh(a
+        y) = t^{-a} (t^{2a} - 1) / 2``, ``t^{2a} - 1`` is the product of the
+        cyclotomic ``Phi_d(t)`` over ``d | 2a``, and Möbius inversion gives
+        the weights back from the multiplicities of the ``Phi_d``."""
         weights: dict[int, int] = {}
         for n, d, _ in self.factors:
             pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
             for a, w in pairs:
                 a = abs(a)
                 weights[a] = weights.get(a, 0) + w
-        return weights
+        kept = {a: w for a, w in weights.items() if a and w}
+        common = math.gcd(self.q, *kept)
+        if common > 1:  # at rational points q is large and common is 1
+            kept = {a // common: w for a, w in kept.items()}
+        return self.q // common, kept
 
     def series(self, order: int) -> PowerSeries:
         """Exact series expansion of the product to the given order: the
@@ -401,13 +424,13 @@ class SinhProduct:
         numerators over one positive integer denominator, not reduced.  Odd
         coefficients are zero; a zero product gives zeros over 1.
 
-        In ``u = (x / (4 L))^2``, with ``L = q / gcd(q, all arguments)`` and
-        each argument ``a`` scaled to the integer ``a L / q``,
+        With ``(L, {a: w_a})`` the :meth:`_normal_form` and ``u = (x / (4
+        L))^2``,
 
             product = dim * exp(sum_{j>=1} gamma_j P_j u^j / (2j)!),
             P_j = sum_a w_a a^{2j},
 
-        where ``dim`` is :meth:`dim`, ``w_a`` the :meth:`_weights` and
+        where ``dim`` is :meth:`dim` and
         ``gamma_j = nums[j-1] / G`` from :func:`log_sinh_hurwitz`.  A cosh
         argument ``A`` enters as the pair ``2A``, ``A`` because ``log cosh z
         = sum (4^j - 1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z
@@ -436,11 +459,9 @@ class SinhProduct:
         scale = self.dim()
         if scale == 0:  # a zero numerator
             return [0] * (half + 1), 1
-        weights = self._weights()
-        common = math.gcd(self.q, *weights)
-        lcm = self.q // common
-        squares = [(a // common) ** 2 for a, w in weights.items() if a and w]
-        powers = [w for a, w in weights.items() if a and w]
+        lcm, weights = self._normal_form()
+        squares = [a * a for a in weights]
+        powers = list(weights.values())
         coeffs, g = log_sinh_hurwitz(half)
         weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
         for c in coeffs:

@@ -15,6 +15,7 @@ import pytest
 
 import uqdim
 from uqdim import cli
+from uqdim.series import PowerSeries, SinhProduct
 
 
 def run(capsys, *argv):
@@ -322,6 +323,50 @@ class TestVerify:
         _, doc = run_json(capsys, "verify", "s2", "--order", "6",
                           "--trials", "2", "--seed", "17")
         assert doc["inputs"]["seed"] == 17
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("a command path reached the series expansion")
+
+
+class TestNoPowerSeries:
+    """No command builds a PowerSeries; the cross-check suites compare
+    products as functions and expand nothing."""
+
+    @pytest.fixture
+    def no_expansion(self, monkeypatch):
+        monkeypatch.setattr(PowerSeries, "__init__", refuse)
+        monkeypatch.setattr(SinhProduct, "series", refuse)
+        monkeypatch.setattr(SinhProduct, "even_coefficients", refuse)
+
+    @pytest.mark.parametrize("suite", ["specialization", "g2zero"])
+    def test_suites_expand_nothing(self, capsys, no_expansion, suite):
+        code, out = run(capsys, "verify", suite, "--json")
+        assert code == 0
+        golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+        assert out.encode() == (golden / f"verify-{suite}.json").read_bytes()
+
+    @pytest.mark.parametrize("suite", ["specialization", "g2zero"])
+    def test_suites_ignore_order(self, capsys, no_expansion, suite):
+        _, low = run_json(capsys, "verify", suite, "--order", "0")
+        _, high = run_json(capsys, "verify", suite, "--order", "512")
+        assert low["inputs"]["order"] == 0 and high["inputs"]["order"] == 512
+        assert low["results"]["checks"] == high["results"]["checks"]
+        assert all(c["ok"] for c in low["results"]["checks"])
+
+    @pytest.mark.parametrize("argv", [
+        "dim e8",
+        "table s3-sl6", "table s3-f4", "table s3-so12",
+        "qdim cartan e8 --n 3 --series 8",
+        "qdim x2 so12 --x 0.3",
+        "verify s2 --trials 3",
+        "verify s3 --mode numeric --trials 20",
+        "instanton e7 --eps1 0.1 --eps2 0.2 --sigma -20 --x 0.1 --nmax 10",
+    ])
+    def test_commands_build_no_power_series(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(PowerSeries, "__init__", refuse)
+        code, _ = run(capsys, *argv.split())
+        assert code == 0
 
 
 class TestTable:

@@ -48,6 +48,19 @@ def test_specialization_builds_each_root_system_once(monkeypatch):
     assert len(built) == len(set(built)) == len(crosscheck.SPECIALIZATION_ALGEBRAS) == 9
 
 
+def test_specialization_fails_on_the_wrong_power(monkeypatch):
+    # A universal route that builds power n + 1 must fail every Cartan
+    # check; the Dynkin-dimension checks do not read it.
+    build = crosscheck.cartan_power_product
+    monkeypatch.setattr(crosscheck, "cartan_power_product", lambda v, n: build(v, n + 1))
+    report = crosscheck.run_specialization()
+    cartan = [c for c in report["checks"] if "cartan power" in c["check"]]
+    dynkin = [c for c in report["checks"] if "Dynkin" in c["check"]]
+    assert not report["passed"]
+    assert len(cartan) == 27 and not any(c["ok"] for c in cartan)
+    assert len(dynkin) == 3 and all(c["ok"] for c in dynkin)
+
+
 @pytest.mark.parametrize("which", sorted(TABLES))
 def test_line_agrees_with_point(which):
     """Each table's line passes through its algebra in the table's slot

@@ -267,6 +267,23 @@ class TestFloatRange:
         with pytest.raises(FloatEvaluationError, match="did not converge"):
             one_instanton_term(vogel_params("e8"), ip, 3)
 
+    @pytest.mark.parametrize("name,n,x", [
+        *[("e8", n, 8.0) for n in (1, 2, 3)], *[("e7", n, 6.0) for n in (1, 2)],
+        *[("e8", n, 5.0) for n in (1, 2, 3)], *[("e7", n, 4.0) for n in (1, 2, 3)],
+        *[("sl6", n, 10.0) for n in (1, 2)],
+    ])
+    def test_large_x_raises_or_is_right(self, name, n, x):
+        # At large x the tail estimate abs(x) ** (2 * last) can overflow, and
+        # many coefficients whose terms matter lie below the float range, so
+        # Horner reads them as 0.0: a term must raise rather than be wrong.
+        v = vogel_params(name)
+        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=x, n_max=n)
+        try:
+            term = one_instanton_term(v, ip, n)
+        except FloatEvaluationError:
+            return
+        assert term == pytest.approx(cartan_power_product(v, n).value_at(x), rel=1e-9)
+
     @pytest.mark.parametrize("x,sigma", [(100.0, 0.0), (0.5, 1e5)])
     def test_overflowing_term(self, x, sigma):
         ip = InstantonParams(eps1=1.0, eps2=0.0, sigma_n=sigma, x=x, n_max=1)

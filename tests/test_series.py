@@ -15,9 +15,17 @@ from uqdim import (
     sinh_series,
     vogel_params,
 )
+from uqdim.crosscheck import SPECIALIZATION_ALGEBRAS
 from uqdim.errors import FloatEvaluationError
+from uqdim.roots import build_root_system, weyl_qdim_product
 from uqdim.series import cosh_series, log_sinh_hurwitz, odd_binomials, tangent_numbers
-from uqdim.universal import adjoint_product, cartan_power_product
+from uqdim.universal import (
+    adjoint_product,
+    cartan_power_product,
+    parse_algebra,
+    y2_product,
+    z_product,
+)
 
 from conftest import rand_fraction, reference_lhs, reference_rhs
 
@@ -200,6 +208,19 @@ class TestSinhProduct:
         assert not SinhProduct([(3, None, ""), (6, 3, "")], 1).is_constant
         assert not cartan_power_product(vogel_params("e7"), 8).is_constant
 
+    def test_normal_form(self):
+        # 2 cosh(3u) sinh(5u) / sinh(10u) over q = 6: weights 6: +1, 3: -1,
+        # 5: +1, 10: -1, all divided by gcd(6, 3, 5, 6, 10) = 1.
+        p = SinhProduct([(3, None, ""), (5, 10, "")], 6)
+        assert p._normal_form() == (6, {6: 1, 3: -1, 5: 1, 10: -1})
+        # 2 cosh(0) and the zero-weight pair 4, 4 leave nothing; L is then 1.
+        p = SinhProduct([(0, None, ""), (4, 2, ""), (2, 4, "")], 12)
+        assert p._normal_form() == (1, {})
+        # Kept arguments 4 and 8 over 12 reduce to 1 and 2 over 3, whatever
+        # the zero-weight argument 6 would have contributed to the gcd.
+        p = SinhProduct([(8, 4, ""), (6, 2, ""), (2, 6, "")], 12)
+        assert p._normal_form() == (3, {2: 1, 1: -1})
+
     def test_pole_reported_with_label(self):
         with pytest.raises(PoleAtParameters, match="beta-2\\*alpha"):
             SinhProduct([(1, 0, "beta-2*alpha")], 1)
@@ -293,6 +314,79 @@ class TestSinhProduct:
         p = SinhProduct([(3, 1, ""), (2, None, "")], 1, sign=-1)
         expected = -1.0 * (math.sinh(0.75) / math.sinh(0.25)) * (2.0 * math.cosh(0.5))
         assert p.value_at(1.0) == expected
+
+
+class TestSameFunction:
+    def test_cosh_against_its_sinh_ratio(self):
+        # 2 cosh(3u) = sinh(6u) / sinh(3u)
+        cosh = SinhProduct([(3, None, "")], 1)
+        assert cosh.same_function(SinhProduct([(6, 3, "")], 1))
+        assert cosh.same_function(SinhProduct([(30, 15, "")], 5))  # over another q
+        assert not cosh.same_function(SinhProduct([(6, 3, "")], 5))
+
+    def test_negated_argument_with_flipped_sign(self):
+        p = SinhProduct([(3, 2, ""), (5, 7, "")], 4)
+        assert p.same_function(SinhProduct([(-3, 2, ""), (5, 7, "")], 4, -1))
+        assert p.same_function(SinhProduct([(3, -2, ""), (-5, -7, "")], 4, -1))
+
+    def test_reordered_factors(self):
+        factors = [(3, 2, "a"), (5, None, "b"), (1, 7, "c")]
+        p = SinhProduct(factors, 6, -1)
+        assert p.same_function(SinhProduct(factors[::-1], 6, -1, "other"))
+
+    def test_zero_products(self):
+        zero = SinhProduct([(0, 2, ""), (5, 1, "")], 1)
+        assert zero.same_function(SinhProduct([(0, 7, "")], 3, -1))
+        assert not zero.same_function(SinhProduct([(5, 1, "")], 1))
+        assert not SinhProduct([(5, 1, "")], 1).same_function(zero)
+
+    def test_opposite_sign(self):
+        factors = [(3, 2, ""), (5, None, "")]
+        p, minus = SinhProduct(factors, 1), SinhProduct(factors, 1, -1)
+        assert p._normal_form() == minus._normal_form()
+        assert not p.same_function(minus)
+
+    def test_equal_dimension_different_function(self):
+        # sinh(6u)/sinh(2u) and sinh(3u)/sinh(u) both give 3 at x = 0.
+        p, other = SinhProduct([(6, 2, "")], 1), SinhProduct([(3, 1, "")], 1)
+        assert p.dim() == other.dim()
+        assert not p.same_function(other)
+
+    def test_weyl_argument_changed_by_one(self):
+        rs = build_root_system("E", 8)
+        weyl = weyl_qdim_product(rs, rs.weight(rs.theta))
+        (n, d, label), *rest = weyl.factors
+        changed = SinhProduct([(n + 1, d, label), *rest], weyl.q, weyl.sign)
+        assert weyl.same_function(SinhProduct(weyl.factors, weyl.q, weyl.sign))
+        assert not weyl.same_function(changed)
+
+    def test_y2_alpha_against_z01(self):
+        # Y2(beta) is Z(0, 1) and Y2(alpha) is the second Cartan power;
+        # at a generic point the first two agree and Y2(alpha) differs.
+        rng = random.Random(2016)
+        while True:
+            v = VogelParams(rand_fraction(rng), rand_fraction(rng), rand_fraction(rng))
+            try:
+                z01, y2a, y2b = z_product(v, 0, 1), y2_product(v, "alpha"), y2_product(v, "beta")
+            except PoleAtParameters:
+                continue
+            break
+        assert z01.same_function(y2b)
+        assert not z01.same_function(y2a)
+        assert y2a.same_function(cartan_power_product(v, 2))
+
+    @pytest.mark.parametrize("name", SPECIALIZATION_ALGEBRAS)
+    def test_cartan_powers_against_weyl(self, name):
+        # Cartan power n is the Weyl module n theta, not (n + 1) theta.
+        aid = parse_algebra(name)
+        v = vogel_params(aid)
+        rs = build_root_system(aid.family, aid.rank)
+        weyl = [weyl_qdim_product(rs, rs.weight(tuple(m * c for c in rs.theta)))
+                for m in range(12)]
+        for n in range(1, 11):
+            power = cartan_power_product(v, n)
+            assert power.same_function(weyl[n]), n
+            assert not power.same_function(weyl[n + 1]), n
 
 
 # Products are drawn as integer factors over one random q.  The references
@@ -748,6 +842,7 @@ class TestConstructorAgainstReference:
             assert scaled.min_abs_denominator() == product.min_abs_denominator()
             assert scaled.value_at(0.4) == product.value_at(0.4)
             assert scaled.series(9) == product.series(9)
+            assert scaled.same_function(product)
 
     @pytest.mark.parametrize("label, context, text", [
         ("beta-2*alpha", "qdim_y2(beta)",
