@@ -7,7 +7,9 @@ power evaluated at x.  Terms are computed from the exact even coefficients
 of the series kernel (integers over one denominator, the form ``qdim
 --series`` prints) with an adaptively doubled truncation order, and the
 series is truncated once its last retained term is below TAIL_TOLERANCE
-relative to the value.  It is not the more accurate float path: against
+relative to the value.  The doublings of one term extend one run of the
+kernel's recursion (:meth:`~uqdim.series.SinhProduct.expansions`) rather
+than restart it.  It is not the more accurate float path: against
 an 80-digit reference over Cartan powers at algebra points and random Z
 products, the direct sinh arithmetic of
 :meth:`~uqdim.series.SinhProduct.value_at` erred by a median of 1.3 ulps
@@ -70,16 +72,19 @@ class InstantonTermTable:
 
 def _eval_adaptive(product: SinhProduct, x: float) -> float:
     """Evaluate an entire-series product at x, doubling the truncation order
-    until the last retained coefficient contributes less than TAIL_TOLERANCE
-    relative to the value.  A constant product (zero included) returns its
-    dimension: the tail rule would read its x^0 term as a tail forever.
-    Horner's rule runs over every power, 0.0 at the odd ones and the correctly
-    rounded n / den of :meth:`SinhProduct.even_coefficients` at the even."""
+    from _START_ORDER up to _MAX_ORDER until the last retained coefficient
+    contributes less than TAIL_TOLERANCE relative to the value.  The orders
+    are read from one :meth:`SinhProduct.expansions` run, so each doubling
+    computes only the new half of the coefficients; each pair is the
+    integers of :meth:`SinhProduct.even_coefficients` at its order.  A
+    constant product (zero included) returns its dimension: the tail rule
+    would read its x^0 term as a tail forever.  Horner's rule runs over
+    every power, 0.0 at the odd ones and the correctly rounded n / den at
+    the even."""
     if product.is_constant:
         return float(product.dim())
-    order = _START_ORDER
-    while True:
-        nums, den = product.even_coefficients(order)
+    orders = [_START_ORDER << i for i in range((_MAX_ORDER // _START_ORDER).bit_length())]
+    for nums, den in product.expansions(orders):
         value = 0.0
         for n in reversed(nums):
             value = (value * x + 0.0) * x + n / den
@@ -89,11 +94,9 @@ def _eval_adaptive(product: SinhProduct, x: float) -> float:
         tail = abs(nums[last] / den) * abs(x) ** (2 * last)
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value
-        if order >= _MAX_ORDER:
-            raise FloatEvaluationError(
-                f"series evaluation did not converge at x={x} by order {order}"
-            )
-        order *= 2
+    raise FloatEvaluationError(
+        f"series evaluation did not converge at x={x} by order {orders[-1]}"
+    )
 
 
 def one_instanton_term(v: VogelParams, ip: InstantonParams, n: int) -> float:

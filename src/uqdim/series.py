@@ -23,18 +23,25 @@ taken on factorial-scaled (Hurwitz) coefficients, in integers over one
 running denominator that stays small.  A product of F factors to order K
 costs O(F*K) for the power sums, one gcd per coefficient and about K^2/8
 big-integer products, whose operand sizes add up to about the size of the
-coefficient they build, since a large term meets a small one.  That
-integer form, :meth:`SinhProduct.even_coefficients`, is the kernel's only
-output: the identity checks, ``qdim --series`` and the instanton evaluator
-read it as it is, and :meth:`SinhProduct.series` is its ``PowerSeries`` view
-(:meth:`PowerSeries.from_even`), which no command reads.
+coefficient they build, since a large term meets a small one.  The
+scaled coefficients do not depend on the order, so the recursion is
+resumable: :meth:`SinhProduct.expansions` runs it once for a rising sequence
+of orders and yields the integer form at each, with its state in the
+generator's frame, not on the product.  That integer form is the kernel's
+only output: :meth:`SinhProduct.even_coefficients` is the first yield for
+one order, which the identity checks and ``qdim --series`` read; the
+instanton evaluator reads the yields for its doubling orders; and
+:meth:`SinhProduct.series` is the ``PowerSeries`` view of
+``even_coefficients`` (:meth:`PowerSeries.from_even`), which no command
+reads.
 
 :meth:`SinhProduct.same_function` tells whether two products are the same
 function of x without expanding either, by the weights of their |arguments|
 (:meth:`SinhProduct._normal_form`, which the kernel also reads).
 
 All values are immutable after construction and every operation is a pure
-function.  The two caches, :func:`log_sinh_hurwitz` and the low rows of
+function; a running recursion belongs to one generator, which no other
+caller sees.  The two caches, :func:`log_sinh_hurwitz` and the low rows of
 :func:`odd_binomials`, memoise pure functions of an integer and hold
 immutable tuples, so concurrent use needs no locking.
 """
@@ -46,7 +53,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     DivisionByZeroSeries,
@@ -422,7 +429,8 @@ class SinhProduct:
     def even_coefficients(self, order: int) -> tuple[list[int], int]:
         """The coefficients of x^0, x^2, ..., x^(2*(order // 2)) as integer
         numerators over one positive integer denominator, not reduced.  Odd
-        coefficients are zero; a zero product gives zeros over 1.
+        coefficients are zero; a zero product gives zeros over 1.  This is
+        the first and only pair of :meth:`expansions` for ``(order,)``.
 
         With ``(L, {a: w_a})`` the :meth:`_normal_form` and ``u = (x / (4
         L))^2``,
@@ -444,7 +452,9 @@ class SinhProduct:
         runs in integers: ``E_0..E_{m-1}`` are numerators over one running
         denominator ``D``; each new sum, over ``G D``, is reduced by one gcd,
         and when its denominator does not divide ``D`` the stored numerators
-        are rescaled.  The factorial scaling keeps ``G`` and ``D`` small:
+        are rescaled.  So ``D`` is the lcm of the reduced denominators of
+        ``E_0..E_m``, whatever ``G`` is.  The factorial scaling keeps ``G``
+        and ``D`` small:
         for e7's eighth Cartan power at order 256 they have 363 and 18 bits,
         where the lcm under the plain ``c_j`` and the running denominator of
         the plain ``e_m`` have 1484 and 1434.  A large ``gamma_j P_j`` meets
@@ -453,43 +463,62 @@ class SinhProduct:
         The output is ``dim * E_m / ((2m)! (16 L^2)^m)`` over ``den(dim) D
         (2h)! (16 L^2)^h``.
         """
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        half = order // 2
+        return next(self.expansions((order,)))
+
+    def expansions(self, orders: Iterable[int]) -> Iterator[tuple[list[int], int]]:
+        """``even_coefficients(order)`` for each order of a non-decreasing
+        sequence, integer for integer, from one run of the recursion.
+
+        The ``E_m`` do not depend on the order; only the output scaling
+        does.  So the generator keeps ``E_0..E_m``, ``D`` and the normal
+        form in its frame, and each larger half order ``h`` only recomputes
+        the ``gamma_j P_j`` over the ``G`` of :func:`log_sinh_hurwitz(h)
+        <log_sinh_hurwitz>` and appends the rows up to ``h``: ``E_m`` is
+        reduced, so ``D`` and the stored numerators come out as a fresh
+        call's.  A negative or decreasing order raises ``ValueError`` when
+        it is reached."""
         scale = self.dim()
-        if scale == 0:  # a zero numerator
-            return [0] * (half + 1), 1
         lcm, weights = self._normal_form()
         squares = [a * a for a in weights]
-        powers = list(weights.values())
-        coeffs, g = log_sinh_hurwitz(half)
-        weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
-        for c in coeffs:
-            powers = list(map(operator.mul, powers, squares))
-            weighted.append(c * sum(powers))
+        step = 16 * lcm * lcm
         exp = [1]  # E_i = exp[i] / delta
         delta = 1
-        for m in range(1, half + 1):
-            num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
-                          reversed(exp)))
-            den = g * delta
-            d = math.gcd(num, den)
-            num //= d
-            den //= d
-            if delta % den:
-                grow = den // math.gcd(delta, den)
-                exp = [e * grow for e in exp]
-                delta *= grow
-            exp.append(num * (delta // den))
-        # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
-        step = 16 * lcm * lcm
-        top = 1
-        nums = [0] * (half + 1)
-        for m in range(half, 0, -1):
-            nums[m] = scale.numerator * exp[m] * top
-            top *= 2 * m * (2 * m - 1) * step
-        nums[0] = scale.numerator * exp[0] * top
-        return nums, scale.denominator * delta * top
+        previous = 0
+        for order in orders:
+            if order < previous:
+                raise ValueError("orders must be non-negative and non-decreasing")
+            previous = order
+            half = order // 2
+            if scale == 0:
+                yield [0] * (half + 1), 1
+                continue
+            if half >= len(exp):
+                coeffs, g = log_sinh_hurwitz(half)
+                powers = list(weights.values())
+                weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
+                for c in coeffs:
+                    powers = list(map(operator.mul, powers, squares))
+                    weighted.append(c * sum(powers))
+                for m in range(len(exp), half + 1):
+                    num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
+                                  reversed(exp)))
+                    den = g * delta
+                    d = math.gcd(num, den)
+                    num //= d
+                    den //= d
+                    if delta % den:
+                        grow = den // math.gcd(delta, den)
+                        exp = [e * grow for e in exp]
+                        delta *= grow
+                    exp.append(num * (delta // den))
+            # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
+            top = 1
+            nums = [0] * (half + 1)
+            for m in range(half, 0, -1):
+                nums[m] = scale.numerator * exp[m] * top
+                top *= 2 * m * (2 * m - 1) * step
+            nums[0] = scale.numerator * exp[0] * top
+            yield nums, scale.denominator * delta * top
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors

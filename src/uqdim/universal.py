@@ -91,8 +91,14 @@ class VogelParams:
     def permuted(self, order: tuple[int, int, int]) -> "VogelParams":
         """Coordinates reordered so position k holds the order[k]-th
         original coordinate (0 = alpha, 1 = beta, 2 = gamma)."""
-        triple = self.as_tuple()
-        return VogelParams(triple[order[0]], triple[order[1]], triple[order[2]])
+        i, j, k = order
+        triple, point = self.as_tuple(), self.point
+        # The point is known, so the checks and the lcm of __post_init__ are
+        # skipped; the frozen fields are set as it sets them.
+        permuted = object.__new__(VogelParams)
+        permuted.__dict__.update(alpha=triple[i], beta=triple[j], gamma=triple[k],
+                                 point=(point[i], point[j], point[k], point[3]))
+        return permuted
 
     def scaled(self, z: Rational) -> "VogelParams":
         """The projectively equivalent point (alpha/z, beta/z, gamma/z)."""

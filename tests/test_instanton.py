@@ -13,9 +13,9 @@ from uqdim import (
     vogel_params,
     weyl_qdim,
 )
-from uqdim import instanton
+from uqdim import instanton, series
 from uqdim.errors import FloatEvaluationError, PoleAtParameters
-from uqdim.series import SinhProduct
+from uqdim.series import SinhProduct, odd_binomials
 from uqdim.universal import (
     adjoint_product,
     cartan_power_product,
@@ -181,12 +181,29 @@ class TestSum:
 
         monkeypatch.setattr(SinhProduct, "series", no_series)
         monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
+        monkeypatch.setattr(SinhProduct, "expansions", no_series)
         point = VogelParams(-4, 1, 1)
         assert instanton._eval_adaptive(cartan_power_product(point, 2), 0.5) == -1.0
         zero = instanton._eval_adaptive(cartan_power_product(point, 1), 0.5)
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
         assert instanton._eval_adaptive(cartan_power_product(vogel_params("sl6"), 0),
                                         0.5) == 1.0
+
+
+class TestOneRecursion:
+    def test_doublings_extend_one_recursion(self, monkeypatch):
+        # e7's eighth Cartan power at x = 0.5 stops at order 256: one run of
+        # the recursion reads rows m = 1..128, where restarting it at orders
+        # 16, 32, ..., 256 read 8 + 16 + ... + 128 = 248.
+        rows = []
+
+        def counted(m):
+            rows.append(m)
+            return odd_binomials(m)
+
+        monkeypatch.setattr(series, "odd_binomials", counted)
+        instanton._eval_adaptive(cartan_power_product(vogel_params("e7"), 8), 0.5)
+        assert rows == list(range(1, 129))
 
 
 def reference_eval_adaptive(product, x):

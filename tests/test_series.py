@@ -23,6 +23,7 @@ from uqdim.universal import (
     adjoint_product,
     cartan_power_product,
     parse_algebra,
+    x2_product,
     y2_product,
     z_product,
 )
@@ -699,6 +700,63 @@ class TestPrefixProperty:
             short, short_den = product.even_coefficients(order // 2)
             assert [F(n, den) for n in nums[:len(short)]] == [F(n, short_den) for n in short], (
                 which, order)
+
+
+def wide_z_product(seed):
+    """A seeded mixed Cartan product at a point of float coordinates, whose
+    q has 50 to 64 bits."""
+    rng = random.Random(seed)
+    while True:
+        v = VogelParams(*(F(rng.uniform(-8.0, 8.0)) for _ in range(3)))
+        try:
+            product = z_product(v, rng.randint(1, 3), rng.randint(0, 2))
+        except PoleAtParameters:
+            continue
+        if 50 <= product.q.bit_length() <= 64 and not product.is_constant:
+            return product
+
+
+class TestExpansions:
+    """expansions(orders) runs the recursion once and yields, for each
+    order, the integers of a fresh even_coefficients(order)."""
+
+    ORDERS = (16, 32, 64, 128, 256, 512)
+
+    @staticmethod
+    def products():
+        e7 = vogel_params("e7")
+        x2 = x2_product(vogel_params("so12"))
+        assert any(d is None for _, d, _ in x2.factors)
+        zero = SinhProduct([(15, 10, ""), (0, 7, ""), (5, None, "")], 5)
+        constant = SinhProduct([(-4, 4, ""), (3, 3, "")], 2, -1)
+        assert zero.is_zero and constant.is_constant and not constant.is_zero
+        return ([(f"e7-cartan-{n}", cartan_power_product(e7, n)) for n in range(1, 9)]
+                + [(f"z-{seed}", wide_z_product(seed)) for seed in (8201, 8202)]
+                + [("x2-so12", x2), ("zero", zero), ("constant", constant)])
+
+    def test_each_order_is_a_fresh_expansion(self):
+        for name, product in self.products():
+            pairs = list(product.expansions(self.ORDERS))
+            assert len(pairs) == len(self.ORDERS), name
+            for order, pair in zip(self.ORDERS, pairs):
+                assert pair == product.even_coefficients(order), (name, order)
+
+    def test_repeated_and_odd_orders(self):
+        product = cartan_power_product(vogel_params("e7"), 3)
+        orders = (0, 0, 5, 5, 6, 33, 33)
+        pairs = list(product.expansions(orders))
+        assert pairs == [product.even_coefficients(order) for order in orders]
+        assert pairs[0] == pairs[1] and pairs[2] == pairs[3] and pairs[5] == pairs[6]
+
+    @pytest.mark.parametrize("orders", [(32, 16), (16, 64, 62), (-1,), (4, -2)])
+    def test_decreasing_or_negative_order(self, orders):
+        for product in (cartan_power_product(vogel_params("e7"), 2),
+                        SinhProduct([(0, 7, "")], 5)):
+            expansions = product.expansions(orders)
+            for _ in orders[:-1]:
+                next(expansions)
+            with pytest.raises(ValueError):
+                next(expansions)
 
 
 def times_binomial(poly, k, c):

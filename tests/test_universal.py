@@ -172,6 +172,10 @@ class TestIntegerPoint:
                 w = v.permuted(order)
                 assert w.point == (*((A, B, C)[i] for i in order), q), (triple, order)
                 assert w.as_tuple() == tuple(v.as_tuple()[i] for i in order)
+                # permuted reuses the point: it is the point of the permuted triple.
+                fresh = VogelParams(*(triple[i] for i in order))
+                assert w == fresh and hash(w) == hash(fresh), (triple, order)
+                assert repr(w) == repr(fresh) and w.point == fresh.point, (triple, order)
 
     def test_fields_are_fractions(self):
         v = VogelParams(1, F(2), 0.5)
