@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PoleAtParameters
 from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
@@ -119,8 +119,7 @@ def term_product(term: Term, v: VogelParams) -> SinhProduct:
     return z_product(v.permuted(term.perm), *Z_ARGS[term.kind])
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one verification run.  ``exact_zero`` and
     ``order_checked`` are meaningful in series mode (every coefficient of
     LHS - RHS up to that order is exactly zero); ``max_abs_residual`` in
@@ -134,7 +133,7 @@ class IdentityReport:
     seed: int
     exact_zero: bool | None = None
     max_abs_residual: float | None = None
-    failures: tuple = field(default_factory=tuple)
+    failures: tuple = ()
 
     @property
     def passed(self) -> bool:

@@ -11,9 +11,9 @@ relative to the value.  The doublings of one term extend one run of the
 kernel's recursion (:meth:`~uqdim.series.SinhProduct.expansions`) rather
 than restart it.  It is not the more accurate float path: against
 an 80-digit reference over Cartan powers at algebra points and random Z
-products, the direct sinh arithmetic of
-:meth:`~uqdim.series.SinhProduct.value_at` erred by a median of 1.3 ulps
-and at most 9.5, this path by up to 1774 ulps (truncation, within
+products (``tests/test_float_accuracy.py``), the direct sinh arithmetic of
+:meth:`~uqdim.series.SinhProduct.value_at` erred by a median of 1.9 ulps
+and at most 15.5, this path by up to 1374 ulps (truncation, within
 TAIL_TOLERANCE).  The series path is kept so that ``instanton --json``
 documents stay byte-identical.
 """
@@ -21,7 +21,7 @@ documents stay byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FloatEvaluationError
 from .series import SinhProduct
@@ -37,31 +37,39 @@ _START_ORDER = 16
 _MAX_ORDER = 4096
 
 
-@dataclass(frozen=True)
-class InstantonParams:
-    """Evaluation data for the one-instanton sum.
-
-    ``sigma_n`` is the expansion parameter multiplying eps1 + eps2 (named to
-    avoid any confusion with the root called sigma elsewhere in the package);
-    ``x`` is the Weyl-line coordinate, any finite float (at x = 0 term n is
-    the weight times the dimension of the n-th Cartan power).
-    """
-
+class _InstantonFields(NamedTuple):
     eps1: float
     eps2: float
     sigma_n: float
     x: float
     n_max: int
 
-    def __post_init__(self):
-        if self.n_max < 1:
+
+class InstantonParams(_InstantonFields):
+    """Evaluation data for the one-instanton sum.
+
+    ``sigma_n`` is the expansion parameter multiplying eps1 + eps2 (named to
+    avoid any confusion with the root called sigma elsewhere in the package);
+    ``x`` is the Weyl-line coordinate, any finite float (at x = 0 term n is
+    the weight times the dimension of the n-th Cartan power).  The fields
+    are checked whenever one is built, by ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, eps1: float, eps2: float, sigma_n: float, x: float, n_max: int):
+        if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if not all(math.isfinite(v) for v in (self.eps1, self.eps2, self.sigma_n, self.x)):
+        if not all(math.isfinite(v) for v in (eps1, eps2, sigma_n, x)):
             raise ValueError("instanton parameters must be finite")
+        return super().__new__(cls, eps1, eps2, sigma_n, x, n_max)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class InstantonTermTable:
+class InstantonTermTable(NamedTuple):
     """Rows (n, term, running partial sum) plus a convergence flag set at the
     first row whose term is negligible relative to the partial sum."""
 
@@ -80,18 +88,25 @@ def _eval_adaptive(product: SinhProduct, x: float) -> float:
     constant product (zero included) returns its dimension: the tail rule
     would read its x^0 term as a tail forever.  Horner's rule runs over
     every power, 0.0 at the odd ones and the correctly rounded n / den at
-    the even."""
+    the even.  A coefficient or a tail estimate past the float range raises
+    FloatEvaluationError, as a series that has not converged by _MAX_ORDER
+    does."""
     if product.is_constant:
         return float(product.dim())
     orders = [_START_ORDER << i for i in range((_MAX_ORDER // _START_ORDER).bit_length())]
-    for nums, den in product.expansions(orders):
-        value = 0.0
-        for n in reversed(nums):
-            value = (value * x + 0.0) * x + n / den
-        # A product that is not zero has dim != 0, so x^0 is always nonzero;
-        # the last is found on the integers, since a float may underflow.
-        last = max(m for m, n in enumerate(nums) if n)
-        tail = abs(nums[last] / den) * abs(x) ** (2 * last)
+    for order, (nums, den) in zip(orders, product.expansions(orders)):
+        try:
+            value = 0.0
+            for n in reversed(nums):
+                value = (value * x + 0.0) * x + n / den
+            # A product that is not zero has dim != 0, so x^0 is always
+            # nonzero; the last is found on the integers, since a float may
+            # underflow.
+            last = max(m for m, n in enumerate(nums) if n)
+            tail = abs(nums[last] / den) * abs(x) ** (2 * last)
+        except OverflowError:
+            raise FloatEvaluationError(f"series evaluation at x={x} is not a finite "
+                                       f"float at order {order}") from None
         if tail <= TAIL_TOLERANCE * max(abs(value), 1e-300):
             return value
     raise FloatEvaluationError(

@@ -20,9 +20,8 @@ independent oracle the universal formulas are validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidRank, LengthMismatch
 from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
@@ -46,8 +45,7 @@ def _integers(values) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """A Dynkin diagram in Bourbaki numbering.  Simple root i has
     (alpha_i, alpha_i) = scale * lengths[i]; a bond (i, j) gives
     (alpha_i, alpha_j) = -scale * max(lengths[i], lengths[j]) / 2, and
@@ -90,8 +88,7 @@ def _diagram(family: str, n: int) -> DynkinDiagram:
     return DynkinDiagram(tuple(lengths), tuple(bonds), scale)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """A dominant integral weight, stored as its Dynkin labels
     (lambda, alpha_i^vee), non-negative integers in Bourbaki order.
     Construct through :meth:`RootSystem.weight` or :func:`weight_from_dynkin`
@@ -100,8 +97,7 @@ class Weight:
     labels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A root system and its Dynkin diagram.  Every vector is in simple-root
     coordinates: the positive roots are integer tuples ordered by height,
     starting with the simple roots in Bourbaki order; rho has half-integer

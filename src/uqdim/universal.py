@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -55,31 +54,48 @@ def _slot_order(slot: str) -> tuple[int, int, int]:
         raise ValueError(f"slot must be one of {SLOTS}, got {slot!r}") from None
 
 
-@dataclass(frozen=True)
 class VogelParams:
     """A point of Vogel's plane.  Points are projective and defined up to
     permutation of the three coordinates; t is their sum.  ``point`` is
     ``(A, B, C, q)``, computed once, with (alpha, beta, gamma) = (A, B, C) / q
     over the lcm q of their denominators, so a form f takes the exact value
-    Fraction(f . (A, B, C), q).  It is left out of ``==``, hash and repr."""
+    Fraction(f . (A, B, C), q).  It is left out of ``==``, hash and repr.
+    A point is immutable: assigning to a field raises AttributeError."""
 
+    __slots__ = ("alpha", "beta", "gamma", "point")
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
-    point: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    point: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        a, b, c = (x if type(x) is Fraction else Fraction(x)
-                   for x in (self.alpha, self.beta, self.gamma))
+    def __init__(self, alpha: Rational, beta: Rational, gamma: Rational):
+        a, b, c = (x if type(x) is Fraction else Fraction(x) for x in (alpha, beta, gamma))
         q = math.lcm(a.denominator, b.denominator, c.denominator)
         point = (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
                  c.numerator * (q // c.denominator), q)
         if point[:3] == (0, 0, 0):
             raise ValueError("(alpha, beta, gamma) must not all vanish")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", c)
-        object.__setattr__(self, "point", point)
+        _set_fields(self, a, b, c, point)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not VogelParams:
+            return NotImplemented
+        return (self.alpha, self.beta, self.gamma) == (other.alpha, other.beta, other.gamma)
+
+    def __hash__(self):
+        return hash((self.alpha, self.beta, self.gamma))
+
+    def __repr__(self):
+        return f"VogelParams(alpha={self.alpha!r}, beta={self.beta!r}, gamma={self.gamma!r})"
+
+    def __reduce__(self):
+        return VogelParams, self.as_tuple()
 
     @property
     def t(self) -> Fraction:
@@ -93,11 +109,10 @@ class VogelParams:
         original coordinate (0 = alpha, 1 = beta, 2 = gamma)."""
         i, j, k = order
         triple, point = self.as_tuple(), self.point
-        # The point is known, so the checks and the lcm of __post_init__ are
-        # skipped; the frozen fields are set as it sets them.
+        # The point is known, so the checks and the lcm of __init__ are skipped.
         permuted = object.__new__(VogelParams)
-        permuted.__dict__.update(alpha=triple[i], beta=triple[j], gamma=triple[k],
-                                 point=(point[i], point[j], point[k], point[3]))
+        _set_fields(permuted, triple[i], triple[j], triple[k],
+                    (point[i], point[j], point[k], point[3]))
         return permuted
 
     def scaled(self, z: Rational) -> "VogelParams":
@@ -108,8 +123,20 @@ class VogelParams:
         return VogelParams(self.alpha / z, self.beta / z, self.gamma / z)
 
 
-@dataclass(frozen=True)
-class AlgebraId:
+# The slot descriptors' setters, which pass by VogelParams.__setattr__.
+_SET_ALPHA, _SET_BETA, _SET_GAMMA, _SET_POINT = (
+    VogelParams.__dict__[name].__set__ for name in VogelParams.__slots__)
+
+
+def _set_fields(v: VogelParams, alpha, beta, gamma, point) -> None:
+    """Set the four slots of a point under construction."""
+    _SET_ALPHA(v, alpha)
+    _SET_BETA(v, beta)
+    _SET_GAMMA(v, gamma)
+    _SET_POINT(v, point)
+
+
+class AlgebraId(NamedTuple):
     """A simple Lie algebra named by its Dynkin family and rank."""
 
     family: str

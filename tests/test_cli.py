@@ -583,6 +583,18 @@ class TestOutputContract:
         assert sources
         assert [path.name for path in sources if readers.search(path.read_text())] == []
 
+    def test_cli_start_up_imports_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, and a frozen
+        # dataclass execs its generated methods: together about 7 ms of every
+        # uqdim process.  -S keeps a site .pth file from importing it first.
+        src = str(Path(uqdim.__file__).resolve().parents[1])
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import uqdim.cli; "
+                 "print('dataclasses' in sys.modules)")
+        done = subprocess.run([sys.executable, "-S", "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     def test_exact_values_never_floats(self, capsys):
         _, doc = run_json(capsys, "table", "s3-sl6")
         for row in doc["results"]["rows"]:

@@ -301,6 +301,16 @@ class TestFloatRange:
             return
         assert term == pytest.approx(cartan_power_product(v, n).value_at(x), rel=1e-9)
 
+    def test_coefficient_past_the_float_range(self):
+        # sinh(1e160 x/4) / sinh(x/4) is 1e160 at x = 1e-170, which value_at
+        # gives, but each of its coefficients past x^0 (1e480 / 96 at x^2)
+        # is beyond the float range, so n / den overflows.
+        product = SinhProduct([(10**160, 1, "d")], 1)
+        assert product.value_at(1e-170) == 1e160
+        with pytest.raises(FloatEvaluationError,
+                           match=r"at x=1e-170 is not a finite float at order 16$"):
+            instanton._eval_adaptive(product, 1e-170)
+
     @pytest.mark.parametrize("x,sigma", [(100.0, 0.0), (0.5, 1e5)])
     def test_overflowing_term(self, x, sigma):
         ip = InstantonParams(eps1=1.0, eps2=0.0, sigma_n=sigma, x=x, n_max=1)
