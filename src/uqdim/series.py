@@ -363,20 +363,22 @@ class SinhProduct:
             raise ValueError("the common denominator q must be positive")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        kept = []
-        for factor in factors:
-            n, d, label = factor
+        factors = tuple(factors)
+        unit = False
+        for n, d, label in factors:
             if d == 0:
                 where = label or f"num={Fraction(n, q)}"
                 prefix = f"{context}: " if context else ""
                 raise PoleAtParameters(
                     f"{prefix}sinh denominator {where} vanishes at these parameters"
                 )
-            if n != d:  # a ratio with n == d is identically 1
-                kept.append(factor)
+            if n == d:
+                unit = True
+        if unit:  # a ratio with n == d is identically 1
+            factors = tuple([f for f in factors if f[0] != f[1]])
         self.sign = sign
         self.q = q
-        self.factors = tuple(kept)
+        self.factors = factors
         self.context = context
 
     @property

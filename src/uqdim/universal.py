@@ -69,13 +69,18 @@ class VogelParams:
     point: tuple[int, int, int, int]
 
     def __init__(self, alpha: Rational, beta: Rational, gamma: Rational):
-        a, b, c = (x if type(x) is Fraction else Fraction(x) for x in (alpha, beta, gamma))
-        q = math.lcm(a.denominator, b.denominator, c.denominator)
-        point = (a.numerator * (q // a.denominator), b.numerator * (q // b.denominator),
-                 c.numerator * (q // c.denominator), q)
-        if point[:3] == (0, 0, 0):
+        a = alpha if type(alpha) is Fraction else Fraction(alpha)
+        b = beta if type(beta) is Fraction else Fraction(beta)
+        c = gamma if type(gamma) is Fraction else Fraction(gamma)
+        da, db, dc = a.denominator, b.denominator, c.denominator
+        q = math.lcm(da, db, dc)
+        A, B, C = a.numerator * (q // da), b.numerator * (q // db), c.numerator * (q // dc)
+        if not (A or B or C):
             raise ValueError("(alpha, beta, gamma) must not all vanish")
-        _set_fields(self, a, b, c, point)
+        _SET_ALPHA(self, a)
+        _SET_BETA(self, b)
+        _SET_GAMMA(self, c)
+        _SET_POINT(self, (A, B, C, q))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,11 +113,13 @@ class VogelParams:
         """Coordinates reordered so position k holds the order[k]-th
         original coordinate (0 = alpha, 1 = beta, 2 = gamma)."""
         i, j, k = order
-        triple, point = self.as_tuple(), self.point
+        triple, point = (self.alpha, self.beta, self.gamma), self.point
         # The point is known, so the checks and the lcm of __init__ are skipped.
         permuted = object.__new__(VogelParams)
-        _set_fields(permuted, triple[i], triple[j], triple[k],
-                    (point[i], point[j], point[k], point[3]))
+        _SET_ALPHA(permuted, triple[i])
+        _SET_BETA(permuted, triple[j])
+        _SET_GAMMA(permuted, triple[k])
+        _SET_POINT(permuted, (point[i], point[j], point[k], point[3]))
         return permuted
 
     def scaled(self, z: Rational) -> "VogelParams":
@@ -123,17 +130,10 @@ class VogelParams:
         return VogelParams(self.alpha / z, self.beta / z, self.gamma / z)
 
 
-# The slot descriptors' setters, which pass by VogelParams.__setattr__.
+# The slot descriptors' setters, which pass by VogelParams.__setattr__ to
+# fill a point under construction.
 _SET_ALPHA, _SET_BETA, _SET_GAMMA, _SET_POINT = (
     VogelParams.__dict__[name].__set__ for name in VogelParams.__slots__)
-
-
-def _set_fields(v: VogelParams, alpha, beta, gamma, point) -> None:
-    """Set the four slots of a point under construction."""
-    _SET_ALPHA(v, alpha)
-    _SET_BETA(v, beta)
-    _SET_GAMMA(v, gamma)
-    _SET_POINT(v, point)
 
 
 class AlgebraId(NamedTuple):
@@ -290,8 +290,9 @@ def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
     A, B, C, q = v.point
     factors = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
                for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
-    factors += [(f0 * A + f1 * B + f2 * C, None, label)
-                for (f0, f1, f2), label in program.cosh]
+    if program.cosh:
+        factors += [(f0 * A + f1 * B + f2 * C, None, label)
+                    for (f0, f1, f2), label in program.cosh]
     return SinhProduct(factors, q, program.sign, program.context)
 
 

@@ -258,11 +258,20 @@ class TestVerifyIdentity:
         assert report.max_abs_residual.hex() == expected_hex
         assert report.points_checked == expected_points
 
-    def test_numeric_pole_margin_rejections(self, monkeypatch):
+    # (identity, seed): the draws of a 1000-point run, the draws it rejects
+    # and its max_abs_residual.
+    POLE_MARGIN_PINS = {
+        (S2_SYM, 11): (1002, [297, 945], "0x1.b7a3a89180321p-42"),
+        (S3_SYM_CUBE, 0): (1003, [129, 142, 396], "0x1.d793d1b76e325p-34"),
+    }
+
+    @pytest.mark.parametrize("ident, seed", sorted(POLE_MARGIN_PINS))
+    def test_numeric_pole_margin_rejections(self, monkeypatch, ident, seed):
         # Each numeric draw takes four uniform() calls (three coordinates and
-        # x).  s3 at seed 0 rejects exactly draws 129, 142 and 396, each
-        # because float(min_abs_denominator()) < POLE_MARGIN, so 1003 draws
-        # give 1000 checked points.
+        # x).  Each rejected draw has a product whose float(
+        # min_abs_denominator()) < POLE_MARGIN; the rest give the 1000 points.
+        draws_pinned, rejected, residual = self.POLE_MARGIN_PINS[(ident, seed)]
+
         class CountingRandom(random.Random):
             calls = 0
 
@@ -279,12 +288,12 @@ class TestVerifyIdentity:
 
         monkeypatch.setattr(identities.random, "Random", CountingRandom)
         monkeypatch.setattr(identities, "_lhs_value", recording_lhs)
-        report = verify_identity(S3_SYM_CUBE, mode=NUMERIC, trials=1000, seed=0)
+        report = verify_identity(ident, mode=NUMERIC, trials=1000, seed=seed)
         draws = CountingRandom.calls // 4
-        assert CountingRandom.calls == 4 * draws == 4 * 1003
-        assert sorted(set(range(draws)) - set(accepted)) == [129, 142, 396]
+        assert CountingRandom.calls == 4 * draws == 4 * draws_pinned
+        assert sorted(set(range(draws)) - set(accepted)) == rejected
         assert report.points_checked == len(accepted) == 1000
-        assert report.max_abs_residual.hex() == "0x1.d793d1b76e325p-34"
+        assert report.max_abs_residual.hex() == residual
 
     def test_reproducible(self):
         a = verify_identity(S2_SYM, mode=SERIES, order=10, trials=10, seed=5)
@@ -369,6 +378,9 @@ class TestPoleMargin:
         (10 ** 30 - 1, 10 ** 33, False),  # below 1/1000, but rounds to it
         (1001, 10 ** 6, False),
         (1, 2 ** 52, True),
+        (2 ** 43, 2 ** 52, False),      # 2^-9, the largest |D| the screen passes on
+        (2 ** 43 + 1, 2 ** 52, False),  # above it: no division
+        (-(2 ** 43) - 1, 2 ** 52, False),
     ])
     def test_boundary_products(self, den, q, near):
         product = SinhProduct([(3 * q, 5 * q, "a"), (7, den, "b"), (q, None, "c")], q)

@@ -902,6 +902,17 @@ class TestConstructorAgainstReference:
             assert scaled.series(9) == product.series(9)
             assert scaled.same_function(product)
 
+    # The factors before and after the vanishing denominator: a ratio, a
+    # unit ratio (N == D, dropped), a cosh factor, and a second vanishing
+    # denominator, which must not be the one named.
+    POLE_LAYOUTS = {
+        "ratio, cosh": (("ratio", "cosh"), ("later",)),
+        "after a unit ratio": (("ratio", "unit"), ("later",)),
+        "after a cosh": (("unit", "cosh"), ("later",)),
+        "last": (("unit", "ratio", "cosh"), ()),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(POLE_LAYOUTS))
     @pytest.mark.parametrize("label, context, text", [
         ("beta-2*alpha", "qdim_y2(beta)",
          "qdim_y2(beta): sinh denominator beta-2*alpha vanishes at these parameters"),
@@ -909,22 +920,38 @@ class TestConstructorAgainstReference:
         ("gamma", "", "sinh denominator gamma vanishes at these parameters"),
         ("", "", "sinh denominator num=-1/1024 vanishes at these parameters"),
     ])
-    def test_pole_message(self, label, context, text):
+    def test_pole_message(self, label, context, text, layout):
         q = 2 ** 60 * 105
         arg = lambda r: int(r * q)  # every r below is an integer over q
         num = F(7, 3) if context else F(-1, 1024)
-        factors = [(arg(F(1, 2 ** 60)), arg(F(3, 5)), ""), (arg(F(5, 7)), None, ""),
-                   (arg(num), 0, label), (q, 0, "later")]
+        named = {"ratio": (arg(F(1, 2 ** 60)), arg(F(3, 5)), ""),
+                 "unit": (arg(F(3, 5)), arg(F(3, 5)), "unit"),
+                 "cosh": (arg(F(5, 7)), None, ""),
+                 "later": (q, 0, "later")}
+        before, after = self.POLE_LAYOUTS[layout]
+        factors = ([named[k] for k in before] + [(arg(num), 0, label)]
+                   + [named[k] for k in after])
         with pytest.raises(PoleAtParameters) as caught:
             SinhProduct(factors, q, context=context)
         assert str(caught.value) == text
 
     def test_pole_message_random(self):
+        # The vanishing denominator goes anywhere, last, or right after a
+        # unit ratio or a cosh factor; without it, every unit ratio is
+        # dropped and the rest keep their order.
         rng = random.Random(91)
-        for _ in range(100):
+        for trial in range(400):
             factors, q, _ = random_product(rng, 5)
+            den = random_arg(rng, q)
+            unit, cosh = (den, den, "unit"), (random_arg(rng, q), None, "c")
+            for extra in (unit, cosh):
+                factors.insert(rng.randint(0, len(factors)), extra)
+            product = SinhProduct(factors, q, context="ctx")
+            assert product.factors == tuple(kept_factors(factors)), (trial, factors)
+            at = (rng.randint(0, len(factors)), len(factors),
+                  1 + factors.index(unit), 1 + factors.index(cosh))[trial % 4]
             bad = (rng.choice([0, random_arg(rng, q)]), 0, rng.choice(["", "alpha-beta"]))
-            factors.insert(rng.randint(0, len(factors)), bad)
+            factors.insert(at, bad)
             where = bad[2] or f"num={F(bad[0], q)}"
             with pytest.raises(PoleAtParameters) as caught:
                 SinhProduct(factors, q, context="ctx")
