@@ -29,7 +29,7 @@ from .errors import (
 )
 from .identities import IDENTITIES, NUMERIC, SERIES, verify_identity
 from .instanton import InstantonParams, one_instanton_sum
-from .series import DEFAULT_ORDER
+from .series import DEFAULT_ORDER, MAX_SERIES_ORDER
 from .universal import (
     SLOTS,
     VogelParams,
@@ -50,11 +50,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PARAM_POLE = 3
 EXIT_FLOAT = 5
-
-
-#: Largest series order accepted from --series or --order; it bounds the
-#: time and memory of one expansion.
-MAX_SERIES_ORDER = 512
 
 
 class _ParseError(Exception):
@@ -293,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an identity or cross-check suite")
     p.add_argument("identity", choices=[*IDENTITIES, *SUITES])
     p.add_argument("--order", type=int,
-                   help=f"series truncation order (0..{MAX_SERIES_ORDER}; "
-                        f"default {DEFAULT_ORDER})")
+                   help=f"series truncation order (0..{MAX_SERIES_ORDER}, and at least 1 "
+                        f"for an identity in series mode; default {DEFAULT_ORDER})")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=[SERIES, NUMERIC], default=SERIES)

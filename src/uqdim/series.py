@@ -68,6 +68,10 @@ RationalLike = Union[Fraction, int]
 #: Default truncation order used throughout the package (inclusive).
 DEFAULT_ORDER = 20
 
+#: Largest series order accepted from --series or --order; it bounds the
+#: time and memory of one expansion.
+MAX_SERIES_ORDER = 512
+
 _ZERO = Fraction(0)
 
 
@@ -205,8 +209,8 @@ class PowerSeries:
                 f"divisor valuation {v} exceeds dividend valuation {my_v}"
             )
         n = min(self.order, other.order) - v
-        a = self._coeffs[v : v + n + 1] + (_ZERO,) * max(0, n + 1 - (self.order - v + 1))
-        b = other._coeffs[v : v + n + 1] + (_ZERO,) * max(0, n + 1 - (other.order - v + 1))
+        a = self._coeffs[v : v + n + 1]
+        b = other._coeffs[v : v + n + 1]
         lead = b[0]
         out: list[Fraction] = []
         for m in range(n + 1):
@@ -318,10 +322,10 @@ def log_sinh_hurwitz(half: int) -> tuple[tuple[int, ...], int]:
 
 
 #: Rows of :func:`odd_binomials` kept once built: those of an expansion to
-#: order 512, the CLI's largest series order (2.1 MB).  Only the instanton
-#: evaluator's doubling goes past it, up to order 4096, where keeping every
-#: row would hold about 0.5 GB; larger rows are rebuilt per call.
-_CACHED_ROWS = 256
+#: MAX_SERIES_ORDER (2.1 MB).  Only the instanton evaluator's doubling goes
+#: past it, up to order 4096, where keeping every row would hold about
+#: 0.5 GB; larger rows are rebuilt per call.
+_CACHED_ROWS = MAX_SERIES_ORDER // 2
 
 
 def odd_binomials(m: int) -> tuple[int, ...]:

@@ -56,16 +56,14 @@ def _slot_order(slot: str) -> tuple[int, int, int]:
 
 class VogelParams:
     """A point of Vogel's plane.  Points are projective and defined up to
-    permutation of the three coordinates; t is their sum.  ``point`` is
-    ``(A, B, C, q)``, computed once, with (alpha, beta, gamma) = (A, B, C) / q
-    over the lcm q of their denominators, so a form f takes the exact value
-    Fraction(f . (A, B, C), q).  It is left out of ``==``, hash and repr.
+    permutation of the three coordinates; t is their sum.  A point is stored
+    once, as ``point = (A, B, C, q)``: (alpha, beta, gamma) = (A, B, C) / q
+    over the lcm q of their reduced denominators, so a form f takes the exact
+    value Fraction(f . (A, B, C), q), and two points are equal exactly when
+    their ``point`` tuples are.  The coordinates are read-only properties.
     A point is immutable: assigning to a field raises AttributeError."""
 
-    __slots__ = ("alpha", "beta", "gamma", "point")
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    __slots__ = ("point",)
     point: tuple[int, int, int, int]
 
     def __init__(self, alpha: Rational, beta: Rational, gamma: Rational):
@@ -77,10 +75,11 @@ class VogelParams:
         A, B, C = a.numerator * (q // da), b.numerator * (q // db), c.numerator * (q // dc)
         if not (A or B or C):
             raise ValueError("(alpha, beta, gamma) must not all vanish")
-        _SET_ALPHA(self, a)
-        _SET_BETA(self, b)
-        _SET_GAMMA(self, c)
         _SET_POINT(self, (A, B, C, q))
+
+    alpha = property(lambda self: Fraction(self.point[0], self.point[3]))
+    beta = property(lambda self: Fraction(self.point[1], self.point[3]))
+    gamma = property(lambda self: Fraction(self.point[2], self.point[3]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -91,34 +90,33 @@ class VogelParams:
     def __eq__(self, other):
         if type(other) is not VogelParams:
             return NotImplemented
-        return (self.alpha, self.beta, self.gamma) == (other.alpha, other.beta, other.gamma)
+        return self.point == other.point
 
     def __hash__(self):
-        return hash((self.alpha, self.beta, self.gamma))
+        return hash(self.as_tuple())
 
     def __repr__(self):
-        return f"VogelParams(alpha={self.alpha!r}, beta={self.beta!r}, gamma={self.gamma!r})"
+        return "VogelParams(alpha={!r}, beta={!r}, gamma={!r})".format(*self.as_tuple())
 
     def __reduce__(self):
         return VogelParams, self.as_tuple()
 
     @property
     def t(self) -> Fraction:
-        return self.alpha + self.beta + self.gamma
+        A, B, C, q = self.point
+        return Fraction(A + B + C, q)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.alpha, self.beta, self.gamma)
+        A, B, C, q = self.point
+        return (Fraction(A, q), Fraction(B, q), Fraction(C, q))
 
     def permuted(self, order: tuple[int, int, int]) -> "VogelParams":
         """Coordinates reordered so position k holds the order[k]-th
         original coordinate (0 = alpha, 1 = beta, 2 = gamma)."""
         i, j, k = order
-        triple, point = (self.alpha, self.beta, self.gamma), self.point
-        # The point is known, so the checks and the lcm of __init__ are skipped.
+        point = self.point
+        # q does not change, so the checks and the lcm of __init__ are skipped.
         permuted = object.__new__(VogelParams)
-        _SET_ALPHA(permuted, triple[i])
-        _SET_BETA(permuted, triple[j])
-        _SET_GAMMA(permuted, triple[k])
         _SET_POINT(permuted, (point[i], point[j], point[k], point[3]))
         return permuted
 
@@ -127,13 +125,13 @@ class VogelParams:
         z = Fraction(z)
         if z == 0:
             raise ValueError("scale must be nonzero")
-        return VogelParams(self.alpha / z, self.beta / z, self.gamma / z)
+        a, b, c = self.as_tuple()
+        return VogelParams(a / z, b / z, c / z)
 
 
-# The slot descriptors' setters, which pass by VogelParams.__setattr__ to
+# The slot descriptor's setter, which passes by VogelParams.__setattr__ to
 # fill a point under construction.
-_SET_ALPHA, _SET_BETA, _SET_GAMMA, _SET_POINT = (
-    VogelParams.__dict__[name].__set__ for name in VogelParams.__slots__)
+_SET_POINT = VogelParams.point.__set__
 
 
 class AlgebraId(NamedTuple):
@@ -236,13 +234,13 @@ def exc_line_params(lam: Rational) -> VogelParams:
 
 
 def dim_adjoint(v: VogelParams) -> Fraction:
-    """Universal dimension of the adjoint representation."""
-    a, b, c = v.as_tuple()
-    if a * b * c == 0:
-        raise PoleAtParameters(
-            f"dim formula has a pole: alpha*beta*gamma = 0 at ({a}, {b}, {c})"
-        )
-    return -((a + 2 * b + 2 * c) * (b + 2 * a + 2 * c) * (c + 2 * a + 2 * b)) / (a * b * c)
+    """Universal dimension of the adjoint representation (degree 0: q cancels)."""
+    A, B, C, _ = v.point
+    if A * B * C == 0:
+        raise PoleAtParameters("dim formula has a pole: alpha*beta*gamma = 0 at "
+                               "({}, {}, {})".format(*v.as_tuple()))
+    return Fraction(-(A + 2 * B + 2 * C) * (B + 2 * A + 2 * C) * (C + 2 * A + 2 * B),
+                    A * B * C)
 
 
 def casimir_adjoint(v: VogelParams) -> Fraction:
@@ -252,7 +250,8 @@ def casimir_adjoint(v: VogelParams) -> Fraction:
 
 def casimir_y2(v: VogelParams, slot: str) -> Fraction:
     """Quadratic Casimir eigenvalue on Y2(slot): 4t - 2*slot."""
-    return 4 * v.t - 2 * v.as_tuple()[_slot_order(slot)[0]]
+    A, B, C, q = point = v.point
+    return Fraction(4 * (A + B + C) - 2 * point[_slot_order(slot)[0]], q)
 
 
 # ---------------------------------------------------------------------------

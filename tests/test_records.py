@@ -5,7 +5,10 @@ hashes, and no field can be assigned.  Six are NamedTuples, and so tuples;
 only and is never equal to a tuple."""
 
 import copy
+import itertools
 import pickle
+import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +19,8 @@ from uqdim import (
     InstantonTermTable,
     VogelParams,
     build_root_system,
+    casimir_y2,
+    dim_adjoint,
     parse_algebra,
 )
 from uqdim.roots import DynkinDiagram, Weight
@@ -100,3 +105,82 @@ def test_vogel_params_is_not_a_tuple():
         v.point = (0, 0, 0, 1)
     for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
         assert clone == v and clone.point == v.point
+
+
+# VogelParams's input contract: each input converts as Fraction(x) does, and
+# the point is (A, B, C, q) over the lcm q of the reduced denominators.
+VOGEL_INPUTS = [
+    ((1, 2, 3), (1, 2, 3, 1), (F(1), F(2), F(3))),
+    ((True, False, 2), (1, 0, 2, 1), (F(1), F(0), F(2))),
+    ((F(1, 3), 2, 3), (1, 6, 9, 3), (F(1, 3), F(2), F(3))),
+    (("1/3", 2, 3), (1, 6, 9, 3), (F(1, 3), F(2), F(3))),
+    ((" -3/4 ", F(5, 6), "2"), (-9, 10, 24, 12), (F(-3, 4), F(5, 6), F(2))),
+    ((0.5, -2.25, 3.0), (2, -9, 12, 4), (F(1, 2), F(-9, 4), F(3))),
+    ((0.1, 0.2, 0.3),
+     (3602879701896397, 7205759403792794, 10808639105689190, 36028797018963968),
+     (F(3602879701896397, 36028797018963968), F(3602879701896397, 18014398509481984),
+      F(5404319552844595, 18014398509481984))),
+    ((Decimal("0.1"), Decimal("-1.5"), 7), (1, -15, 70, 10), (F(1, 10), F(-3, 2), F(7))),
+    ((Decimal("1e-3"), 1, 1), (1, 1000, 1000, 1000), (F(1, 1000), F(1), F(1))),
+]
+
+
+@pytest.mark.parametrize("inputs,point,triple", VOGEL_INPUTS, ids=repr)
+def test_vogel_params_inputs(inputs, point, triple):
+    v = VogelParams(*inputs)
+    assert v.point == point
+    assert v.as_tuple() == triple and (v.alpha, v.beta, v.gamma) == triple
+    assert all(type(x) is F for x in v.as_tuple()) and v.t == sum(triple)
+    assert repr(v) == "VogelParams(alpha={!r}, beta={!r}, gamma={!r})".format(*triple)
+    assert hash(v) == hash(triple)
+    assert v == VogelParams(*triple) and v.scaled(1) == v
+
+
+@pytest.mark.parametrize("bad,error", [
+    (None, TypeError),
+    ([1], TypeError),
+    ("abc", ValueError),
+    (float("nan"), ValueError),
+    (Decimal("NaN"), ValueError),
+    (float("inf"), OverflowError),
+    (Decimal("Infinity"), OverflowError),
+    ("1/0", ZeroDivisionError),
+], ids=repr)
+def test_vogel_params_rejects(bad, error):
+    for position in range(3):
+        args = [1, 1, 1]
+        args[position] = bad
+        with pytest.raises(error):
+            VogelParams(*args)
+
+
+def test_vogel_params_rejects_the_origin():
+    with pytest.raises(ValueError, match="must not all vanish"):
+        VogelParams(0, 0.0, "0")
+
+
+def test_float_points_are_their_exact_fractions():
+    rng = random.Random(5)
+    for _ in range(200):
+        floats = [rng.uniform(-8.0, 8.0) for _ in range(3)]
+        v = VogelParams(*floats)
+        exact = VogelParams(*map(F, floats))
+        assert v == exact and hash(v) == hash(exact) and v.point == exact.point
+        for order in itertools.permutations(range(3)):
+            permuted = v.permuted(order)
+            rebuilt = VogelParams(*(floats[k] for k in order))
+            assert permuted == rebuilt and permuted.point == rebuilt.point
+            assert hash(permuted) == hash(rebuilt) and repr(permuted) == repr(rebuilt)
+
+
+def test_scalar_invariants_match_the_rational_formulas():
+    rng = random.Random(11)
+    for _ in range(200):
+        a, b, c = (F(rng.choice([-1, 1]) * rng.randint(1, 64), rng.randint(1, 64))
+                   for _ in range(3))
+        v = VogelParams(a, b, c)
+        t = a + b + c
+        assert dim_adjoint(v) == -((a + 2 * b + 2 * c) * (b + 2 * a + 2 * c)
+                                   * (c + 2 * a + 2 * b)) / (a * b * c)
+        assert [casimir_y2(v, slot) for slot in ("alpha", "beta", "gamma")] == [
+            4 * t - 2 * a, 4 * t - 2 * b, 4 * t - 2 * c]
