@@ -271,8 +271,9 @@ def verify_identity(identity: str, mode: str = SERIES, order: int = DEFAULT_ORDE
        rejects the draw;
     3. every right-hand constituent, then the adjoint, is built through the
        module-level builders; a vanishing denominator rejects the draw;
-    4. the margin screen: ``_near_pole`` on the adjoint, then on each
-       constituent in table order, up to the first that is near a pole;
+    4. the margin screen: ``_near_pole`` on each constituent in table
+       order, up to the first that is near a pole.  Not on the adjoint: its
+       denominators are alpha, beta and gamma, which step 2 screens;
     5. ``_lhs_value`` and ``_rhs_value`` give the residual.
     """
     _identity(identity)
@@ -345,8 +346,6 @@ def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
             products = _rhs_products(identity, v)
             adj = adjoint_product(v)
         except PoleAtParameters:
-            continue
-        if _near_pole(adj):
             continue
         for _, product in products:
             if _near_pole(product):

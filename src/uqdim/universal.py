@@ -284,15 +284,21 @@ def _form_str(form: Form) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
-    """The product of a program at one point of Vogel's plane."""
-    A, B, C, q = v.point
+def _factors(program: FormProgram, point: tuple[int, int, int, int]) -> list:
+    """A program's SinhProduct factors at ``(A, B, C, q)``, forms as integers over q."""
+    A, B, C, _ = point
     factors = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
                for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
     if program.cosh:
         factors += [(f0 * A + f1 * B + f2 * C, None, label)
                     for (f0, f1, f2), label in program.cosh]
-    return SinhProduct(factors, q, program.sign, program.context)
+    return factors
+
+
+def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
+    """The product of a program at one point of Vogel's plane."""
+    point = v.point
+    return SinhProduct(_factors(program, point), point[3], program.sign, program.context)
 
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
@@ -538,32 +544,26 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
     At isolated points two different linear forms -- one numerator, one
     denominator -- can vanish together, leaving the printed product 0/0 even
     though its restriction to the family is regular; each vanishing form is
-    then replaced by its exact derivative along the family (forms are affine
-    in the family parameter, so the derivative is a difference of two
-    evaluations; nothing is computed numerically).
+    then replaced by its exact derivative along the family: its value at
+    ``value0 + 1``, as forms are affine in the family parameter.  As many
+    are replaced on each side, so every q cancels in one ``Fraction``.
     """
     value0 = Fraction(value0)
     program = _z_program(k, l)
-    points = (params_at(value0).point, params_at(value0 + 1).point)
+    at0 = _factors(program, params_at(value0).point)
+    at1 = _factors(program, params_at(value0 + 1).point)
 
-    def at(form: Form) -> tuple[Fraction, Fraction]:
-        return tuple(Fraction(form[0] * A + form[1] * B + form[2] * C, q)
-                     for A, B, C, q in points)
-
-    den_vals = [(*at(den), label) for _, den, label in program.sinh]
-    num_vals = [at(num) for num, _, _ in program.sinh]
-
-    for at0, at1, label in den_vals:
-        if at0 == 0 and at1 == at0:
+    for (_, d0, label), (_, d1, _) in zip(at0, at1):
+        if d0 == 0 and d1 == 0:
             raise PoleAtParameters(
                 f"denominator {label} vanishes identically along "
                 f"the {family_name} family"
             )
-    if any(at0 == 0 and at1 == at0 for at0, at1 in num_vals):
+    if any(n0 == 0 and n1 == 0 for (n0, _, _), (n1, _, _) in zip(at0, at1)):
         return Fraction(0)
 
-    zeros_num = sum(1 for at0, _ in num_vals if at0 == 0)
-    zeros_den = sum(1 for at0, _, _ in den_vals if at0 == 0)
+    zeros_num = sum(1 for n0, _, _ in at0 if n0 == 0)
+    zeros_den = sum(1 for _, d0, _ in at0 if d0 == 0)
     if zeros_num > zeros_den:
         return Fraction(0)
     if zeros_num < zeros_den:
@@ -571,12 +571,11 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
             f"qdim_z(k={k}, l={l}) has a pole on the {family_name} family "
             f"at parameter {value0}"
         )
-    acc = Fraction(program.sign)
-    for at0, at1 in num_vals:
-        acc *= at0 if at0 != 0 else (at1 - at0)
-    for at0, at1, _ in den_vals:
-        acc /= at0 if at0 != 0 else (at1 - at0)
-    return acc
+    num, den = program.sign, 1
+    for (n0, d0, _), (n1, d1, _) in zip(at0, at1):
+        num *= n0 or n1
+        den *= d0 or d1
+    return Fraction(num, den)
 
 
 def z_dim_along_line(line: str, value0: Rational, perm: tuple[int, int, int],

@@ -144,6 +144,27 @@ class TestUsageErrors:
         assert out == f"command: {argv[0]}\nerror: {message}\nstatus: error\n"
 
 
+class TestExtraPositional:
+    """A positional left over after a command that takes no algebra."""
+
+    def test_json_error_document(self, capsys):
+        code = cli.main(["verify", "s2", "extra", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out) == {
+            "command": "verify", "inputs": {}, "status": "error",
+            "results": {"error": "unrecognized arguments: extra"}}
+        assert captured.err == ""
+
+    def test_text_goes_to_stderr(self, capsys):
+        code = cli.main(["verify", "s2", "extra"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: uqdim ")
+        assert captured.err.endswith("uqdim: error: unrecognized arguments: extra\n")
+
+
 class TestTextLists:
     def test_list_of_dicts(self, capsys):
         code, out = run(capsys, "verify", "g2zero")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -295,6 +296,43 @@ class TestVerifyIdentity:
         assert report.points_checked == len(accepted) == 1000
         assert report.max_abs_residual.hex() == residual
 
+    # (identity, seed, trials): the index of the one draw in a series run
+    # that hits a pole and is drawn again, and the pole it hits.
+    SERIES_POLE_PINS = {
+        (S2_SYM, 23, 28): (27, (F(-32, 27), F(5, 3), F(5, 3)),
+                           "qdim_y2(beta): sinh denominator beta-gamma vanishes "
+                           "at these parameters"),
+        (S3_SYM_CUBE, 18, 26): (25, (F(-2), F(-4), F(9, 17)),
+                                "qdim_z(k=3, l=0): sinh denominator -2*alpha+beta "
+                                "vanishes at these parameters"),
+    }
+
+    @pytest.mark.parametrize("ident, seed, trials", sorted(SERIES_POLE_PINS))
+    def test_series_pole_is_drawn_again(self, monkeypatch, ident, seed, trials):
+        rejected_index, point, message = self.SERIES_POLE_PINS[(ident, seed, trials)]
+        indices, poles = [], []
+        sample = identities.sample_params
+        residual = identities._residual
+
+        def counting_sample(seed_, index):
+            indices.append(index)
+            return sample(seed_, index)
+
+        def recording_residual(identity, v, order):
+            try:
+                return residual(identity, v, order)
+            except identities.PoleAtParameters as exc:
+                poles.append((indices[-1], v.as_tuple(), str(exc)))
+                raise
+
+        monkeypatch.setattr(identities, "sample_params", counting_sample)
+        monkeypatch.setattr(identities, "_residual", recording_residual)
+        report = verify_identity(ident, mode=SERIES, order=4, trials=trials, seed=seed)
+        assert indices == list(range(trials + 1))
+        assert poles == [(rejected_index, point, message)]
+        assert report.passed and report.exact_zero
+        assert report.points_checked == trials
+
     def test_reproducible(self):
         a = verify_identity(S2_SYM, mode=SERIES, order=10, trials=10, seed=5)
         b = verify_identity(S2_SYM, mode=SERIES, order=10, trials=10, seed=5)
@@ -348,6 +386,36 @@ class TestPoleMargin:
         # a2's denominators are multiples of single coordinates, which the
         # coordinate margin screens first, so only s2 and s3 reject here
         assert len(outcomes) >= 2000 and any(outcomes) == (identity != A2_ANTISYM)
+
+    def test_adjoint_passes_after_the_coordinate_screen(self):
+        # Numeric mode screens no adjoint: its denominators are alpha, beta
+        # and gamma, each the exact value of its float, so a draw that passes
+        # the coordinate screen is at least POLE_MARGIN from the adjoint's
+        # poles.  Draws put coordinates on and just outside +-POLE_MARGIN,
+        # near 0, and at alpha = -beta, -gamma or beta = -gamma, where the
+        # adjoint drops one ratio as identically 1.
+        margin = identities.POLE_MARGIN
+        edges = (margin, -margin, math.nextafter(margin, 1.0),
+                 math.nextafter(-margin, -1.0), 2 * margin)
+        rng = random.Random(2829)
+        checked = dropped = 0
+        for i in range(3000):
+            xyz = [rng.uniform(-8.0, 8.0) for _ in range(3)]
+            j = rng.randrange(3)
+            if i % 4 == 1:
+                xyz[j] = rng.choice(edges)
+            elif i % 4 == 2:
+                xyz[j] = -xyz[j - 1]
+            elif i % 4 == 3:
+                xyz[j] = rng.uniform(-0.01, 0.01)
+            if any(-margin < x < margin for x in xyz):
+                continue
+            adj = identities.adjoint_product(VogelParams(*xyz))
+            dropped += len(adj.factors) < 3
+            assert identities._near_pole(adj) is False, xyz
+            assert exact_margin_rule(adj) is False
+            checked += 1
+        assert checked > 2500 and dropped > 500
 
     @pytest.mark.parametrize("identity", [S2_SYM, A2_ANTISYM, S3_SYM_CUBE])
     def test_draws_near_the_pole_set(self, identity):

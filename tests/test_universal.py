@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -996,3 +997,115 @@ class TestPoleMessages:
         assert str(info.value) == (
             "qdim_z(k=1, l=1): sinh denominator beta vanishes at these parameters"
         )
+
+
+def ref_z_dim_along_family(params_at, value0, k, l, family_name="one-parameter"):
+    """The line limit in Fraction arithmetic: each form at both family
+    points as a Fraction, a vanishing form replaced by the difference of
+    the two, and the product accumulated one Fraction at a time."""
+    value0 = F(value0)
+    nums, dens, sign = universal._z_forms(k, l)
+    points = (params_at(value0).point, params_at(value0 + 1).point)
+
+    def at(form):
+        return tuple(F(form[0] * A + form[1] * B + form[2] * C, q) for A, B, C, q in points)
+
+    den_vals = [(*at(den), ref_form_str(den)) for den in dens]
+    num_vals = [at(num) for num in nums]
+
+    for at0, at1, label in den_vals:
+        if at0 == 0 and at1 == at0:
+            raise PoleAtParameters(
+                f"denominator {label} vanishes identically along "
+                f"the {family_name} family"
+            )
+    if any(at0 == 0 and at1 == at0 for at0, at1 in num_vals):
+        return F(0)
+
+    zeros_num = sum(1 for at0, _ in num_vals if at0 == 0)
+    zeros_den = sum(1 for at0, _, _ in den_vals if at0 == 0)
+    if zeros_num > zeros_den:
+        return F(0)
+    if zeros_num < zeros_den:
+        raise PoleAtParameters(
+            f"qdim_z(k={k}, l={l}) has a pole on the {family_name} family "
+            f"at parameter {value0}"
+        )
+    acc = F(sign)
+    for at0, at1 in num_vals:
+        acc *= at0 if at0 != 0 else (at1 - at0)
+    for at0, at1, _ in den_vals:
+        acc /= at0 if at0 != 0 else (at1 - at0)
+    return acc
+
+
+def limit_outcome(evaluate, *args):
+    try:
+        value = evaluate(*args)
+    except PoleAtParameters as exc:
+        return ("pole", str(exc))
+    assert type(value) is F
+    return ("value", value)
+
+
+def line_limit_cases(seed):
+    """(params_at, value0, k, l, family_name) for Z(k, l), k, l <= 3: the
+    sl, so, sp and exc lines in all six slot orders at integers, where
+    removable points and poles lie, and at random fractions; the
+    (lam, 1 - lam, 2) line at random lam, its poles and its g2 points; and
+    families along which a form vanishes identically."""
+    rng = random.Random(seed)
+    families = [(lambda n, line=line, perm=perm: line_params(line, n).permuted(perm),
+                 f"{line} line", 4)
+                for line in ("sl", "so", "sp", "exc")
+                for perm in itertools.permutations(range(3))]
+    families.append((exc_line_params, "exceptional line", 12))
+    families += [(lambda n: VogelParams(n, 0, 1), "one-parameter", 2),
+                 (lambda n: VogelParams(1, n, -1), "one-parameter", 2),
+                 (lambda n: VogelParams(n, -n, 2), "one-parameter", 2)]
+    specials = [0, 1, F(1, 2), F(2, 3), F(1, 3), F(-3, 2), F(5, 2), F(-2, 3)]
+    for params_at, name, draws in families:
+        for k, l in itertools.product(range(4), repeat=2):
+            values = [rng.randint(-8, 16) for _ in range(draws)]
+            values += [F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(2)]
+            if name == "exceptional line":
+                values += specials
+            for value in values:
+                yield params_at, F(value), k, l, name
+
+
+class TestLineLimitReference:
+    def test_matches_fraction_evaluator(self):
+        outcomes = Counter()
+        for params_at, value0, k, l, name in line_limit_cases(2027):
+            got = limit_outcome(z_dim_along_family, params_at, value0, k, l, name)
+            assert got == limit_outcome(ref_z_dim_along_family, params_at, value0,
+                                        k, l, name), (name, value0, k, l)
+            if got[0] == "pole":
+                outcomes["identical pole" if "identically" in got[1] else "pole"] += 1
+            elif got[1] == 0:
+                outcomes["zero"] += 1
+            else:
+                try:
+                    z_product(params_at(value0), k, l)
+                except PoleAtParameters:
+                    outcomes["removable"] += 1
+                else:
+                    outcomes["value"] += 1
+        assert sum(outcomes.values()) >= 2000
+        assert min(outcomes[kind] for kind in ("identical pole", "pole", "zero",
+                                               "removable", "value")) >= 10, outcomes
+
+    def test_public_entries_match_fraction_evaluator(self):
+        rng = random.Random(2028)
+        for _ in range(60):
+            line = rng.choice(("sl", "so", "sp", "exc"))
+            perm = rng.choice(list(itertools.permutations(range(3))))
+            k, l, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(-6, 14)
+            expected = limit_outcome(
+                ref_z_dim_along_family, lambda m: line_params(line, m).permuted(perm),
+                n, k, l, f"{line} line")
+            assert limit_outcome(z_dim_along_line, line, n, perm, k, l) == expected
+            lam = F(rng.randint(-12, 12), rng.randint(1, 4))
+            assert limit_outcome(exc_line_dim, lam, k, l) == limit_outcome(
+                ref_z_dim_along_family, exc_line_params, lam, k, l, "exceptional line")
