@@ -7,9 +7,11 @@ and the mixed Cartan product Z(k, l) -- is compiled once into a cached
 :class:`FormProgram`: a sign, integer coefficient vectors for every sinh
 numerator, denominator and cosh argument, the pole labels and a context
 string.  A :class:`VogelParams` holds its coordinates over their common
-denominator q, as integers computed once when the point is made, so each form
-costs one integer dot product, and every product built at the point keeps
-those integers over the same q as its exact arguments.  The builders return
+denominator q, as integers computed once when the point is made.  Each
+program generates, on first use, one function that computes all its forms at
+such a point with the zero and unit coefficients folded in, and every product
+built at the point keeps those integers over the same q as its exact
+arguments.  The builders return
 :class:`~uqdim.series.SinhProduct` objects; the public ``qdim_*`` functions
 expand them to exact series.  A vanishing denominator form raises
 :class:`PoleAtParameters` before anything is expanded; no limits are taken
@@ -30,7 +32,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import PoleAtParameters, UnknownAlgebra
@@ -67,12 +69,14 @@ class VogelParams:
     point: tuple[int, int, int, int]
 
     def __init__(self, alpha: Rational, beta: Rational, gamma: Rational):
-        a = alpha if type(alpha) is Fraction else Fraction(alpha)
-        b = beta if type(beta) is Fraction else Fraction(beta)
-        c = gamma if type(gamma) is Fraction else Fraction(gamma)
-        da, db, dc = a.denominator, b.denominator, c.denominator
+        # An int, float or Fraction gives its reduced ratio directly; any
+        # other input goes through Fraction first, subclasses too, since one
+        # may override as_integer_ratio.
+        na, da = (alpha if type(alpha) in _RATIO_TYPES else Fraction(alpha)).as_integer_ratio()
+        nb, db = (beta if type(beta) in _RATIO_TYPES else Fraction(beta)).as_integer_ratio()
+        nc, dc = (gamma if type(gamma) in _RATIO_TYPES else Fraction(gamma)).as_integer_ratio()
         q = math.lcm(da, db, dc)
-        A, B, C = a.numerator * (q // da), b.numerator * (q // db), c.numerator * (q // dc)
+        A, B, C = na * (q // da), nb * (q // db), nc * (q // dc)
         if not (A or B or C):
             raise ValueError("(alpha, beta, gamma) must not all vanish")
         _SET_POINT(self, (A, B, C, q))
@@ -132,6 +136,8 @@ class VogelParams:
 # The slot descriptor's setter, which passes by VogelParams.__setattr__ to
 # fill a point under construction.
 _SET_POINT = VogelParams.point.__set__
+# The exact types whose as_integer_ratio() VogelParams reads directly.
+_RATIO_TYPES = (int, float, Fraction)
 
 
 class AlgebraId(NamedTuple):
@@ -262,20 +268,40 @@ def casimir_y2(v: VogelParams, slot: str) -> Fraction:
 Form = tuple[int, int, int]
 
 
-class FormProgram(NamedTuple):
-    """One universal formula as data: ``sinh`` holds ``(num, den, label)``
-    entries, ``cosh`` holds ``(arg, label)`` entries, and ``context`` names
-    the formula in pole messages.  Programs are compiled once and cached."""
-
+class _ProgramFields(NamedTuple):
     sign: int
     sinh: tuple[tuple[Form, Form, str], ...]
     cosh: tuple[tuple[Form, str], ...]
     context: str
 
 
-def _form_str(form: Form) -> str:
+class FormProgram(_ProgramFields):
+    """One universal formula as data: ``sinh`` holds ``(num, den, label)``
+    entries, ``cosh`` holds ``(arg, label)`` entries, and ``context`` names
+    the formula in pole messages.  Programs are compiled once and cached.
+
+    ``evaluate(point)`` gives the formula's factors at ``(A, B, C, q)``.  It
+    is one function generated from the program's forms, with zero and unit
+    coefficients folded in.  It is compiled on its first use and kept with
+    the program, so importing the package compiles none."""
+
+    @cached_property
+    def evaluate(self) -> Callable[[tuple[int, int, int, int]], tuple]:
+        code = lambda form: _form_str(form, ("A", "B", "C"))
+        factors = [f"({code(num)}, {code(den)}, {label!r})" for num, den, label in self.sinh]
+        factors += [f"({code(arg)}, None, {label!r})" for arg, label in self.cosh]
+        source = ("def evaluate(point):\n"
+                  "    A, B, C, _ = point\n"
+                  f"    return ({''.join(f + ', ' for f in factors)})\n")
+        namespace = {}
+        exec(compile(source, f"<form program {self.context}>", "exec"), namespace)
+        return namespace["evaluate"]
+
+
+def _form_str(form: Form, names: tuple[str, ...] = SLOTS) -> str:
+    """A form written in the given names: 2*alpha-gamma for (2, 0, -1)."""
     parts = []
-    for coeff, name in zip(form, SLOTS):
+    for coeff, name in zip(form, names):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")
@@ -284,15 +310,11 @@ def _form_str(form: Form) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _factors(program: FormProgram, point: tuple[int, int, int, int]) -> list:
-    """A program's SinhProduct factors at ``(A, B, C, q)``, forms as integers over q."""
-    A, B, C, _ = point
-    factors = [(n0 * A + n1 * B + n2 * C, d0 * A + d1 * B + d2 * C, label)
-               for (n0, n1, n2), (d0, d1, d2), label in program.sinh]
-    if program.cosh:
-        factors += [(f0 * A + f1 * B + f2 * C, None, label)
-                    for (f0, f1, f2), label in program.cosh]
-    return factors
+def _factors(program: FormProgram, point: tuple[int, int, int, int]) -> tuple:
+    """A program's SinhProduct factors at ``(A, B, C, q)``: a tuple of
+    ``(N, D, label)``, its forms as integers over q, sinh ratios first and
+    cosh factors (``D = None``) after them."""
+    return program.evaluate(point)
 
 
 def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
@@ -302,9 +324,9 @@ def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
 
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
-                   context: str) -> FormProgram:
+                   context: str, cosh: tuple[tuple[Form, str], ...] = ()) -> FormProgram:
     sinh = tuple((num, den, _form_str(den)) for num, den in zip(nums, dens, strict=True))
-    return FormProgram(sign, sinh, (), context)
+    return FormProgram(sign, sinh, cosh, context)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +357,7 @@ _X2_PROGRAM = _forms_program(*zip(
     ((2, 1, 1), (2, 0, 0)),  # t + alpha / 2 alpha
     ((1, 2, 1), (0, 2, 0)),
     ((1, 1, 2), (0, 0, 2)),
-), 1, "qdim_x2")._replace(cosh=(((0, 1, 1), "t-alpha"), ((1, 0, 1), "t-beta"),
-                                  ((1, 1, 0), "t-gamma")))
+), 1, "qdim_x2", (((0, 1, 1), "t-alpha"), ((1, 0, 1), "t-beta"), ((1, 1, 0), "t-gamma")))
 
 
 @lru_cache(maxsize=None)

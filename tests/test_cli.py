@@ -616,6 +616,26 @@ class TestOutputContract:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
+    def test_cli_start_up_generates_no_evaluator(self):
+        # A form program compiles its evaluator on first use, so importing
+        # the CLI compiles none.  The audit hook sees every compile() call;
+        # the adjoint built after the import shows that it sees them.
+        src = str(Path(uqdim.__file__).resolve().parents[1])
+        probe = "\n".join([
+            "import sys",
+            f"sys.path.insert(0, {src!r})",
+            "seen = []",
+            "sys.addaudithook(lambda event, args: event == 'compile' and seen.append(args[1]))",
+            "import uqdim.cli",
+            "print([name for name in seen if str(name).startswith('<form program')])",
+            "uqdim.universal.adjoint_product(uqdim.vogel_params('e8'))",
+            "print([name for name in seen if str(name).startswith('<form program')])",
+        ])
+        done = subprocess.run([sys.executable, "-S", "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n['<form program qdim_adjoint>']\n"
+
     def test_exact_values_never_floats(self, capsys):
         _, doc = run_json(capsys, "table", "s3-sl6")
         for row in doc["results"]["rows"]:

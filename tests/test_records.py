@@ -107,6 +107,22 @@ def test_vogel_params_is_not_a_tuple():
         assert clone == v and clone.point == v.point
 
 
+class _Int(int):
+    # Subclasses convert through Fraction(x), which reads numerator and
+    # denominator of an int or Fraction subclass, never as_integer_ratio.
+    def as_integer_ratio(self):
+        return (7, 3)
+
+
+class _Float(float):
+    pass
+
+
+class _Fraction(F):
+    def as_integer_ratio(self):
+        return (7, 3)
+
+
 # VogelParams's input contract: each input converts as Fraction(x) does, and
 # the point is (A, B, C, q) over the lcm q of the reduced denominators.
 VOGEL_INPUTS = [
@@ -122,6 +138,11 @@ VOGEL_INPUTS = [
       F(5404319552844595, 18014398509481984))),
     ((Decimal("0.1"), Decimal("-1.5"), 7), (1, -15, 70, 10), (F(1, 10), F(-3, 2), F(7))),
     ((Decimal("1e-3"), 1, 1), (1, 1000, 1000, 1000), (F(1, 1000), F(1), F(1))),
+    ((_Int(3), _Float(0.5), _Fraction(2, 3)), (18, 3, 4, 6), (F(3), F(1, 2), F(2, 3))),
+    ((1e300, 1, 1), (int(1e300), 1, 1, 1), (F(int(1e300)), F(1), F(1))),
+    ((1e-300, 1, 1), (6032057205060441, 2**1049, 2**1049, 2**1049),
+     (F(6032057205060441, 2**1049), F(1), F(1))),
+    ((2.0**-1074, -1, 2), (1, -2**1074, 2**1075, 2**1074), (F(1, 2**1074), F(-1), F(2))),
 ]
 
 

@@ -687,14 +687,15 @@ def product_outcome(build, v):
 
 
 def program_points(seed, count=24):
-    """Small rationals, which often land on a pole, and Fraction(float)
-    coordinates as numeric verification draws them."""
+    """Small rationals, which often land on a pole, Fraction(float)
+    coordinates as numeric verification draws them, and then the nine
+    algebra points, where the instanton path builds its products."""
     rng = random.Random(seed)
     points = [rand_params(rng, bound=6) for _ in range(count // 2)]
     while len(points) < count:
         triple = [F(rng.uniform(-8.0, 8.0)) for _ in range(3)]
         points.append(VogelParams(*triple))
-    return points
+    return points + [vogel_params(name) for name in ALGEBRA_DIMS]
 
 
 PROGRAM_CASES = (
@@ -703,7 +704,7 @@ PROGRAM_CASES = (
        for slot in ("alpha", "beta", "gamma")]
     + [("x2", x2_product, ref_x2)]
     + [(f"cartan-{n}", lambda v, n=n: cartan_power_product(v, n),
-        lambda v, n=n: ref_cartan(v, n)) for n in range(7)]
+        lambda v, n=n: ref_cartan(v, n)) for n in range(13)]
     + [(f"z-{k}-{l}", lambda v, k=k, l=l: z_product(v, k, l),
         lambda v, k=k, l=l: ref_z(v, k, l))
        for k in range(4) for l in range(4)]
