@@ -9,7 +9,8 @@ numerator, denominator and cosh argument, the pole labels and a context
 string.  A :class:`VogelParams` holds its coordinates over their common
 denominator q, as integers computed once when the point is made.  Each
 program generates, on first use, one function that computes all its forms at
-such a point with the zero and unit coefficients folded in, and every product
+such a point with the zero and unit coefficients folded in, most of them as a
+multiple of t = alpha+beta+gamma plus a remainder, and every product
 built at the point keeps those integers over the same q as its exact
 arguments.  The builders return
 :class:`~uqdim.series.SinhProduct` objects; the public ``qdim_*`` functions
@@ -282,26 +283,39 @@ class FormProgram(_ProgramFields):
 
     ``evaluate(point)`` gives the formula's factors at ``(A, B, C, q)``.  It
     is one function generated from the program's forms, with zero and unit
-    coefficients folded in.  It is compiled on its first use and kept with
-    the program, so importing the package compiles none."""
+    coefficients folded in.  Vogel's formulas are written in t = alpha +
+    beta + gamma, so the function computes ``T = A+B+C`` and ``T2 = T+T``
+    once and writes each form as k*t plus a remainder (``T2-C`` for
+    (2, 2, 1)) when the forms save more than those three operations that
+    way; otherwise every form is written plain (``2*A+2*B+C``).  It uses
+    only ``+``, ``-`` and integer ``*``.  It is compiled on its first use
+    and kept with the program, so importing the package compiles none."""
 
     @cached_property
     def evaluate(self) -> Callable[[tuple[int, int, int, int]], tuple]:
-        code = lambda form: _form_str(form, ("A", "B", "C"))
-        factors = [f"({code(num)}, {code(den)}, {label!r})" for num, den, label in self.sinh]
-        factors += [f"({code(arg)}, None, {label!r})" for arg, label in self.cosh]
+        forms = [form for num, den, _ in self.sinh for form in (num, den)]
+        forms += [arg for arg, _ in self.cosh]
+        plans = [_form_code(form) for form in forms]
+        shift = sum(saved for saved, _ in plans) > 3
+        if not shift:
+            plans = [_form_code(form, False) for form in forms]
+        # The codes in the order of forms, read left to right below.
+        codes = iter([code for _, code in plans])
+        factors = [f"({next(codes)}, {next(codes)}, {label!r})" for _, _, label in self.sinh]
+        factors += [f"({next(codes)}, None, {label!r})" for _, label in self.cosh]
         source = ("def evaluate(point):\n"
                   "    A, B, C, _ = point\n"
-                  f"    return ({''.join(f + ', ' for f in factors)})\n")
+                  + ("    T = A + B + C\n    T2 = T + T\n" if shift else "")
+                  + f"    return ({''.join(f + ', ' for f in factors)})\n")
         namespace = {}
         exec(compile(source, f"<form program {self.context}>", "exec"), namespace)
         return namespace["evaluate"]
 
 
-def _form_str(form: Form, names: tuple[str, ...] = SLOTS) -> str:
-    """A form written in the given names: 2*alpha-gamma for (2, 0, -1)."""
+def _form_str(form: Form) -> str:
+    """A form as a label: 2*alpha-gamma for (2, 0, -1)."""
     parts = []
-    for coeff, name in zip(form, names):
+    for coeff, name in zip(form, SLOTS):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")
@@ -310,10 +324,57 @@ def _form_str(form: Form, names: tuple[str, ...] = SLOTS) -> str:
     return "".join(parts) if parts else "0"
 
 
+@lru_cache(maxsize=None)
+def _form_code(form: Form, shift: bool = True) -> tuple[int, str]:
+    """``(saved, code)``: the form as code in A, B and C, written as k*t
+    plus a remainder with k in -2..2 chosen for the fewest integer
+    operations (plain on a tie, and always without ``shift``), and how many
+    operations that saves against the plain form.  k*t is a term in
+    ``T = A+B+C`` or ``T2 = T+T``: (2, 2, 1) gives (3, 'T2-C'), and
+    (0, '2*A+2*B+C') without ``shift``.  Cached, so each form is planned
+    once."""
+    a, b, c = form
+    plain = fewest = _sum_ops(form)
+    best = 0
+    # Only t and 2t take no operation shifted, and plain they take two and
+    # five, so a plain form of one operation or none is never beaten.
+    for k in (1, -1, 2, -2) if shift and plain > 1 else ():
+        ops = _sum_ops((1 if k > 0 else -1, a - k, b - k, c - k))
+        if ops < fewest:
+            fewest, best = ops, k
+    t_term = ((best > 0) - (best < 0), "T" if best * best == 1 else "T2")
+    return plain - fewest, _sum_code((t_term, (a - best, "A"), (b - best, "B"), (c - best, "C")))
+
+
+def _sum_ops(coeffs: tuple[int, ...]) -> int:
+    """The integer operations of _sum_code's sum with these coefficients:
+    one per join and per multiple, and a negation if every term is -1."""
+    ops, negation = -1, 1
+    for coeff in coeffs:
+        if coeff == -1:
+            ops += 1
+        elif coeff:
+            ops += 1 if coeff == 1 else 2
+            negation = 0
+    return ops + negation if ops >= 0 else 0
+
+
+def _sum_code(terms: tuple[tuple[int, str], ...]) -> str:
+    """A sum of ``(coeff, name)`` terms as code.  Sorted as text, the
+    positive terms come first ("+" sorts before "-"), and the negative
+    multiples before the -1 terms, so a leading minus folds into its
+    constant where it can."""
+    parts = sorted(f"{'-' if coeff < 0 else '+'}{'' if coeff * coeff == 1 else f'{abs(coeff)}*'}{name}"
+                   for coeff, name in terms if coeff)
+    return "".join(parts).removeprefix("+") or "0"
+
+
 def _factors(program: FormProgram, point: tuple[int, int, int, int]) -> tuple:
     """A program's SinhProduct factors at ``(A, B, C, q)``: a tuple of
     ``(N, D, label)``, its forms as integers over q, sinh ratios first and
-    cosh factors (``D = None``) after them."""
+    cosh factors (``D = None``) after them.  ``program.evaluate`` computes
+    most forms as a multiple of T = A+B+C plus a remainder; each integer is
+    still the form's exact dot product with (A, B, C)."""
     return program.evaluate(point)
 
 

@@ -619,7 +619,9 @@ class TestOutputContract:
     def test_cli_start_up_generates_no_evaluator(self):
         # A form program compiles its evaluator on first use, so importing
         # the CLI compiles none.  The audit hook sees every compile() call;
-        # the adjoint built after the import shows that it sees them.
+        # the products built after the import show that it sees them, and
+        # that each program compiles once and planning its forms compiles
+        # nothing.
         src = str(Path(uqdim.__file__).resolve().parents[1])
         probe = "\n".join([
             "import sys",
@@ -628,13 +630,24 @@ class TestOutputContract:
             "sys.addaudithook(lambda event, args: event == 'compile' and seen.append(args[1]))",
             "import uqdim.cli",
             "print([name for name in seen if str(name).startswith('<form program')])",
-            "uqdim.universal.adjoint_product(uqdim.vogel_params('e8'))",
-            "print([name for name in seen if str(name).startswith('<form program')])",
+            "seen.clear()",
+            "from uqdim import universal, vogel_params",
+            "v = vogel_params('e8')",
+            "universal.adjoint_product(v)",
+            "universal.x2_product(v)",
+            "universal.y2_product(v, 'beta')",
+            "universal.z_product(v, 1, 1)",
+            "universal.x2_product(vogel_params('f4'))",
+            "print(seen)",
         ])
         done = subprocess.run([sys.executable, "-S", "-c", probe],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n['<form program qdim_adjoint>']\n"
+        assert done.stdout.splitlines() == [
+            "[]",
+            "['<form program qdim_adjoint>', '<form program qdim_x2>', "
+            "'<form program qdim_y2(beta)>', '<form program qdim_z(k=1, l=1)>']",
+        ]
 
     def test_exact_values_never_floats(self, capsys):
         _, doc = run_json(capsys, "table", "s3-sl6")

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -577,9 +578,9 @@ class TestPoleDiagnostics:
 # every form evaluated one at a time in Fraction arithmetic.
 
 
-def ref_form_str(form):
+def ref_form_str(form, names=("alpha", "beta", "gamma")):
     parts = []
-    for coeff, name in zip(form, ("alpha", "beta", "gamma")):
+    for coeff, name in zip(form, names):
         if coeff == 0:
             continue
         sign = "-" if coeff < 0 else ("+" if parts else "")
@@ -688,14 +689,35 @@ def product_outcome(build, v):
 
 def program_points(seed, count=24):
     """Small rationals, which often land on a pole, Fraction(float)
-    coordinates as numeric verification draws them, and then the nine
-    algebra points, where the instanton path builds its products."""
+    coordinates as numeric verification draws them, the nine algebra points,
+    where the instanton path builds its products, and then points where a
+    generated evaluator's T = A+B+C vanishes, points with one zero
+    coordinate and points with coordinates near 2^70."""
     rng = random.Random(seed)
     points = [rand_params(rng, bound=6) for _ in range(count // 2)]
     while len(points) < count:
         triple = [F(rng.uniform(-8.0, 8.0)) for _ in range(3)]
         points.append(VogelParams(*triple))
-    return points + [vogel_params(name) for name in ALGEBRA_DIMS]
+    # y - x is exact for y in [x/2, 2x] (Sterbenz), so these floats sum to 0.
+    x = rng.uniform(1.0, 8.0)
+    y = rng.uniform(x / 2, 2 * x)
+    big = 2**70
+    t_zero = [
+        VogelParams(1, 2, -3), VogelParams(x, -y, y - x),
+        VogelParams(F(5, 7), F(-2, 3), F(-1, 21)), VogelParams(big + 1, -big, -1),
+    ]
+    assert all(v.t == 0 for v in t_zero)
+    one_zero = [
+        VogelParams(0, 3, F(-5, 2)), VogelParams(rng.uniform(-8.0, 8.0), 0.0, rng.uniform(-8.0, 8.0)),
+        VogelParams(F(1, 3), F(-4, 5), 0),
+    ]
+    near_2_70 = [
+        VogelParams(big + 3, -big + 5, big // 2 - 1),
+        VogelParams(F(big + 1, 3), F(-big - 7, 5), F(big - 1, 7)),
+        VogelParams(2.0**70, -3.0 * 2**69, rng.uniform(-8.0, 8.0)),
+    ]
+    return (points + [vogel_params(name) for name in ALGEBRA_DIMS]
+            + t_zero + one_zero + near_2_70)
 
 
 PROGRAM_CASES = (
@@ -731,6 +753,29 @@ def series_outcome(build, v):
         return ("pole", str(exc))
 
 
+def code_ops(code):
+    """The integer operations of a generated expression: every binary
+    operation, and every negation but that of a constant, which folds."""
+    return sum(isinstance(node, ast.BinOp)
+               or (isinstance(node, ast.UnaryOp) and not isinstance(node.operand, ast.Constant))
+               for node in ast.walk(ast.parse(code, mode="eval")))
+
+
+def assert_ring_operations(compiled, code):
+    """Only +, - and integer * on A, B, C, T and T2, which any point type
+    with those operations passes through."""
+    for node in ast.walk(ast.parse(code, mode="eval")):
+        assert isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Name,
+                                 ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.USub,
+                                 ast.Load)), code
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is int, code
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            assert isinstance(node.left, (ast.Constant, ast.UnaryOp)), code
+            assert isinstance(node.right, ast.Name), code
+    assert set(compiled.co_names) <= {"A", "B", "C", "T", "T2"}, code
+
+
 class TestFormPrograms:
     @pytest.mark.parametrize("name, build, reference", PROGRAM_CASES,
                              ids=[case[0] for case in PROGRAM_CASES])
@@ -745,6 +790,51 @@ class TestFormPrograms:
         reference = lambda v: ref_materialize(nums, dens, 1, v, context).series(10)
         for v in program_points(sum(map(ord, name)), count=8):
             assert series_outcome(build, v) == series_outcome(reference, v), v
+
+    def test_form_code_is_the_dot_product(self):
+        # Every form with coefficients in -4..4, written with and without
+        # multiples of t, at seeded integer points, 0 and +-2^80 included.
+        rng = random.Random(30)
+        big = 2**80
+        points = [(0, 0, 0), (big, -big, big), (-big, -big, big), (big, 1, -big - 1)]
+        points += [tuple(rng.randint(-big, big) for _ in range(3)) for _ in range(6)]
+        points += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(6)]
+        for form in itertools.product(range(-4, 5), repeat=3):
+            saved, code = universal._form_code(form)
+            unsaved, plain = universal._form_code(form, False)
+            assert unsaved == 0
+            assert saved == code_ops(plain) - code_ops(code) >= 0, form
+            # never dearer than the form written in A, B, C order, which
+            # negates a leading term (-A+B where the writer gives B-A)
+            assert code_ops(plain) <= code_ops(ref_form_str(form, ("A", "B", "C"))), form
+            for text in (code, plain):
+                compiled = compile(text, "<form>", "eval")
+                assert_ring_operations(compiled, text)
+                for A, B, C in points:
+                    T = A + B + C
+                    names = {"A": A, "B": B, "C": C, "T": T, "T2": T + T}
+                    assert eval(compiled, names) == form[0] * A + form[1] * B + form[2] * C, text
+
+    @pytest.mark.parametrize("form, saved, code", [
+        ((2, 2, 1), 3, "T2-C"), ((1, 2, 1), 2, "B+T"), ((2, 2, 2), 5, "T2"),
+        ((-1, 2, 2), 2, "T2-3*A"), ((-2, -2, -1), 3, "C-T2"), ((0, -1, -1), 1, "A-T"),
+        ((-1, -1, -2), 1, "-C-T"), ((-1, 0, 1), 0, "C-A"), ((-1, -2, 0), 0, "-2*B-A"),
+        ((0, 0, 0), 0, "0"),
+    ])
+    def test_form_code_examples(self, form, saved, code):
+        assert universal._form_code(form) == (saved, code)
+
+    def test_small_saving_keeps_plain_forms(self):
+        # T and T2 cost three operations, so a program that would save three
+        # or fewer keeps plain forms; (1, 1, 1) saves two each time.
+        program = lambda *sinh: universal.FormProgram(1, sinh, (), "test")
+        once = program(((1, 1, 1), (1, 0, 0), "alpha"))
+        twice = program(((1, 1, 1), (0, 1, 0), "beta"), ((1, 1, 1), (0, 0, 1), "gamma"))
+        assert once.evaluate((2, 3, 5, 7)) == ((10, 2, "alpha"),)
+        assert twice.evaluate((2, 3, 5, 7)) == ((10, 3, "beta"), (10, 5, "gamma"))
+        assert "T" not in once.evaluate.__code__.co_varnames
+        assert "T" in twice.evaluate.__code__.co_varnames
+        assert program().evaluate((2, 3, 5, 7)) == ()
 
     @pytest.mark.parametrize("compile_, args", [
         (lambda: universal._ADJOINT_PROGRAM, ()),
