@@ -284,28 +284,27 @@ class FormProgram(_ProgramFields):
     ``evaluate(point)`` gives the formula's factors at ``(A, B, C, q)``.  It
     is one function generated from the program's forms, with zero and unit
     coefficients folded in.  Vogel's formulas are written in t = alpha +
-    beta + gamma, so the function computes ``T = A+B+C`` and ``T2 = T+T``
-    once and writes each form as k*t plus a remainder (``T2-C`` for
-    (2, 2, 1)) when the forms save more than those three operations that
-    way; otherwise every form is written plain (``2*A+2*B+C``).  It uses
-    only ``+``, ``-`` and integer ``*``.  It is compiled on its first use
-    and kept with the program, so importing the package compiles none."""
+    beta + gamma, so the function writes each form as k*t plus a remainder
+    where that takes fewer operations (``T2-C`` for (2, 2, 1), plain
+    ``A-C`` for (1, 0, -1)) and computes ``T = A+B+C`` and ``T2 = T+T`` once
+    if some form names them.  It uses only ``+``, ``-`` and integer ``*``.
+    It is compiled on its first use and kept with the program, so importing
+    the package compiles none."""
 
     @cached_property
     def evaluate(self) -> Callable[[tuple[int, int, int, int]], tuple]:
         forms = [form for num, den, _ in self.sinh for form in (num, den)]
         forms += [arg for arg, _ in self.cosh]
-        plans = [_form_code(form) for form in forms]
-        shift = sum(saved for saved, _ in plans) > 3
-        if not shift:
-            plans = [_form_code(form, False) for form in forms]
+        codes = [_form_code(form) for form in forms]
+        written = "".join(codes)
         # The codes in the order of forms, read left to right below.
-        codes = iter([code for _, code in plans])
-        factors = [f"({next(codes)}, {next(codes)}, {label!r})" for _, _, label in self.sinh]
-        factors += [f"({next(codes)}, None, {label!r})" for _, label in self.cosh]
+        code = iter(codes)
+        factors = [f"({next(code)}, {next(code)}, {label!r})" for _, _, label in self.sinh]
+        factors += [f"({next(code)}, None, {label!r})" for _, label in self.cosh]
         source = ("def evaluate(point):\n"
                   "    A, B, C, _ = point\n"
-                  + ("    T = A + B + C\n    T2 = T + T\n" if shift else "")
+                  + ("    T = A + B + C\n" if "T" in written else "")
+                  + ("    T2 = T + T\n" if "T2" in written else "")
                   + f"    return ({''.join(f + ', ' for f in factors)})\n")
         namespace = {}
         exec(compile(source, f"<form program {self.context}>", "exec"), namespace)
@@ -325,25 +324,22 @@ def _form_str(form: Form) -> str:
 
 
 @lru_cache(maxsize=None)
-def _form_code(form: Form, shift: bool = True) -> tuple[int, str]:
-    """``(saved, code)``: the form as code in A, B and C, written as k*t
-    plus a remainder with k in -2..2 chosen for the fewest integer
-    operations (plain on a tie, and always without ``shift``), and how many
-    operations that saves against the plain form.  k*t is a term in
-    ``T = A+B+C`` or ``T2 = T+T``: (2, 2, 1) gives (3, 'T2-C'), and
-    (0, '2*A+2*B+C') without ``shift``.  Cached, so each form is planned
-    once."""
+def _form_code(form: Form) -> str:
+    """The form as code in A, B and C, written as k*t plus a remainder with
+    k in -2..2 chosen for the fewest integer operations (plain on a tie).
+    k*t is a term in ``T = A+B+C`` or ``T2 = T+T``: (2, 2, 1) gives 'T2-C'
+    and (1, 0, -1) gives 'A-C'.  Cached, so each form is planned once."""
     a, b, c = form
-    plain = fewest = _sum_ops(form)
+    fewest = _sum_ops(form)
     best = 0
     # Only t and 2t take no operation shifted, and plain they take two and
     # five, so a plain form of one operation or none is never beaten.
-    for k in (1, -1, 2, -2) if shift and plain > 1 else ():
+    for k in (1, -1, 2, -2) if fewest > 1 else ():
         ops = _sum_ops((1 if k > 0 else -1, a - k, b - k, c - k))
         if ops < fewest:
             fewest, best = ops, k
     t_term = ((best > 0) - (best < 0), "T" if best * best == 1 else "T2")
-    return plain - fewest, _sum_code((t_term, (a - best, "A"), (b - best, "B"), (c - best, "C")))
+    return _sum_code((t_term, (a - best, "A"), (b - best, "B"), (c - best, "C")))
 
 
 def _sum_ops(coeffs: tuple[int, ...]) -> int:
@@ -364,8 +360,9 @@ def _sum_code(terms: tuple[tuple[int, str], ...]) -> str:
     positive terms come first ("+" sorts before "-"), and the negative
     multiples before the -1 terms, so a leading minus folds into its
     constant where it can."""
-    parts = sorted(f"{'-' if coeff < 0 else '+'}{'' if coeff * coeff == 1 else f'{abs(coeff)}*'}{name}"
-                   for coeff, name in terms if coeff)
+    parts = [("-" if coeff < 0 else "+") + (name if coeff * coeff == 1 else f"{abs(coeff)}*{name}")
+             for coeff, name in terms if coeff]
+    parts.sort()
     return "".join(parts).removeprefix("+") or "0"
 
 

@@ -800,10 +800,9 @@ class TestFormPrograms:
         points += [tuple(rng.randint(-big, big) for _ in range(3)) for _ in range(6)]
         points += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(6)]
         for form in itertools.product(range(-4, 5), repeat=3):
-            saved, code = universal._form_code(form)
-            unsaved, plain = universal._form_code(form, False)
-            assert unsaved == 0
-            assert saved == code_ops(plain) - code_ops(code) >= 0, form
+            code = universal._form_code(form)
+            plain = universal._sum_code(tuple(zip(form, "ABC")))
+            assert code_ops(code) <= code_ops(plain), form
             # never dearer than the form written in A, B, C order, which
             # negates a leading term (-A+B where the writer gives B-A)
             assert code_ops(plain) <= code_ops(ref_form_str(form, ("A", "B", "C"))), form
@@ -815,26 +814,31 @@ class TestFormPrograms:
                     names = {"A": A, "B": B, "C": C, "T": T, "T2": T + T}
                     assert eval(compiled, names) == form[0] * A + form[1] * B + form[2] * C, text
 
-    @pytest.mark.parametrize("form, saved, code", [
-        ((2, 2, 1), 3, "T2-C"), ((1, 2, 1), 2, "B+T"), ((2, 2, 2), 5, "T2"),
-        ((-1, 2, 2), 2, "T2-3*A"), ((-2, -2, -1), 3, "C-T2"), ((0, -1, -1), 1, "A-T"),
-        ((-1, -1, -2), 1, "-C-T"), ((-1, 0, 1), 0, "C-A"), ((-1, -2, 0), 0, "-2*B-A"),
-        ((0, 0, 0), 0, "0"),
+    @pytest.mark.parametrize("form, code", [
+        ((2, 2, 1), "T2-C"), ((1, 2, 1), "B+T"), ((2, 2, 2), "T2"),
+        ((-1, 2, 2), "T2-3*A"), ((-2, -2, -1), "C-T2"), ((0, -1, -1), "A-T"),
+        ((-1, -1, -2), "-C-T"), ((-1, 0, 1), "C-A"), ((-1, -2, 0), "-2*B-A"),
+        ((0, 0, 0), "0"),
     ])
-    def test_form_code_examples(self, form, saved, code):
-        assert universal._form_code(form) == (saved, code)
+    def test_form_code_examples(self, form, code):
+        assert universal._form_code(form) == code
 
-    def test_small_saving_keeps_plain_forms(self):
-        # T and T2 cost three operations, so a program that would save three
-        # or fewer keeps plain forms; (1, 1, 1) saves two each time.
+    def test_t_is_computed_only_when_named(self):
+        # T and T2 are computed only if some form is written through them.
         program = lambda *sinh: universal.FormProgram(1, sinh, (), "test")
-        once = program(((1, 1, 1), (1, 0, 0), "alpha"))
-        twice = program(((1, 1, 1), (0, 1, 0), "beta"), ((1, 1, 1), (0, 0, 1), "gamma"))
-        assert once.evaluate((2, 3, 5, 7)) == ((10, 2, "alpha"),)
-        assert twice.evaluate((2, 3, 5, 7)) == ((10, 3, "beta"), (10, 5, "gamma"))
-        assert "T" not in once.evaluate.__code__.co_varnames
-        assert "T" in twice.evaluate.__code__.co_varnames
-        assert program().evaluate((2, 3, 5, 7)) == ()
+        empty = program()
+        plain = program(((1, 0, -1), (1, 0, 0), "alpha"))
+        with_t = program(((1, 1, 1), (0, 1, 0), "beta"))
+        with_t2 = program(((2, 2, 1), (0, 0, 1), "gamma"))
+        assert empty.evaluate((2, 3, 5, 7)) == ()
+        assert plain.evaluate((2, 3, 5, 7)) == ((-3, 2, "alpha"),)
+        assert with_t.evaluate((2, 3, 5, 7)) == ((10, 3, "beta"),)
+        assert with_t2.evaluate((2, 3, 5, 7)) == ((15, 5, "gamma"),)
+        assert {"T", "T2"}.isdisjoint(empty.evaluate.__code__.co_varnames)
+        assert {"T", "T2"}.isdisjoint(plain.evaluate.__code__.co_varnames)
+        assert "T" in with_t.evaluate.__code__.co_varnames
+        assert "T2" not in with_t.evaluate.__code__.co_varnames
+        assert {"T", "T2"} <= set(with_t2.evaluate.__code__.co_varnames)
 
     @pytest.mark.parametrize("compile_, args", [
         (lambda: universal._ADJOINT_PROGRAM, ()),
