@@ -6,8 +6,8 @@ Every command is deterministic given its full flag set (including --seed) and
 values are printed as rational strings "p/q", never as floats.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
-3 parameter-space pole, 5 float evaluation out of range (a value that
-overflows, or a series that does not converge).  4 is no longer produced.
+3 parameter-space pole, 5 float evaluation out of range (a value or an
+instanton term that overflows).  4 is no longer produced.
 """
 
 from __future__ import annotations

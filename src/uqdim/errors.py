@@ -19,8 +19,8 @@ class PoleAtParameters(QdimError):
 
 
 class FloatEvaluationError(QdimError):
-    """A floating-point evaluation left the range of floats: a value that
-    overflows, or a series that does not converge by the order cap."""
+    """A floating-point evaluation left the range of floats: a value, or an
+    instanton term, that is not a finite float."""
 
 
 class InvalidRank(QdimError):

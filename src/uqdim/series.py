@@ -24,24 +24,18 @@ running denominator that stays small.  A product of F factors to order K
 costs O(F*K) for the power sums, one gcd per coefficient and about K^2/8
 big-integer products, whose operand sizes add up to about the size of the
 coefficient they build, since a large term meets a small one.  The
-scaled coefficients do not depend on the order, so the recursion is
-resumable: :meth:`SinhProduct.expansions` runs it once for a rising sequence
-of orders and yields the integer form at each, with its state in the
-generator's frame, not on the product.  That integer form is the kernel's
-only output: :meth:`SinhProduct.even_coefficients` is the first yield for
-one order, which the identity checks and ``qdim --series`` read; the
-instanton evaluator reads the yields for its doubling orders; and
-:meth:`SinhProduct.series` is the ``PowerSeries`` view of
-``even_coefficients`` (:meth:`PowerSeries.from_even`), which no command
-reads.
+kernel's only output is that integer form,
+:meth:`SinhProduct.even_coefficients`, which the identity checks and
+``qdim --series`` read; :meth:`SinhProduct.series` is its ``PowerSeries``
+view (:meth:`PowerSeries.from_even`), which no command reads.  Every float
+value comes from :meth:`SinhProduct.value_at`, which expands nothing.
 
 :meth:`SinhProduct.same_function` tells whether two products are the same
 function of x without expanding either, by the weights of their |arguments|
 (:meth:`SinhProduct._normal_form`, which the kernel also reads).
 
 All values are immutable after construction and every operation is a pure
-function; a running recursion belongs to one generator, which no other
-caller sees.  The two caches, :func:`log_sinh_hurwitz` and the low rows of
+function.  The two caches, :func:`log_sinh_hurwitz` and
 :func:`odd_binomials`, memoise pure functions of an integer and hold
 immutable tuples, so concurrent use needs no locking.
 """
@@ -53,7 +47,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import (
     DivisionByZeroSeries,
@@ -321,28 +315,16 @@ def log_sinh_hurwitz(half: int) -> tuple[tuple[int, ...], int]:
     return tuple(c.numerator * (g // c.denominator) for c in coeffs), g
 
 
-#: Rows of :func:`odd_binomials` kept once built: those of an expansion to
-#: MAX_SERIES_ORDER (2.1 MB).  Only the instanton evaluator's doubling goes
-#: past it, up to order 4096, where keeping every row would hold about
-#: 0.5 GB; larger rows are rebuilt per call.
-_CACHED_ROWS = MAX_SERIES_ORDER // 2
-
-
+@functools.cache
 def odd_binomials(m: int) -> tuple[int, ...]:
     """Row ``2m - 1`` of Pascal's triangle at its odd places: ``C(2m - 1,
-    2j - 1)`` for j = 1..m, which is ``(j / m) C(2m, 2j)``."""
-    return _cached_odd_binomials(m) if m <= _CACHED_ROWS else _odd_binomials(m)
-
-
-def _odd_binomials(m: int) -> tuple[int, ...]:
+    2j - 1)`` for j = 1..m, which is ``(j / m) C(2m, 2j)``.  The rows an
+    expansion to MAX_SERIES_ORDER reads, m <= 256, hold 2.1 MB."""
     n = 2 * m - 1
     row = [n]
     for k in range(1, n - 1, 2):  # C(n, k + 2) from C(n, k)
         row.append(row[-1] * (n - k) * (n - k - 1) // ((k + 1) * (k + 2)))
     return tuple(row)
-
-
-_cached_odd_binomials = functools.cache(_odd_binomials)
 
 
 class SinhProduct:
@@ -435,8 +417,8 @@ class SinhProduct:
     def even_coefficients(self, order: int) -> tuple[list[int], int]:
         """The coefficients of x^0, x^2, ..., x^(2*(order // 2)) as integer
         numerators over one positive integer denominator, not reduced.  Odd
-        coefficients are zero; a zero product gives zeros over 1.  This is
-        the first and only pair of :meth:`expansions` for ``(order,)``.
+        coefficients are zero; a zero product gives zeros over 1.  A
+        negative order raises ``ValueError``.
 
         With ``(L, {a: w_a})`` the :meth:`_normal_form` and ``u = (x / (4
         L))^2``,
@@ -469,62 +451,43 @@ class SinhProduct:
         The output is ``dim * E_m / ((2m)! (16 L^2)^m)`` over ``den(dim) D
         (2h)! (16 L^2)^h``.
         """
-        return next(self.expansions((order,)))
-
-    def expansions(self, orders: Iterable[int]) -> Iterator[tuple[list[int], int]]:
-        """``even_coefficients(order)`` for each order of a non-decreasing
-        sequence, integer for integer, from one run of the recursion.
-
-        The ``E_m`` do not depend on the order; only the output scaling
-        does.  So the generator keeps ``E_0..E_m``, ``D`` and the normal
-        form in its frame, and each larger half order ``h`` only recomputes
-        the ``gamma_j P_j`` over the ``G`` of :func:`log_sinh_hurwitz(h)
-        <log_sinh_hurwitz>` and appends the rows up to ``h``: ``E_m`` is
-        reduced, so ``D`` and the stored numerators come out as a fresh
-        call's.  A negative or decreasing order raises ``ValueError`` when
-        it is reached."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
+        half = order // 2
         scale = self.dim()
+        if scale == 0:
+            return [0] * (half + 1), 1
         lcm, weights = self._normal_form()
         squares = [a * a for a in weights]
-        step = 16 * lcm * lcm
+        coeffs, g = log_sinh_hurwitz(half)
+        powers = list(weights.values())
+        weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
+        for c in coeffs:
+            powers = list(map(operator.mul, powers, squares))
+            weighted.append(c * sum(powers))
         exp = [1]  # E_i = exp[i] / delta
         delta = 1
-        previous = 0
-        for order in orders:
-            if order < previous:
-                raise ValueError("orders must be non-negative and non-decreasing")
-            previous = order
-            half = order // 2
-            if scale == 0:
-                yield [0] * (half + 1), 1
-                continue
-            if half >= len(exp):
-                coeffs, g = log_sinh_hurwitz(half)
-                powers = list(weights.values())
-                weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
-                for c in coeffs:
-                    powers = list(map(operator.mul, powers, squares))
-                    weighted.append(c * sum(powers))
-                for m in range(len(exp), half + 1):
-                    num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
-                                  reversed(exp)))
-                    den = g * delta
-                    d = math.gcd(num, den)
-                    num //= d
-                    den //= d
-                    if delta % den:
-                        grow = den // math.gcd(delta, den)
-                        exp = [e * grow for e in exp]
-                        delta *= grow
-                    exp.append(num * (delta // den))
-            # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
-            top = 1
-            nums = [0] * (half + 1)
-            for m in range(half, 0, -1):
-                nums[m] = scale.numerator * exp[m] * top
-                top *= 2 * m * (2 * m - 1) * step
-            nums[0] = scale.numerator * exp[0] * top
-            yield nums, scale.denominator * delta * top
+        for m in range(1, half + 1):
+            num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
+                          reversed(exp)))
+            den = g * delta
+            d = math.gcd(num, den)
+            num //= d
+            den //= d
+            if delta % den:
+                grow = den // math.gcd(delta, den)
+                exp = [e * grow for e in exp]
+                delta *= grow
+            exp.append(num * (delta // den))
+        # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
+        step = 16 * lcm * lcm
+        top = 1
+        nums = [0] * (half + 1)
+        for m in range(half, 0, -1):
+            nums[m] = scale.numerator * exp[m] * top
+            top *= 2 * m * (2 * m - 1) * step
+        nums[0] = scale.numerator * exp[0] * top
+        return nums, scale.denominator * delta * top
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors

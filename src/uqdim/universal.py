@@ -281,8 +281,10 @@ class FormProgram(_ProgramFields):
     entries, ``cosh`` holds ``(arg, label)`` entries, and ``context`` names
     the formula in pole messages.  Programs are compiled once and cached.
 
-    ``evaluate(point)`` gives the formula's factors at ``(A, B, C, q)``.  It
-    is one function generated from the program's forms, with zero and unit
+    ``evaluate(point)`` gives the formula's factors at ``(A, B, C, q)``: a
+    tuple of ``(N, D, label)``, the forms as integers over q, sinh ratios
+    first and cosh factors (``D = None``) after them; each integer is the
+    form's exact dot product with (A, B, C).  It is one function generated from the program's forms, with zero and unit
     coefficients folded in.  Vogel's formulas are written in t = alpha +
     beta + gamma, so the function writes each form as k*t plus a remainder
     where that takes fewer operations (``T2-C`` for (2, 2, 1), plain
@@ -366,19 +368,10 @@ def _sum_code(terms: tuple[tuple[int, str], ...]) -> str:
     return "".join(parts).removeprefix("+") or "0"
 
 
-def _factors(program: FormProgram, point: tuple[int, int, int, int]) -> tuple:
-    """A program's SinhProduct factors at ``(A, B, C, q)``: a tuple of
-    ``(N, D, label)``, its forms as integers over q, sinh ratios first and
-    cosh factors (``D = None``) after them.  ``program.evaluate`` computes
-    most forms as a multiple of T = A+B+C plus a remainder; each integer is
-    still the form's exact dot product with (A, B, C)."""
-    return program.evaluate(point)
-
-
 def _materialize(program: FormProgram, v: VogelParams) -> SinhProduct:
     """The product of a program at one point of Vogel's plane."""
     point = v.point
-    return SinhProduct(_factors(program, point), point[3], program.sign, program.context)
+    return SinhProduct(program.evaluate(point), point[3], program.sign, program.context)
 
 
 def _forms_program(nums: tuple[Form, ...], dens: tuple[Form, ...], sign: int,
@@ -629,8 +622,8 @@ def z_dim_along_family(params_at: Callable[[Fraction], VogelParams],
     """
     value0 = Fraction(value0)
     program = _z_program(k, l)
-    at0 = _factors(program, params_at(value0).point)
-    at1 = _factors(program, params_at(value0 + 1).point)
+    at0 = program.evaluate(params_at(value0).point)
+    at1 = program.evaluate(params_at(value0 + 1).point)
 
     for (_, d0, label), (_, d1, _) in zip(at0, at1):
         if d0 == 0 and d1 == 0:

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,16 +15,10 @@ from uqdim import (
     vogel_params,
     weyl_qdim,
 )
-from uqdim import instanton, series
+from uqdim import cli
 from uqdim.errors import FloatEvaluationError, PoleAtParameters
-from uqdim.series import SinhProduct, odd_binomials
-from uqdim.universal import (
-    adjoint_product,
-    cartan_power_product,
-    x2_product,
-    y2_product,
-    z_product,
-)
+from uqdim.series import SinhProduct
+from uqdim.universal import adjoint_product, cartan_power_product
 
 from conftest import rand_params
 
@@ -93,18 +89,18 @@ class TestTerms:
 
 class TestPinnedTerms:
     # one_instanton_term(...).hex() at eps1 = 0.1, eps2 = 0.2, sigma = -1 for
-    # the benchmark's instanton cases, captured on the commit before
-    # products kept integer arguments.
+    # the benchmark's instanton cases, captured when the terms began to read
+    # value_at.
     PINS = {
         ("e7", 0.5): (
-            "0x1.5ebc10639044ep+13", "0x1.146f065449d1ep+26", "0x1.52a3c19514193p+38",
-            "0x1.6ab7795363366p+50", "0x1.680f27eeeedd5p+62", "0x1.55e89dada8971p+74",
-            "0x1.3c3da8754e097p+86", "0x1.1fede16d9b33dp+98"),
+            "0x1.5ebc10639044fp+13", "0x1.146f065449d1fp+26", "0x1.52a3c19514194p+38",
+            "0x1.6ab7795363364p+50", "0x1.680f27eeeedd5p+62", "0x1.55e89dada8976p+74",
+            "0x1.3c3da8754e099p+86", "0x1.1fede16d9b33ap+98"),
         ("sl6", 0.25): (
-            "0x1.f27377fde0340p+4", "0x1.5401b3510dec1p+8", "0x1.19f63c21d5f97p+11",
-            "0x1.5e3461bce8803p+13", "0x1.698a609672bccp+15", "0x1.495e31f368139p+17",
-            "0x1.12d84cef233e0p+19", "0x1.ae993fc9783fdp+20", "0x1.420591260c13cp+22",
-            "0x1.d14f414826fb6p+23"),
+            "0x1.f27377fde0343p+4", "0x1.5401b3510debfp+8", "0x1.19f63c21d5f96p+11",
+            "0x1.5e3461bce87ffp+13", "0x1.698a609672bcbp+15", "0x1.495e31f368172p+17",
+            "0x1.12d84cef233e3p+19", "0x1.ae993fc9783fdp+20", "0x1.420591260c13cp+22",
+            "0x1.d14f414826fb9p+23"),
     }
 
     @pytest.mark.parametrize("name,x", sorted(PINS))
@@ -165,124 +161,94 @@ class TestSum:
         assert table.rows == ((1, 0.0, 0.0),)
         assert not table.converged and table.converged_at is None
 
-    def test_constant_product_term(self, monkeypatch):
-        # The second Cartan power at (-4, 1, 1) is the constant -1, whose
-        # x^0 coefficient the tail rule alone would read as a tail at every
-        # order; it returns at the first order.
-        monkeypatch.setattr(instanton, "_MAX_ORDER", instanton._START_ORDER)
-        product = cartan_power_product(VogelParams(-4, 1, 1), 2)
-        assert instanton._eval_adaptive(product, 0.5) == -1.0
+    def test_constant_product_term(self):
+        # The second Cartan power at (-4, 1, 1) is the constant -1, which the
+        # sinh arithmetic of value_at rounds; the term is its exact dimension.
+        point = VogelParams(-4, 1, 1)
+        product = cartan_power_product(point, 2)
+        assert product.is_constant and product.value_at(0.5) == -0.9999999999999997
+        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
+        assert one_instanton_term(point, ip, 2) == -1.0
 
-    def test_constant_products_expand_no_series(self, monkeypatch):
-        # Constant products, zero included, return their dimension before
-        # any series is built.
+    def test_terms_expand_no_series(self, monkeypatch):
+        # A term is a float value, never a series: constant powers, zero
+        # included, give their dimension and the others value_at.
         def no_series(self, order):
-            raise AssertionError("a constant product was expanded")
+            raise AssertionError("an instanton term expanded a series")
 
         monkeypatch.setattr(SinhProduct, "series", no_series)
         monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
-        monkeypatch.setattr(SinhProduct, "expansions", no_series)
-        point = VogelParams(-4, 1, 1)
-        assert instanton._eval_adaptive(cartan_power_product(point, 2), 0.5) == -1.0
-        zero = instanton._eval_adaptive(cartan_power_product(point, 1), 0.5)
-        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
-        assert instanton._eval_adaptive(cartan_power_product(vogel_params("sl6"), 0),
-                                        0.5) == 1.0
+        ip = InstantonParams(eps1=0.1, eps2=0.2, sigma_n=-1.0, x=0.5, n_max=10)
+        for name in ("e7", "e8", "sl6", "g2", "f4"):
+            table = one_instanton_sum(vogel_params(name), ip)
+            assert len(table.rows) == 10
+        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
+        table = one_instanton_sum(VogelParams(-4, 1, 1), ip)
+        assert table.rows == ((1, 0.0, 0.0), (2, -1.0, -1.0))
+        assert math.copysign(1.0, table.rows[0][1]) == 1.0
 
 
-class TestOneRecursion:
-    def test_doublings_extend_one_recursion(self, monkeypatch):
-        # e7's eighth Cartan power at x = 0.5 stops at order 256: one run of
-        # the recursion reads rows m = 1..128, where restarting it at orders
-        # 16, 32, ..., 256 read 8 + 16 + ... + 128 = 248.
-        rows = []
-
-        def counted(m):
-            rows.append(m)
-            return odd_binomials(m)
-
-        monkeypatch.setattr(series, "odd_binomials", counted)
-        instanton._eval_adaptive(cartan_power_product(vogel_params("e7"), 8), 0.5)
-        assert rows == list(range(1, 129))
-
-
-def reference_eval_adaptive(product, x):
-    """The adaptive evaluator as it read series(): Horner over the Fraction
-    coefficients, with the last nonzero coefficient found on the exact
-    values."""
-    if product.is_constant:
-        return float(product.dim())
-    order = instanton._START_ORDER
-    while True:
-        series = product.series(order)
-        value = series.eval_at(x)
-        last = max(m for m, c in enumerate(series.coefficients) if c != 0)
-        tail = abs(float(series[last])) * abs(x) ** last
-        if tail <= instanton.TAIL_TOLERANCE * max(abs(value), 1e-300):
-            return value
-        if order >= instanton._MAX_ORDER:
-            raise FloatEvaluationError(
-                f"series evaluation did not converge at x={x} by order {order}")
-        order *= 2
-
-
-def outcome(evaluate, product, x):
+def outcome(evaluate):
     try:
-        return evaluate(product, x).hex()
-    except (FloatEvaluationError, OverflowError) as exc:
-        return type(exc).__name__, str(exc)
+        return evaluate().hex()
+    except FloatEvaluationError:
+        return FloatEvaluationError
 
 
 class TestIntegerEvaluator:
-    """_eval_adaptive reads even_coefficients and gives the bits of the
-    series() evaluator above."""
+    """At sigma = 0 the weight is exactly 1, so a term is its Cartan power's
+    value_at, bit for bit, or its exact dimension for a constant power."""
 
     @staticmethod
-    def draw_product(rng):
+    def draw_power(rng):
         if rng.random() < 0.25:
             name = rng.choice(["e7", "e8", "f4", "g2", "sl6"])
-            return cartan_power_product(vogel_params(name), rng.randint(1, 10))
-        v = rand_params(rng, bound=12)
-        kind = rng.choice(["cartan", "z", "y2", "x2", "adjoint"])
-        if kind == "cartan":
-            return cartan_power_product(v, rng.randint(1, 6))
-        if kind == "z":
-            return z_product(v, rng.randint(0, 3), rng.randint(0, 2))
-        if kind == "y2":
-            return y2_product(v, rng.choice(["alpha", "beta", "gamma"]))
-        return x2_product(v) if kind == "x2" else adjoint_product(v)
+            return vogel_params(name), rng.randint(1, 10)
+        return rand_params(rng, bound=12), rng.randint(1, 6)
 
-    def test_bit_identical_to_series_evaluator(self, monkeypatch):
-        monkeypatch.setattr(instanton, "_MAX_ORDER", 256)
+    def test_bit_identical_to_value_at(self):
         rng = random.Random(2020)
         point = VogelParams(-4, 1, 1)
-        # A constant, a zero and a divergent product (radius 4 pi / 5 < 3).
-        cases = [(cartan_power_product(point, 2), -0.5), (cartan_power_product(point, 1), 0.5),
-                 (cartan_power_product(VogelParams(-2, F(7, 3), 5), 1), 3.0)]
-        assert cases[0][0].is_constant and cases[1][0].is_zero
+        # A constant, a zero, a power past the radius of its series (4 pi / 5
+        # < 3) and an e8 term past the float range.
+        cases = [(point, 2, -0.5), (point, 1, 0.5), (VogelParams(-2, F(7, 3), 5), 1, 3.0),
+                 (vogel_params("e8"), 1, 100.0)]
         while len(cases) < 400:
+            v, n = self.draw_power(rng)
             try:
-                product = self.draw_product(rng)
+                cartan_power_product(v, n)
             except PoleAtParameters:
                 continue
             size = rng.choice([10.0 ** rng.uniform(-8.0, -1.0), rng.uniform(0.1, 0.6)])
-            x = rng.choice([-1.0, 1.0]) * size
-            cases.append((product, x))
+            cases.append((v, n, rng.choice([-1.0, 1.0]) * size))
         kinds = set()
-        for product, x in cases:
-            expected = outcome(reference_eval_adaptive, product, x)
-            assert outcome(instanton._eval_adaptive, product, x) == expected, (
-                product.factors, product.q, x)
-            kinds.add(type(expected))
-        assert kinds == {str, tuple}
+        for v, n, x in cases:
+            product = cartan_power_product(v, n)
+            ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=x, n_max=n)
+            expected = outcome(lambda: float(product.dim()) if product.is_constant
+                               else product.value_at(x))
+            assert outcome(lambda: one_instanton_term(v, ip, n)) == expected, (v, n, x)
+            kinds.add(expected if expected is FloatEvaluationError else product.is_constant)
+        assert kinds == {True, False, FloatEvaluationError}
 
 
 class TestFloatRange:
-    def test_no_convergence_by_the_order_cap(self, monkeypatch):
-        monkeypatch.setattr(instanton, "_MAX_ORDER", instanton._START_ORDER)
-        ip = InstantonParams(eps1=0.1, eps2=0.2, sigma_n=-1.0, x=2.0, n_max=3)
-        with pytest.raises(FloatEvaluationError, match="did not converge"):
-            one_instanton_term(vogel_params("e8"), ip, 3)
+    @pytest.mark.parametrize("argv,term", [
+        ("--alpha=-2 --beta=7/3 --gamma=5 --x 3", 480257.60367146536),
+        ("--alpha=-26 --beta=-2/5 --gamma=-7/6 --x 0.55", -134470484.08742356),
+        ("e8 --x 8", 5.707757528676087e+100),
+    ], ids=["past-radius-2.5", "past-radius-0.48", "e8-x8"])
+    def test_answers_where_value_at_does(self, capsys, argv, term):
+        # The first two lie past the radius of convergence of their series in
+        # x, and at e8 and x = 8 a series tail estimate overflows: an
+        # adaptive series evaluator exited 5 on each after 0.3-4 s.
+        start = time.perf_counter()
+        code = cli.main(["instanton", *argv.split(), "--nmax", "1", "--json"])
+        elapsed = time.perf_counter() - start
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["status"] == "pass"
+        assert doc["results"]["rows"] == [[1, term, term]]
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("name,n,x", [
         *[("e8", n, 8.0) for n in (1, 2, 3)], *[("e7", n, 6.0) for n in (1, 2)],
@@ -290,9 +256,9 @@ class TestFloatRange:
         *[("sl6", n, 10.0) for n in (1, 2)],
     ])
     def test_large_x_raises_or_is_right(self, name, n, x):
-        # At large x the tail estimate abs(x) ** (2 * last) can overflow, and
-        # many coefficients whose terms matter lie below the float range, so
-        # Horner reads them as 0.0: a term must raise rather than be wrong.
+        # Large x broke the series evaluator that terms once used: its tail
+        # estimate overflowed, and coefficients below the float range read
+        # as 0.0.  A term must raise or agree with value_at.
         v = vogel_params(name)
         ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=x, n_max=n)
         try:
@@ -300,16 +266,6 @@ class TestFloatRange:
         except FloatEvaluationError:
             return
         assert term == pytest.approx(cartan_power_product(v, n).value_at(x), rel=1e-9)
-
-    def test_coefficient_past_the_float_range(self):
-        # sinh(1e160 x/4) / sinh(x/4) is 1e160 at x = 1e-170, which value_at
-        # gives, but each of its coefficients past x^0 (1e480 / 96 at x^2)
-        # is beyond the float range, so n / den overflows.
-        product = SinhProduct([(10**160, 1, "d")], 1)
-        assert product.value_at(1e-170) == 1e160
-        with pytest.raises(FloatEvaluationError,
-                           match=r"at x=1e-170 is not a finite float at order 16$"):
-            instanton._eval_adaptive(product, 1e-170)
 
     @pytest.mark.parametrize("x,sigma", [(100.0, 0.0), (0.5, 1e5)])
     def test_overflowing_term(self, x, sigma):

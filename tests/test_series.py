@@ -685,9 +685,8 @@ def wide_product(seed):
 
 
 class TestPrefixProperty:
-    """even_coefficients(K) cut to order K/2 is even_coefficients(K/2): the
-    instanton evaluator doubles its order on this, and reading one expansion
-    prefix by prefix would rest on it."""
+    """even_coefficients(K) cut to order K/2 is even_coefficients(K/2):
+    reading one expansion prefix by prefix would rest on it."""
 
     @pytest.mark.parametrize("which", ["e7-cartan-8", 8101, 8102])
     def test_cut_expansion_is_the_shorter_one(self, which):
@@ -717,8 +716,8 @@ def wide_z_product(seed):
 
 
 class TestExpansions:
-    """expansions(orders) runs the recursion once and yields, for each
-    order, the integers of a fresh even_coefficients(order)."""
+    """even_coefficients(order) keeps no state between calls: each call, in
+    any order of orders, gives the integers of a fresh expansion."""
 
     ORDERS = (16, 32, 64, 128, 256, 512)
 
@@ -734,29 +733,41 @@ class TestExpansions:
                 + [(f"z-{seed}", wide_z_product(seed)) for seed in (8201, 8202)]
                 + [("x2-so12", x2), ("zero", zero), ("constant", constant)])
 
+    @staticmethod
+    def fresh(product, order):
+        """even_coefficients of a new product with the same factors."""
+        return SinhProduct(product.factors, product.q, product.sign).even_coefficients(order)
+
     def test_each_order_is_a_fresh_expansion(self):
         for name, product in self.products():
-            pairs = list(product.expansions(self.ORDERS))
-            assert len(pairs) == len(self.ORDERS), name
-            for order, pair in zip(self.ORDERS, pairs):
-                assert pair == product.even_coefficients(order), (name, order)
+            falling = [product.even_coefficients(order) for order in reversed(self.ORDERS)]
+            rising = [self.fresh(product, order) for order in self.ORDERS]
+            assert falling == rising[::-1], name
+            nums, den = falling[0]
+            assert len(nums) == self.ORDERS[-1] // 2 + 1, name
+            assert type(den) is int and den > 0, name
 
     def test_repeated_and_odd_orders(self):
         product = cartan_power_product(vogel_params("e7"), 3)
         orders = (0, 0, 5, 5, 6, 33, 33)
-        pairs = list(product.expansions(orders))
-        assert pairs == [product.even_coefficients(order) for order in orders]
+        pairs = [product.even_coefficients(order) for order in orders]
+        assert pairs == [self.fresh(product, order) for order in orders]
         assert pairs[0] == pairs[1] and pairs[2] == pairs[3] and pairs[5] == pairs[6]
+        # an odd order K gives the even coefficients through x^(K-1)
+        assert pairs[2] == product.even_coefficients(4) and len(pairs[2][0]) == 3
+        assert pairs[5] == product.even_coefficients(32) and len(pairs[5][0]) == 17
 
     @pytest.mark.parametrize("orders", [(32, 16), (16, 64, 62), (-1,), (4, -2)])
     def test_decreasing_or_negative_order(self, orders):
+        # A decreasing order is a fresh expansion; a negative one raises.
         for product in (cartan_power_product(vogel_params("e7"), 2),
                         SinhProduct([(0, 7, "")], 5)):
-            expansions = product.expansions(orders)
-            for _ in orders[:-1]:
-                next(expansions)
-            with pytest.raises(ValueError):
-                next(expansions)
+            for order in orders:
+                if order < 0:
+                    with pytest.raises(ValueError):
+                        product.even_coefficients(order)
+                else:
+                    assert product.even_coefficients(order) == self.fresh(product, order)
 
 
 def times_binomial(poly, k, c):
@@ -813,7 +824,8 @@ class TestKernelAgainstLaurentPolynomial:
         assert product.series(256) == laurent_series(product, 256)
 
     def test_past_the_cached_rows(self):
-        # order 528 reads the binomial rows m = 257..264, which are rebuilt
+        # order 528 reads the binomial rows m = 257..264, past those of an
+        # expansion to MAX_SERIES_ORDER
         product = cartan_power_product(vogel_params("g2"), 2)
         assert product.series(528) == laurent_series(product, 528)
 
@@ -1021,11 +1033,13 @@ class TestLogCoefficients:
         assert odd_binomials(64) is odd_binomials(64)
 
     def test_odd_binomials_above_the_cache(self):
-        for m in (255, 256, 257, 300):
+        # Rows past those an expansion to MAX_SERIES_ORDER reads (m <= 256)
+        # come from the same recurrence and are kept as well.
+        for m in range(255, 301):
             assert odd_binomials(m) == tuple(math.comb(2 * m - 1, 2 * j - 1)
                                              for j in range(1, m + 1)), m
         assert odd_binomials(256) is odd_binomials(256)
-        assert odd_binomials(300) is not odd_binomials(300)  # rebuilt, not kept
+        assert odd_binomials(300) is odd_binomials(300)
 
     def test_against_taylor_series(self):
         # log(sinh z / z) and log cosh z from exact Taylor series of
