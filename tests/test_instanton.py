@@ -170,9 +170,23 @@ class TestSum:
         ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
         assert one_instanton_term(point, ip, 2) == -1.0
 
+    def test_constant_products_expand_no_series(self, monkeypatch):
+        # Constant products, zero included, give their dimension before any
+        # series is built or any sinh is evaluated.
+        def no_series(self, *args):
+            raise AssertionError("a constant product was expanded")
+
+        monkeypatch.setattr(SinhProduct, "series", no_series)
+        monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
+        monkeypatch.setattr(SinhProduct, "value_at", no_series)
+        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
+        table = one_instanton_sum(VogelParams(-4, 1, 1), ip)
+        assert table.rows == ((1, 0.0, 0.0), (2, -1.0, -1.0))
+        assert math.copysign(1.0, table.rows[0][1]) == 1.0
+
     def test_terms_expand_no_series(self, monkeypatch):
-        # A term is a float value, never a series: constant powers, zero
-        # included, give their dimension and the others value_at.
+        # A term that is not constant in x is its power's value_at, never a
+        # series.
         def no_series(self, order):
             raise AssertionError("an instanton term expanded a series")
 
@@ -182,11 +196,6 @@ class TestSum:
         for name in ("e7", "e8", "sl6", "g2", "f4"):
             table = one_instanton_sum(vogel_params(name), ip)
             assert len(table.rows) == 10
-        ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
-        table = one_instanton_sum(VogelParams(-4, 1, 1), ip)
-        assert table.rows == ((1, 0.0, 0.0), (2, -1.0, -1.0))
-        assert math.copysign(1.0, table.rows[0][1]) == 1.0
-
 
 def outcome(evaluate):
     try:
