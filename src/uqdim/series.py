@@ -373,10 +373,14 @@ class SinhProduct:
 
     @property
     def is_constant(self) -> bool:
-        """Whether the product is a constant function of x: it is zero, or
-        its :meth:`_normal_form` has no weights, so that every power sum of
-        :meth:`even_coefficients` vanishes."""
-        return self.is_zero or not self._normal_form()[1]
+        """Whether the product is a constant function of x: it is zero, or its
+        numerator and denominator :meth:`_arguments` are the same multiset, so
+        that its :meth:`_normal_form` has no weights and every power sum of
+        :meth:`even_coefficients` vanishes.  The normal form is not built."""
+        if self.is_zero:
+            return True
+        nums, dens = self._arguments()
+        return sorted(nums) == sorted(dens)
 
     def same_function(self, other: "SinhProduct") -> bool:
         """Whether the two products are the same function of x, for every x
@@ -386,23 +390,31 @@ class SinhProduct:
             return self.is_zero and other.is_zero
         return self.dim() == other.dim() and self._normal_form() == other._normal_form()
 
+    def _arguments(self) -> tuple[list[int], list[int]]:
+        """The |arguments| of the numerator and of the denominator sinh's, one
+        each per factor.  This is the one place that says how a cosh argument
+        A enters: as 2|A| over |A|, since 2 cosh z = sinh 2z / sinh z."""
+        factors = self.factors
+        return ([abs(2 * n if d is None else n) for n, d, _ in factors],
+                [abs(n if d is None else d) for n, d, _ in factors])
+
     def _normal_form(self) -> tuple[int, dict[int, int]]:
         """``(L, {a: w})`` such that a nonzero product is :meth:`dim` times
         the product over ``a`` of ``(sinh(a y) / (a y))^w``, ``y = x / (4 L)``.
 
-        Each |argument| is weighted +1 per numerator and -1 per denominator,
-        and a cosh argument A as the pair +2A, -A.  Arguments 0 and zero
-        weights are dropped, and ``q`` and the rest are divided by their gcd.
+        Each of the :meth:`_arguments` is weighted +1 as a numerator and -1
+        as a denominator.  Arguments 0 and zero weights are dropped, and
+        ``q`` and the rest are divided by their gcd.
         The form is fixed by the function alone: with ``t = e^y``, ``sinh(a
         y) = t^{-a} (t^{2a} - 1) / 2``, ``t^{2a} - 1`` is the product of the
         cyclotomic ``Phi_d(t)`` over ``d | 2a``, and Möbius inversion gives
         the weights back from the multiplicities of the ``Phi_d``."""
+        nums, dens = self._arguments()
         weights: dict[int, int] = {}
-        for n, d, _ in self.factors:
-            pairs = ((2 * n, 1), (n, -1)) if d is None else ((n, 1), (d, -1))
-            for a, w in pairs:
-                a = abs(a)
-                weights[a] = weights.get(a, 0) + w
+        for a in nums:
+            weights[a] = weights.get(a, 0) + 1
+        for a in dens:
+            weights[a] = weights.get(a, 0) - 1
         kept = {a: w for a, w in weights.items() if a and w}
         common = math.gcd(self.q, *kept)
         if common > 1:  # at rational points q is large and common is 1
@@ -426,12 +438,12 @@ class SinhProduct:
             product = dim * exp(sum_{j>=1} gamma_j P_j u^j / (2j)!),
             P_j = sum_a w_a a^{2j},
 
-        where ``dim`` is :meth:`dim` and
-        ``gamma_j = nums[j-1] / G`` from :func:`log_sinh_hurwitz`.  A cosh
-        argument ``A`` enters as the pair ``2A``, ``A`` because ``log cosh z
-        = sum (4^j - 1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z
-        cosh z``.  The exponential is taken on its Hurwitz coefficients
-        ``E_m = (2m)! e_m``, where ``product = dim * sum e_m u^m``:
+        where ``dim`` is :meth:`dim` and ``gamma_j = nums[j-1] / G`` from
+        :func:`log_sinh_hurwitz`.  A cosh argument ``A`` enters as the pair
+        ``2A``, ``A`` (:meth:`_arguments`) because ``log cosh z = sum (4^j -
+        1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z cosh z``.  The
+        exponential is taken on its Hurwitz coefficients ``E_m = (2m)! e_m``,
+        where ``product = dim * sum e_m u^m``:
 
             E_0 = 1,  E_m = sum_{j=1}^{m} C(2m-1, 2j-1) gamma_j P_j E_{m-j},
 

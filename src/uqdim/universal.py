@@ -455,41 +455,26 @@ def _f_forms(k: int, l: int) -> FormLists:
     return nums, dens
 
 
-def _a_forms(n: int) -> FormLists:
-    nums, dens = [], []
-    for i in range(1, n + 1):
-        nums += [(3 - i, 0, 2), (4 - i, 1, 2), (3 - i, 2, 1)]
-        dens += [(1 - i, 2, 0), (-i, 1, 0), (1 - i, 0, 1)]
-    return nums, dens
+def _block(rows: tuple[tuple[Form, Form], ...], step: int) -> Callable[[int], FormLists]:
+    """The forms of a block that is an arithmetic progression in its index:
+    at index n, for i = 1..n in turn, every (num, den) row moved by i*step
+    along alpha."""
+    def forms(n: int) -> FormLists:
+        moves = range(step, step * (n + 1), step)  # i*step for i = 1..n
+        return ([(a + s, b, c) for s in moves for (a, b, c), _ in rows],
+                [(a + s, b, c) for s in moves for _, (a, b, c) in rows])
+    return forms
 
 
-def _b_forms(n: int) -> FormLists:
-    """Border-root forms of the n-th Cartan power of the adjoint."""
-    nums, dens = [], []
-    for i in range(1, n + 1):
-        nums += [(3 - i, 2, 1), (3 - i, 1, 2), (4 - i, 2, 2)]
-        dens += [(1 - i, 0, 1), (1 - i, 1, 0), (-i, 0, 0)]
-    return nums, dens
-
-
-def _btilde_forms(n: int) -> FormLists:
-    # The border forms at parameters (alpha, beta, gamma - beta): substitute
-    # gamma -> gamma - beta in the coefficient vectors.
-    nums, dens = _b_forms(n)
-    sub = lambda f: (f[0], f[1] - f[2], f[2])
-    return [sub(f) for f in nums], [sub(f) for f in dens]
-
-
-def _c1_forms(n: int) -> FormLists:
-    nums = [(4 - i, 2, 2) for i in range(1, n + 1)]
-    dens = [(3 - i, 0, 2) for i in range(1, n + 1)]
-    return nums, dens
-
-
-def _c2_forms(n: int) -> FormLists:
-    nums = [(i - 1, -2, 0) for i in range(1, n + 1)]
-    dens = [(i, 0, 0) for i in range(1, n + 1)]
-    return nums, dens
+# Every block but f, written once as rows: (num, den) forms at index 0.  b
+# holds the border roots of the n-th Cartan power of the adjoint; b~ is b at
+# (alpha, beta, gamma - beta), its rows computed from b's here, once.
+_B_ROWS = (((3, 2, 1), (1, 0, 1)), ((3, 1, 2), (1, 1, 0)), ((4, 2, 2), (0, 0, 0)))
+_a_forms = _block((((3, 0, 2), (1, 2, 0)), ((4, 1, 2), (0, 1, 0)), ((3, 2, 1), (1, 0, 1))), -1)
+_b_forms = _block(_B_ROWS, -1)
+_btilde_forms = _block(tuple(tuple((a, b - c, c) for a, b, c in row) for row in _B_ROWS), -1)
+_c1_forms = _block((((4, 2, 2), (3, 0, 2)),), -1)
+_c2_forms = _block((((-1, -2, 0), (0, 0, 0)),), 1)
 
 
 def _cancel_forms(nums: list[Form], dens: list[Form]

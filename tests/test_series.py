@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -208,6 +209,37 @@ class TestSinhProduct:
         assert SinhProduct([(3, None, ""), (3, 6, "")], 1).is_constant
         assert not SinhProduct([(3, None, ""), (6, 3, "")], 1).is_constant
         assert not cartan_power_product(vogel_params("e7"), 8).is_constant
+
+    def test_is_constant_is_an_empty_normal_form(self):
+        # is_constant compares sorted |arguments| and builds no normal form;
+        # it must say what the normal form says, on every program at small
+        # integer points (where many products are constant), at (-4, 1, 1)
+        # and the algebra points, and on random factors with cosh ones.
+        rng = random.Random(32)
+        points = [VogelParams(-4, 1, 1)] + [vogel_params(name) for name in SPECIALIZATION_ALGEBRAS]
+        triples = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(60)]
+        points += [VogelParams(*triple) for triple in triples if any(triple)]
+        builds = [adjoint_product, x2_product]
+        builds += [lambda v, s=slot: y2_product(v, s) for slot in ("alpha", "beta", "gamma")]
+        builds += [lambda v, n=n: cartan_power_product(v, n) for n in range(9)]
+        builds += [lambda v, k=k, l=l: z_product(v, k, l) for k in range(4) for l in range(4)]
+        products = []
+        for v in points:
+            for build in builds:
+                try:
+                    products.append(build(v))
+                except (PoleAtParameters, ValueError):
+                    pass
+        for _ in range(400):
+            factors = [(rng.randint(-6, 6), rng.choice([None, rng.randint(1, 6)]), "")
+                       for _ in range(rng.randint(0, 5))]
+            products.append(SinhProduct(factors, rng.randint(1, 3)))
+        kinds = Counter()
+        for product in products:
+            expected = product.is_zero or not product._normal_form()[1]
+            assert product.is_constant == expected, product.factors
+            kinds[expected] += 1
+        assert kinds[True] > 300 and kinds[False] > 1000, kinds
 
     def test_normal_form(self):
         # 2 cosh(3u) sinh(5u) / sinh(10u) over q = 6: weights 6: +1, 3: -1,

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import random
@@ -857,6 +858,27 @@ class TestFormPrograms:
             assert all(type(c) is int for c in num + den)
         for arg, label in program.cosh:
             assert type(arg) is tuple and type(label) is str
+
+    # SHA-256 over repr((sign, sinh, cosh, context)) of each program in turn:
+    # forms, factor order, labels and sign, so that no change to the block
+    # rows or to _cancel_forms moves a factor of any program.
+    @pytest.mark.parametrize("programs, digest", [
+        (lambda: [universal._ADJOINT_PROGRAM],
+         "d8334a41de1bd3839c66bdde5fcfe8840546593338085ca3c942fa708ddbde6b"),
+        (lambda: [universal._X2_PROGRAM],
+         "c02622f5ac988dd20f0a050021cc0c9bf8711014f50acd65e038cf04d79b77b6"),
+        (lambda: [universal._y2_program(slot) for slot in universal.SLOTS],
+         "a17957b5475fd4ba84026343f6823916b5a0bec32741002c5f7b3e03b2ca7b17"),
+        (lambda: [universal._cartan_program(n) for n in range(41)],
+         "ebba47260af404eec2cff3a13f6f33d73e332602711ef729ffdec325d5f75bd3"),
+        (lambda: [universal._z_program(k, l) for k in range(9) for l in range(9)],
+         "61e4841a7b6f61ba1474b676b4a6a1dd825549f5685f3c14a6c4fe202bca2d7f"),
+    ], ids=["adjoint", "x2", "y2", "cartan", "z"])
+    def test_compiled_programs_are_pinned(self, programs, digest):
+        sha = hashlib.sha256()
+        for p in programs():
+            sha.update(repr((p.sign, p.sinh, p.cosh, p.context)).encode())
+        assert sha.hexdigest() == digest
 
     def test_cancel_forms_matches_quadratic_reference(self, monkeypatch):
         def reference(nums, dens):
