@@ -10,31 +10,36 @@ left-hand side instead.  Identities are checked at seeded random points:
 
 * series mode checks that every Taylor coefficient of LHS - RHS up to the
   given order is exactly zero at random rational points of Vogel's plane.
-  It works in integers: each product gives its even coefficients as integer
-  numerators over one denominator
-  (:meth:`~uqdim.series.SinhProduct.even_coefficients`), f(m x) multiplies
-  the coefficient of x^(2j) by m^(2j), products of series are integer
-  convolutions, and the sum is cross-multiplied over the lcm of the
-  denominators.  A ``Fraction`` is built only for a failure message and for
-  the two ``PowerSeries`` views of the same integer vectors, which
-  :func:`identity_lhs` and :func:`identity_rhs` build with ``from_even``, as
-  ``SinhProduct.series`` does.  This is the only exact path for either side;
+  It works in integers, in the kernel's variable ``u = (x / (4 q))^2`` of
+  the point's q: each product is expanded once
+  (:meth:`~uqdim.series.SinhProduct.hurwitz`), the adjoint for both sides.
+  f(m x) multiplies the Hurwitz numerator H_j by m^(2j), a product of two
+  series is the binomial convolution ``sum_i C(2m, 2i) a_i b_(m-i)``, and
+  LHS - RHS is summed over the lcm of the small denominators.  Only that
+  residual is read in x (:func:`~uqdim.series.hurwitz_to_x`).  A
+  ``Fraction`` is built only for a failure message and for the two
+  ``PowerSeries`` views :func:`identity_lhs` and :func:`identity_rhs`.
+  This is the only exact path for either side;
 * numeric mode checks that the floating-point relative residual is below
-  NUMERIC_TOLERANCE at random real points and real x.
+  NUMERIC_TOLERANCE at random real points and real x.  Near a pole line of
+  two constituents that cancel, the float residual can exceed it where the
+  identity holds (README, "Numeric mode has a limit").
 
 Neither mode proves an identity for all parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import PoleAtParameters
-from .series import DEFAULT_ORDER, PowerSeries, SinhProduct
+from .series import DEFAULT_ORDER, PowerSeries, SinhProduct, hurwitz_to_x
 from .universal import (
     SLOTS,
     VogelParams,
@@ -143,20 +148,27 @@ class IdentityReport(NamedTuple):
 def _lhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
     """The plethysm of the adjoint at v, as the coefficients of x^0, x^2,
     ..., x^(2*(order // 2)): integer numerators over one positive
-    denominator, not reduced.
-
-    f(m x) multiplies the coefficient of x^(2j) by m^(2j); a term of n
-    factors has denominator divisor * f_den^n."""
+    denominator, not reduced."""
     entry = _identity(identity)
-    f, f_den = adjoint_product(v).even_coefficients(order)
+    parts = _plethysm(entry, adjoint_product(v).hurwitz(order))
+    return hurwitz_to_x(*_over_lcm(parts), v.point[3])
+
+
+def _plethysm(entry: Identity, f: tuple[list[int], int]) -> list[tuple[int, list[int], int]]:
+    """The terms of the plethysm of ``f``, the adjoint's
+    :meth:`~SinhProduct.hurwitz` output, as ``(coefficient, numerators,
+    denominator)`` in u (:func:`_over_lcm` sums them).
+
+    f(m x) multiplies H_j by m^(2j); a term of n factors is a binomial
+    convolution (:func:`_hurwitz_product`) over divisor * den^n."""
+    nums, den = f
     parts = []
     for coefficient, dilations in entry.plethysm:
-        head, *rest = ([c * m ** (2 * j) for j, c in enumerate(f)] for m in dilations)
-        term = [coefficient * c for c in head]
+        head, *rest = ([c * m ** (2 * j) for j, c in enumerate(nums)] for m in dilations)
         for factor in rest:
-            term = _convolve(term, factor)
-        parts.append((term, entry.divisor * f_den ** len(dilations)))
-    return _over_lcm(parts)
+            head = _hurwitz_product(head, factor)
+        parts.append((coefficient, head, entry.divisor * den ** len(dilations)))
+    return parts
 
 
 def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]]:
@@ -167,34 +179,63 @@ def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]
 def _rhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
     """The constant plus the universal characters at v, in table order, as
     numerators over one denominator like :func:`_lhs`."""
-    parts = [([_identity(identity).constant] + [0] * (order // 2), 1)]
-    for mult, product in _rhs_products(identity, v):
-        nums, den = product.even_coefficients(order)
-        parts.append(([mult * c for c in nums], den))
-    return _over_lcm(parts)
+    parts = _constituents(_identity(identity), v, order, None)
+    return hurwitz_to_x(*_over_lcm(parts), v.point[3])
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """The product of two integer coefficient vectors, truncated to len(a)."""
-    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+def _constituents(entry: Identity, v: VogelParams, order: int,
+                  adjoint: tuple[list[int], int] | None) -> list[tuple[int, list[int], int]]:
+    """The constant and the universal characters at v in table order, as
+    ``(multiplicity, numerators, denominator)`` from their
+    :meth:`~SinhProduct.hurwitz` outputs, all in the u of the point's q.
+    An adjoint term reads ``adjoint``, the adjoint's output, when it is
+    given."""
+    parts = [(entry.constant, [1] + [0] * (order // 2), 1)]
+    for term in entry.terms:
+        if term.kind == "adjoint" and adjoint is not None:
+            nums, den = adjoint
+        else:
+            nums, den = term_product(term, v).hurwitz(order)
+        parts.append((term.multiplicity, nums, den))
+    return parts
 
 
-def _over_lcm(parts: list[tuple[list[int], int]]) -> tuple[list[int], int]:
-    """The sum of ``(numerators, denominator)`` vectors, cross-multiplied
-    over the lcm of the denominators."""
-    common = math.lcm(*(den for _, den in parts))
-    total = [0] * len(parts[0][0])
-    for nums, den in parts:
-        k = common // den
+@functools.cache
+def _even_binomial_rows(half: int) -> tuple[tuple[int, ...], ...]:
+    """C(2m, 2i) for i = 0..m, one row for each m = 0..half."""
+    return tuple(tuple(math.comb(2 * m, 2 * i) for i in range(m + 1))
+                 for m in range(half + 1))
+
+
+def _hurwitz_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two series of Hurwitz numerators in u, truncated to
+    len(a): sum_i C(2m, 2i) a_i b_(m-i), since u^i / (2i)! times u^k / (2k)!
+    is C(2m, 2i) u^m / (2m)!."""
+    return [sum(map(operator.mul, map(operator.mul, row, a), b[m::-1]))
+            for m, row in enumerate(_even_binomial_rows(len(a) - 1))]
+
+
+def _over_lcm(parts: list[tuple[int, list[int], int]]) -> tuple[list[int], int]:
+    """The sum of ``coefficient * numerators / denominator`` over the parts,
+    cross-multiplied over the lcm of the denominators."""
+    common = math.lcm(*(den for _, _, den in parts))
+    total = [0] * len(parts[0][1])
+    for coefficient, nums, den in parts:
+        k = coefficient * (common // den)
         total = [t + k * c for t, c in zip(total, nums)]
     return total, common
 
 
 def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """LHS - RHS at v, as numerators over one denominator like :func:`_lhs`."""
-    lhs, lhs_den = _lhs(identity, v, order)
-    rhs, rhs_den = _rhs(identity, v, order)
-    return _over_lcm([(lhs, lhs_den), ([-c for c in rhs], rhs_den)])
+    """LHS - RHS at v, as numerators over one denominator like :func:`_lhs`.
+    The adjoint is expanded once, for the plethysm and for an adjoint term
+    alike, and both sides are summed in u over one lcm; only the residual
+    is read in x."""
+    entry = _identity(identity)
+    f = adjoint_product(v).hurwitz(order)
+    parts = _plethysm(entry, f) + [(-c, nums, den) for c, nums, den
+                                   in _constituents(entry, v, order, f)]
+    return hurwitz_to_x(*_over_lcm(parts), v.point[3])
 
 
 def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -23,20 +23,25 @@ taken on factorial-scaled (Hurwitz) coefficients, in integers over one
 running denominator that stays small.  A product of F factors to order K
 costs O(F*K) for the power sums, one gcd per coefficient and about K^2/8
 big-integer products, whose operand sizes add up to about the size of the
-coefficient they build, since a large term meets a small one.  The
-kernel's only output is that integer form,
-:meth:`SinhProduct.even_coefficients`, which the identity checks and
-``qdim --series`` read; :meth:`SinhProduct.series` is its ``PowerSeries``
-view (:meth:`PowerSeries.from_even`), which no command reads.  Every float
-value comes from :meth:`SinhProduct.value_at`, which expands nothing.
+coefficient they build, since a large term meets a small one.
+
+The kernel's output, :meth:`SinhProduct.hurwitz`, stays in the product's
+own variable ``u = (x / (4 q))^2``: numerators ``H_m`` over one denominator,
+``product = sum_m (H_m / den) u^m / (2m)!``.  Every product built at one
+point of Vogel's plane has the point's ``q``, so the identity checks combine
+these outputs in ``u`` and read only their residual in x
+(:func:`hurwitz_to_x`).  :meth:`SinhProduct.even_coefficients`, which
+``qdim --series`` prints, is that reading of one product; its
+``PowerSeries`` view :meth:`SinhProduct.series` no command reads.  Every
+float value comes from :meth:`SinhProduct.value_at`, which expands nothing.
 
 :meth:`SinhProduct.same_function` tells whether two products are the same
 function of x without expanding either, by the weights of their |arguments|
 (:meth:`SinhProduct._normal_form`, which the kernel also reads).
 
 All values are immutable after construction and every operation is a pure
-function.  The two caches, :func:`log_sinh_hurwitz` and
-:func:`odd_binomials`, memoise pure functions of an integer and hold
+function.  The caches, :func:`log_sinh_hurwitz`, :func:`odd_binomials` and
+:func:`odd_binomial_rows`, memoise pure functions of an integer and hold
 immutable tuples, so concurrent use needs no locking.
 """
 
@@ -327,6 +332,31 @@ def odd_binomials(m: int) -> tuple[int, ...]:
     return tuple(row)
 
 
+@functools.cache
+def odd_binomial_rows(half: int) -> tuple[tuple[int, ...], ...]:
+    """The rows :func:`odd_binomials` of m = 1..half, in turn: what one
+    expansion to order ``2 * half`` reads."""
+    return tuple(odd_binomials(m) for m in range(1, half + 1))
+
+
+def hurwitz_to_x(nums: list[int], den: int, q: int) -> tuple[list[int], int]:
+    """Hurwitz coefficients in ``u = (x / (4 q))^2`` (:meth:`SinhProduct.hurwitz`)
+    read as the coefficients of x^0, x^2, ..., x^(2h), ``h = len(nums) - 1``:
+    integer numerators over one positive denominator, not reduced.  From the
+    top down, x^(2m) carries (2h)! / (2m)! (16 q^2)^(h - m) over ``den (2h)!
+    (16 q^2)^h``.  All zeros give zeros over 1."""
+    if not any(nums):
+        return [0] * len(nums), 1
+    step = 16 * q * q
+    top = 1
+    out = [0] * len(nums)
+    for m in range(len(nums) - 1, 0, -1):
+        out[m] = nums[m] * top
+        top *= 2 * m * (2 * m - 1) * step
+    out[0] = nums[0] * top
+    return out, den * top
+
+
 class SinhProduct:
     """A signed product of sinh ratios and cosh factors whose arguments are
     integers over one positive denominator ``q``.
@@ -398,24 +428,28 @@ class SinhProduct:
         return ([abs(2 * n if d is None else n) for n, d, _ in factors],
                 [abs(n if d is None else d) for n, d, _ in factors])
 
-    def _normal_form(self) -> tuple[int, dict[int, int]]:
-        """``(L, {a: w})`` such that a nonzero product is :meth:`dim` times
-        the product over ``a`` of ``(sinh(a y) / (a y))^w``, ``y = x / (4 L)``.
-
-        Each of the :meth:`_arguments` is weighted +1 as a numerator and -1
-        as a denominator.  Arguments 0 and zero weights are dropped, and
-        ``q`` and the rest are divided by their gcd.
-        The form is fixed by the function alone: with ``t = e^y``, ``sinh(a
-        y) = t^{-a} (t^{2a} - 1) / 2``, ``t^{2a} - 1`` is the product of the
-        cyclotomic ``Phi_d(t)`` over ``d | 2a``, and Möbius inversion gives
-        the weights back from the multiplicities of the ``Phi_d``."""
+    def _weights(self) -> dict[int, int]:
+        """``{a: w}``: each of the :meth:`_arguments` weighted +1 as a
+        numerator and -1 as a denominator, with arguments 0 and zero weights
+        dropped."""
         nums, dens = self._arguments()
         weights: dict[int, int] = {}
         for a in nums:
             weights[a] = weights.get(a, 0) + 1
         for a in dens:
             weights[a] = weights.get(a, 0) - 1
-        kept = {a: w for a, w in weights.items() if a and w}
+        return {a: w for a, w in weights.items() if a and w}
+
+    def _normal_form(self) -> tuple[int, dict[int, int]]:
+        """``(L, {a: w})``: the :meth:`_weights` with ``q`` and the arguments
+        divided by their gcd, so that a nonzero product is :meth:`dim` times
+        the product over ``a`` of ``(sinh(a y) / (a y))^w``, ``y = x / (4 L)``.
+
+        The form is fixed by the function alone: with ``t = e^y``, ``sinh(a
+        y) = t^{-a} (t^{2a} - 1) / 2``, ``t^{2a} - 1`` is the product of the
+        cyclotomic ``Phi_d(t)`` over ``d | 2a``, and Möbius inversion gives
+        the weights back from the multiplicities of the ``Phi_d``."""
+        kept = self._weights()
         common = math.gcd(self.q, *kept)
         if common > 1:  # at rational points q is large and common is 1
             kept = {a // common: w for a, w in kept.items()}
@@ -428,12 +462,23 @@ class SinhProduct:
 
     def even_coefficients(self, order: int) -> tuple[list[int], int]:
         """The coefficients of x^0, x^2, ..., x^(2*(order // 2)) as integer
-        numerators over one positive integer denominator, not reduced.  Odd
+        numerators over one positive integer denominator, not reduced: the
+        output of :meth:`hurwitz` read in x by :func:`hurwitz_to_x`.  Odd
         coefficients are zero; a zero product gives zeros over 1.  A
-        negative order raises ``ValueError``.
+        negative order raises ``ValueError``."""
+        return hurwitz_to_x(*self.hurwitz(order), self.q)
 
-        With ``(L, {a: w_a})`` the :meth:`_normal_form` and ``u = (x / (4
-        L))^2``,
+    def hurwitz(self, order: int) -> tuple[list[int], int]:
+        """The factorial-scaled (Hurwitz) coefficients of the product in ``u
+        = (x / (4 q))^2``, for m = 0..order // 2, as integer numerators over
+        one positive denominator, not reduced:
+
+            product = sum_m (nums[m] / den) u^m / (2m)!.
+
+        A zero product gives zeros over 1; a negative order raises
+        ``ValueError``.
+
+        With ``{a: w_a}`` the :meth:`_weights` over ``q``,
 
             product = dim * exp(sum_{j>=1} gamma_j P_j u^j / (2j)!),
             P_j = sum_a w_a a^{2j},
@@ -442,34 +487,35 @@ class SinhProduct:
         :func:`log_sinh_hurwitz`.  A cosh argument ``A`` enters as the pair
         ``2A``, ``A`` (:meth:`_arguments`) because ``log cosh z = sum (4^j -
         1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z cosh z``.  The
-        exponential is taken on its Hurwitz coefficients ``E_m = (2m)! e_m``,
-        where ``product = dim * sum e_m u^m``:
+        exponential is taken on its Hurwitz coefficients ``E_m``, where
+        ``product = dim * sum E_m u^m / (2m)!``:
 
             E_0 = 1,  E_m = sum_{j=1}^{m} C(2m-1, 2j-1) gamma_j P_j E_{m-j},
 
-        from ``m e_m = sum_j j (gamma_j P_j / (2j)!) e_{m-j}`` and ``(j / m)
-        C(2m, 2j) = C(2m-1, 2j-1)`` (:func:`odd_binomials`).  The recursion
-        runs in integers: ``E_0..E_{m-1}`` are numerators over one running
-        denominator ``D``; each new sum, over ``G D``, is reduced by one gcd,
-        and when its denominator does not divide ``D`` the stored numerators
-        are rescaled.  So ``D`` is the lcm of the reduced denominators of
-        ``E_0..E_m``, whatever ``G`` is.  The factorial scaling keeps ``G``
-        and ``D`` small:
-        for e7's eighth Cartan power at order 256 they have 363 and 18 bits,
-        where the lcm under the plain ``c_j`` and the running denominator of
-        the plain ``e_m`` have 1484 and 1434.  A large ``gamma_j P_j`` meets
-        a small ``E_{m-j}``, so the ``h^2 / 2`` products (``h = order //
-        2``) have operands whose sizes add up to about the size of ``E_m``.
-        The output is ``dim * E_m / ((2m)! (16 L^2)^m)`` over ``den(dim) D
-        (2h)! (16 L^2)^h``.
+        from ``m e_m = sum_j j (gamma_j P_j / (2j)!) e_{m-j}`` for ``e_m = E_m
+        / (2m)!`` and ``(j / m) C(2m, 2j) = C(2m-1, 2j-1)``
+        (:func:`odd_binomial_rows`).  The recursion runs in integers:
+        ``E_0..E_{m-1}`` are numerators over one running denominator ``D``;
+        each new sum, over ``G D``, is reduced by one gcd, and when its
+        denominator does not divide ``D`` the stored numerators are rescaled.
+        So ``D`` is the lcm of the reduced denominators of ``E_0..E_m``,
+        whatever ``G`` is.  The factorial scaling keeps ``G`` and ``D``
+        small: for e7's eighth Cartan power at order 256 they have 363 and 18
+        bits, where the lcm under the plain ``c_j`` and the running
+        denominator of the plain ``e_m`` have 1484 and 1434.  A large
+        ``gamma_j P_j`` meets a small ``E_{m-j}``, so the ``h^2 / 2``
+        products (``h = order // 2``) have operands whose sizes add up to
+        about the size of ``E_m``.  The output is ``num(dim) E_m`` over
+        ``den(dim) D`` in integers (:meth:`_dim_ratio`); ``dim`` carried
+        through the recursion as ``E_0`` would lengthen every product.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
         half = order // 2
-        scale = self.dim()
+        scale, dim_den = self._dim_ratio()
         if scale == 0:
             return [0] * (half + 1), 1
-        lcm, weights = self._normal_form()
+        weights = self._weights()
         squares = [a * a for a in weights]
         coeffs, g = log_sinh_hurwitz(half)
         powers = list(weights.values())
@@ -479,9 +525,8 @@ class SinhProduct:
             weighted.append(c * sum(powers))
         exp = [1]  # E_i = exp[i] / delta
         delta = 1
-        for m in range(1, half + 1):
-            num = sum(map(operator.mul, map(operator.mul, odd_binomials(m), weighted),
-                          reversed(exp)))
+        for row in odd_binomial_rows(half):
+            num = sum(map(operator.mul, map(operator.mul, row, weighted), reversed(exp)))
             den = g * delta
             d = math.gcd(num, den)
             num //= d
@@ -491,19 +536,16 @@ class SinhProduct:
                 exp = [e * grow for e in exp]
                 delta *= grow
             exp.append(num * (delta // den))
-        # Back to x from the top down: x^(2m) carries (2h)!/(2m)! (16 L^2)^(h-m).
-        step = 16 * lcm * lcm
-        top = 1
-        nums = [0] * (half + 1)
-        for m in range(half, 0, -1):
-            nums[m] = scale.numerator * exp[m] * top
-            top *= 2 * m * (2 * m - 1) * step
-        nums[0] = scale.numerator * exp[0] * top
-        return nums, scale.denominator * delta * top
+        return [scale * e for e in exp], dim_den * delta
 
     def dim(self) -> Fraction:
         """Value at x = 0: sign times the product of N_j/D_j (cosh factors
         contribute 2)."""
+        return Fraction(*self._dim_ratio())
+
+    def _dim_ratio(self) -> tuple[int, int]:
+        """:meth:`dim` as a reduced integer numerator over a positive
+        denominator."""
         num, den = self.sign, 1
         for n, d, _ in self.factors:
             if d is None:
@@ -511,7 +553,8 @@ class SinhProduct:
             else:
                 num *= n
                 den *= d
-        return Fraction(num, den)
+        common = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // common, den // common
 
     def value_at(self, x: float) -> float:
         """Direct floating-point evaluation at a real x (x = 0 gives dim).  A

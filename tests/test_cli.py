@@ -359,6 +359,7 @@ class TestNoPowerSeries:
         monkeypatch.setattr(PowerSeries, "__init__", refuse)
         monkeypatch.setattr(SinhProduct, "series", refuse)
         monkeypatch.setattr(SinhProduct, "even_coefficients", refuse)
+        monkeypatch.setattr(SinhProduct, "hurwitz", refuse)
 
     @pytest.mark.parametrize("suite", ["specialization", "g2zero"])
     def test_suites_expand_nothing(self, capsys, no_expansion, suite):

@@ -554,3 +554,42 @@ class TestSeriesPins:
         # At order 1 only x^0 is checked, and it still agrees.
         report = verify_identity(A2_ANTISYM, mode=SERIES, order=1, trials=2, seed=2)
         assert report.passed and report.exact_zero
+
+
+class TestResidualExpansions:
+    """_residual expands each distinct product at the point once, through
+    SinhProduct.hurwitz: the adjoint serves the plethysm and an adjoint term
+    alike, and no product is read in x."""
+
+    @pytest.mark.parametrize("ident, count", [(S2_SYM, 4), (A2_ANTISYM, 2), (S3_SYM_CUBE, 8)])
+    def test_each_product_expanded_once(self, monkeypatch, ident, count):
+        expanded = []
+        hurwitz = SinhProduct.hurwitz
+
+        def counting(self, order):
+            expanded.append(self.factors)
+            return hurwitz(self, order)
+
+        def refuse(self, order):
+            raise AssertionError("a product was read in x")
+
+        monkeypatch.setattr(SinhProduct, "hurwitz", counting)
+        monkeypatch.setattr(SinhProduct, "even_coefficients", refuse)
+        nums, den = identities._residual(ident, VogelParams(F(17, 23), F(-1, 3), F(-1, 2)), 20)
+        assert nums == [0] * 11 and den == 1
+        terms = identities.IDENTITY_TABLE[ident].terms
+        assert count == 1 + sum(t.kind != "adjoint" for t in terms)
+        assert len(expanded) == len(set(expanded)) == count
+
+
+class TestNumericLimit:
+    """`verify s3 --mode numeric --trials 200 --seed 420460257` fails at this
+    point with a relative float residual of 2.56e-9 (beta - 2 gamma is
+    -0.0033 there); series mode finds the identity exact at the same point."""
+
+    POINT = (7.881790708473359, -2.484541148744471, -1.2406045323077386)
+
+    def test_series_residual_is_zero(self):
+        v = VogelParams(*self.POINT)
+        assert v.point[3].bit_length() == 50
+        assert identities._residual(S3_SYM_CUBE, v, 20) == ([0] * 11, 1)

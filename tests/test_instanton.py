@@ -178,6 +178,7 @@ class TestSum:
 
         monkeypatch.setattr(SinhProduct, "series", no_series)
         monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
+        monkeypatch.setattr(SinhProduct, "hurwitz", no_series)
         monkeypatch.setattr(SinhProduct, "value_at", no_series)
         ip = InstantonParams(eps1=0.0, eps2=0.0, sigma_n=0.0, x=0.5, n_max=2)
         table = one_instanton_sum(VogelParams(-4, 1, 1), ip)
@@ -192,6 +193,7 @@ class TestSum:
 
         monkeypatch.setattr(SinhProduct, "series", no_series)
         monkeypatch.setattr(SinhProduct, "even_coefficients", no_series)
+        monkeypatch.setattr(SinhProduct, "hurwitz", no_series)
         ip = InstantonParams(eps1=0.1, eps2=0.2, sigma_n=-1.0, x=0.5, n_max=10)
         for name in ("e7", "e8", "sl6", "g2", "f4"):
             table = one_instanton_sum(vogel_params(name), ip)

@@ -19,7 +19,14 @@ from uqdim import (
 from uqdim.crosscheck import SPECIALIZATION_ALGEBRAS
 from uqdim.errors import FloatEvaluationError
 from uqdim.roots import build_root_system, weyl_qdim_product
-from uqdim.series import cosh_series, log_sinh_hurwitz, odd_binomials, tangent_numbers
+from uqdim.series import (
+    cosh_series,
+    hurwitz_to_x,
+    log_sinh_hurwitz,
+    odd_binomial_rows,
+    odd_binomials,
+    tangent_numbers,
+)
 from uqdim.universal import (
     adjoint_product,
     cartan_power_product,
@@ -590,6 +597,63 @@ class TestEvenCoefficients:
             SinhProduct([(2, 1, "")], 1).even_coefficients(-1)
 
 
+class TestHurwitz:
+    """hurwitz(order) gives the Hurwitz coefficients in u = (x / (4 q))^2 over
+    the product's own q: nums[m] / (den (2m)! (16 q^2)^m) is the coefficient
+    of x^(2m), against the Fraction recursion, and even_coefficients(order)
+    is hurwitz_to_x of that output."""
+
+    @staticmethod
+    def check(product, order, where):
+        nums, den = product.hurwitz(order)
+        reference = fraction_recursion_series(product, order)
+        assert type(den) is int and den > 0, where
+        assert len(nums) == order // 2 + 1, where
+        assert all(type(n) is int for n in nums), where
+        step = 16 * product.q ** 2
+        assert [F(n, den * math.factorial(2 * m) * step ** m) for m, n in enumerate(nums)] == (
+            list(reference.coefficients[::2])), where
+        assert product.even_coefficients(order) == hurwitz_to_x(nums, den, product.q), where
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_random_products(self, order):
+        rng = random.Random(7000 + order)
+        for trial in range(40 if order < 64 else 10):
+            factors, q, sign = random_product(rng, 8)
+            self.check(SinhProduct(factors, q, sign), order, (trial, factors, q, sign))
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_special_products(self, order):
+        products = [
+            SinhProduct([], 1, -1),
+            SinhProduct([(0, None, ""), (5, 5, ""), (-6, 6, "")], 3, -1),
+            SinhProduct([(-4, 4, ""), (3, None, ""), (-7, 2, "")], 6),
+            cartan_power_product(vogel_params("e8"), 3),
+        ]
+        for product in products:
+            self.check(product, order, product.factors)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_normal_form_gcd_above_one(self, order):
+        # sinh(2u) / sinh(u) times 2 cosh(u), u = x / 12 with q = 12: the
+        # weights {8: 2, 4: -2} and q share the gcd 4, so the normal form is
+        # over L = 3 while the output is over q.
+        product = SinhProduct([(8, 4, ""), (4, None, "")], 12)
+        assert product._normal_form() == (3, {2: 2, 1: -2})
+        assert product._weights() == {8: 2, 4: -2}
+        self.check(product, order, "gcd 4")
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 17, 20, 64])
+    def test_zero_product(self, order):
+        product = SinhProduct([(15, 10, ""), (0, 7, ""), (5, None, "")], 5)
+        assert product.hurwitz(order) == ([0] * (order // 2 + 1), 1)
+        self.check(product, order, "zero")
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError):
+            SinhProduct([(2, 1, "")], 1).hurwitz(-1)
+
+
 def reference_residual(identity, v, order):
     """LHS - RHS of an identity from PowerSeries arithmetic, with the
     plethysms written out in conftest."""
@@ -1063,6 +1127,14 @@ class TestLogCoefficients:
             assert all(m * row[2 * j - 1] == j * pascal[2 * m][2 * j]
                        for j in range(1, m + 1)), m
         assert odd_binomials(64) is odd_binomials(64)
+
+    def test_odd_binomial_rows(self):
+        assert odd_binomial_rows(0) == ()
+        for half in (1, 8, 10, 256):
+            rows = odd_binomial_rows(half)
+            assert len(rows) == half
+            assert all(row is odd_binomials(m) for m, row in enumerate(rows, start=1))
+        assert odd_binomial_rows(10) is odd_binomial_rows(10)
 
     def test_odd_binomials_above_the_cache(self):
         # Rows past those an expansion to MAX_SERIES_ORDER reads (m <= 256)
