@@ -164,7 +164,8 @@ def _plethysm(entry: Identity, f: tuple[list[int], int]) -> list[tuple[int, list
     nums, den = f
     parts = []
     for coefficient, dilations in entry.plethysm:
-        head, *rest = ([c * m ** (2 * j) for j, c in enumerate(nums)] for m in dilations)
+        head, *rest = (nums if m == 1 else [c * m ** (2 * j) for j, c in enumerate(nums)]
+                       for m in dilations)
         for factor in rest:
             head = _hurwitz_product(head, factor)
         parts.append((coefficient, head, entry.divisor * den ** len(dilations)))
@@ -219,11 +220,9 @@ def _over_lcm(parts: list[tuple[int, list[int], int]]) -> tuple[list[int], int]:
     """The sum of ``coefficient * numerators / denominator`` over the parts,
     cross-multiplied over the lcm of the denominators."""
     common = math.lcm(*(den for _, _, den in parts))
-    total = [0] * len(parts[0][1])
-    for coefficient, nums, den in parts:
-        k = coefficient * (common // den)
-        total = [t + k * c for t, c in zip(total, nums)]
-    return total, common
+    scales = [coefficient * (common // den) for coefficient, _, den in parts]
+    return [sum(map(operator.mul, scales, column))
+            for column in zip(*(nums for _, nums, _ in parts))], common
 
 
 def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:

@@ -37,7 +37,9 @@ float value comes from :meth:`SinhProduct.value_at`, which expands nothing.
 
 :meth:`SinhProduct.same_function` tells whether two products are the same
 function of x without expanding either, by the weights of their |arguments|
-(:meth:`SinhProduct._normal_form`, which the kernel also reads).
+(:meth:`SinhProduct._normal_form`).  The kernel reads the same |arguments|
+(:meth:`SinhProduct._arguments`) unmerged, since its power sums need no
+weights.
 
 All values are immutable after construction and every operation is a pure
 function.  The caches, :func:`log_sinh_hurwitz`, :func:`odd_binomials` and
@@ -406,11 +408,10 @@ class SinhProduct:
         """Whether the product is a constant function of x: it is zero, or its
         numerator and denominator :meth:`_arguments` are the same multiset, so
         that its :meth:`_normal_form` has no weights and every power sum of
-        :meth:`even_coefficients` vanishes.  The normal form is not built."""
-        if self.is_zero:
-            return True
+        :meth:`hurwitz` vanishes.  The normal form is not built, and
+        :attr:`is_zero` is read only when a numerator argument is 0."""
         nums, dens = self._arguments()
-        return sorted(nums) == sorted(dens)
+        return sorted(nums) == sorted(dens) or (0 in nums and self.is_zero)
 
     def same_function(self, other: "SinhProduct") -> bool:
         """Whether the two products are the same function of x, for every x
@@ -478,17 +479,20 @@ class SinhProduct:
         A zero product gives zeros over 1; a negative order raises
         ``ValueError``.
 
-        With ``{a: w_a}`` the :meth:`_weights` over ``q``,
+        With the :meth:`_arguments` over ``q``, each numerator argument
+        ``a`` weighted ``w_a = +1`` and each denominator argument ``-1``,
 
             product = dim * exp(sum_{j>=1} gamma_j P_j u^j / (2j)!),
             P_j = sum_a w_a a^{2j},
 
         where ``dim`` is :meth:`dim` and ``gamma_j = nums[j-1] / G`` from
-        :func:`log_sinh_hurwitz`.  A cosh argument ``A`` enters as the pair
-        ``2A``, ``A`` (:meth:`_arguments`) because ``log cosh z = sum (4^j -
-        1) gamma_j z^{2j} / (2j)!``, from ``sinh 2z = 2 sinh z cosh z``.  The
-        exponential is taken on its Hurwitz coefficients ``E_m``, where
-        ``product = dim * sum E_m u^m / (2m)!``:
+        :func:`log_sinh_hurwitz`.  Equal arguments are not merged, as they
+        are in :meth:`_weights`: the ``P_j`` are the same integers without
+        the merge.  A cosh argument ``A`` enters as the pair ``2A``, ``A``
+        because ``log cosh z = sum (4^j - 1) gamma_j z^{2j} / (2j)!``, from
+        ``sinh 2z = 2 sinh z cosh z``.  The exponential is taken on its
+        Hurwitz coefficients ``E_m``, where ``product = dim * sum E_m u^m /
+        (2m)!``:
 
             E_0 = 1,  E_m = sum_{j=1}^{m} C(2m-1, 2j-1) gamma_j P_j E_{m-j},
 
@@ -515,10 +519,10 @@ class SinhProduct:
         scale, dim_den = self._dim_ratio()
         if scale == 0:
             return [0] * (half + 1), 1
-        weights = self._weights()
-        squares = [a * a for a in weights]
+        nums, dens = self._arguments()
+        squares = [a * a for a in nums] + [a * a for a in dens]
         coeffs, g = log_sinh_hurwitz(half)
-        powers = list(weights.values())
+        powers = [1] * len(nums) + [-1] * len(dens)
         weighted = []  # gamma_j * P_j * G, an integer, for j = 1..half
         for c in coeffs:
             powers = list(map(operator.mul, powers, squares))

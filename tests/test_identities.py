@@ -556,6 +556,28 @@ class TestSeriesPins:
         assert report.passed and report.exact_zero
 
 
+class TestOverLcm:
+    """_over_lcm against a Fraction sum of coefficient * nums[m] / den over
+    random parts, with a zero coefficient, the constant part over 1 and
+    negative coefficients among them."""
+
+    @pytest.mark.parametrize("length", [1, 2, 11])
+    def test_against_fraction_sum(self, length):
+        rng = random.Random(3400 + length)
+        for trial in range(30):
+            parts = [(rng.randint(-6, 6), [rng.randint(-10 ** 6, 10 ** 6) for _ in range(length)],
+                      rng.randint(1, 2000)) for _ in range(rng.randint(1, 9))]
+            parts += [(0, [rng.randint(-9, 9) for _ in range(length)], rng.randint(1, 50)),
+                      (rng.randint(-3, 3), [1] + [0] * (length - 1), 1),
+                      (-rng.randint(1, 6), [rng.randint(-99, 99) for _ in range(length)], 6)]
+            rng.shuffle(parts)
+            total, common = identities._over_lcm(parts)
+            assert common == math.lcm(*(den for _, _, den in parts)), trial
+            assert len(total) == length and all(type(t) is int for t in total), trial
+            assert [F(t, common) for t in total] == [
+                sum(F(c * nums[m], den) for c, nums, den in parts) for m in range(length)], trial
+
+
 class TestResidualExpansions:
     """_residual expands each distinct product at the point once, through
     SinhProduct.hurwitz: the adjoint serves the plethysm and an adjoint term

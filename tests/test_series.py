@@ -597,6 +597,26 @@ class TestEvenCoefficients:
             SinhProduct([(2, 1, "")], 1).even_coefficients(-1)
 
 
+def identity_constituents():
+    """Every distinct constituent of IDENTITY_TABLE (the adjoint, X2,
+    the three Y2 slots, the three Y3 and the three z11 slot orders) at
+    seeded sample_params points, those at a pole left out."""
+    from uqdim.identities import IDENTITY_TABLE, sample_params, term_product
+
+    adjoint = next(t for t in IDENTITY_TABLE["a2"].terms if t.kind == "adjoint")
+    terms = {(t.kind, t.perm): t for entry in IDENTITY_TABLE.values()
+             for t in (adjoint, *entry.terms)}
+    products = []
+    for index in range(6):
+        v = sample_params(34, index)
+        for term in terms.values():
+            try:
+                products.append(term_product(term, v))
+            except PoleAtParameters:
+                pass
+    return products
+
+
 class TestHurwitz:
     """hurwitz(order) gives the Hurwitz coefficients in u = (x / (4 q))^2 over
     the product's own q: nums[m] / (den (2m)! (16 q^2)^m) is the coefficient
@@ -652,6 +672,26 @@ class TestHurwitz:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             SinhProduct([(2, 1, "")], 1).hurwitz(-1)
+
+    # SHA-256 over repr(product.hurwitz(order)) of each product in turn: the
+    # unreduced numerators and denominator, not only their values, so that
+    # a faster kernel must give the very same integers.
+    @pytest.mark.parametrize("products, orders, count, digest", [
+        (identity_constituents, (17, 20), 66,
+         "481164d16a4425e4c0892af4b6c34a806e29556628cf3ae3c315864ea44ce8e9"),
+        (lambda: [cartan_power_product(vogel_params("e7"), 8)], (256,), 1,
+         "c3e26d5ca9f2cffaf63f34f59728cf6021e12b1e9a190f3f21376afda581c5ee"),
+    ], ids=["identity-constituents", "e7-cartan-8"])
+    def test_integers_are_pinned(self, products, orders, count, digest):
+        import hashlib
+
+        sha = hashlib.sha256()
+        built = products()
+        for order in orders:
+            for product in built:
+                sha.update(repr(product.hurwitz(order)).encode())
+        assert len(built) == count
+        assert sha.hexdigest() == digest
 
 
 def reference_residual(identity, v, order):
