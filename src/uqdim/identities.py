@@ -4,9 +4,9 @@ The symmetric square, antisymmetric square and symmetric cube of the adjoint
 character restricted to the Weyl line are plethysm combinations of the single
 function f(x) = qdim_adjoint.  Each identity equates such a combination with
 a constant plus a sum of universal characters.  Both sides are written once,
-as one entry of ``IDENTITY_TABLE``; every mode reads the right-hand side
-there, and only numeric mode's float plethysm (``_lhs_value``) mirrors the
-left-hand side instead.  Identities are checked at seeded random points:
+as one entry of ``IDENTITY_TABLE``, which every mode reads.  Both modes
+build a point's products once, in table order, the adjoint serving both
+sides.  Identities are checked at seeded random points:
 
 * series mode checks that every Taylor coefficient of LHS - RHS up to the
   given order is exactly zero at random rational points of Vogel's plane.
@@ -34,7 +34,7 @@ import functools
 import math
 import operator
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -69,8 +69,8 @@ Term = namedtuple("Term", "irrep kind perm multiplicity")
 #: One identity: the plethysm of f(x) = qdim_adjoint on the left, as
 #: (coefficient, dilations) pairs, each standing for coefficient *
 #: prod_{m in dilations} f(m x), summed over the divisor; on the right the
-#: integer constant plus the constituents in summation order (the order
-#: fixes the last bits of numeric residuals).
+#: integer constant plus the constituents in summation order (the order of
+#: either side fixes the last bits of numeric residuals).
 Identity = namedtuple("Identity", "divisor plethysm constant terms")
 
 #: (k, l) of z_product for the two mixed Cartan-product kinds.
@@ -145,15 +145,6 @@ class IdentityReport(NamedTuple):
         return not self.failures
 
 
-def _lhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """The plethysm of the adjoint at v, as the coefficients of x^0, x^2,
-    ..., x^(2*(order // 2)): integer numerators over one positive
-    denominator, not reduced."""
-    entry = _identity(identity)
-    parts = _plethysm(entry, adjoint_product(v).hurwitz(order))
-    return hurwitz_to_x(*_over_lcm(parts), v.point[3])
-
-
 def _plethysm(entry: Identity, f: tuple[list[int], int]) -> list[tuple[int, list[int], int]]:
     """The terms of the plethysm of ``f``, the adjoint's
     :meth:`~SinhProduct.hurwitz` output, as ``(coefficient, numerators,
@@ -172,32 +163,32 @@ def _plethysm(entry: Identity, f: tuple[list[int], int]) -> list[tuple[int, list
     return parts
 
 
-def _rhs_products(identity: str, v: VogelParams) -> list[tuple[int, SinhProduct]]:
-    """The universal characters on the right-hand side, with multiplicities."""
-    return [(t.multiplicity, term_product(t, v)) for t in _identity(identity).terms]
+def _rhs_products(entry: Identity, v: VogelParams) -> list[tuple[int, SinhProduct]]:
+    """The universal characters on the right-hand side at v, in table
+    order, with multiplicities: the one builder of a point's constituents,
+    for both modes and :func:`identity_rhs`."""
+    return [(t.multiplicity, term_product(t, v)) for t in entry.terms]
 
 
-def _rhs(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """The constant plus the universal characters at v, in table order, as
-    numerators over one denominator like :func:`_lhs`."""
-    parts = _constituents(_identity(identity), v, order, None)
-    return hurwitz_to_x(*_over_lcm(parts), v.point[3])
+def _lhs_adjoint(entry: Identity, products: list[tuple[int, SinhProduct]],
+                 v: VogelParams) -> SinhProduct:
+    """The adjoint at v for the left-hand side: the right-hand side's
+    adjoint term among ``products`` where it has one, else an adjoint built
+    after them."""
+    adjoint = [p for t, (_, p) in zip(entry.terms, products) if t.kind == "adjoint"]
+    return adjoint[0] if adjoint else adjoint_product(v)
 
 
-def _constituents(entry: Identity, v: VogelParams, order: int,
-                  adjoint: tuple[list[int], int] | None) -> list[tuple[int, list[int], int]]:
-    """The constant and the universal characters at v in table order, as
-    ``(multiplicity, numerators, denominator)`` from their
-    :meth:`~SinhProduct.hurwitz` outputs, all in the u of the point's q.
-    An adjoint term reads ``adjoint``, the adjoint's output, when it is
-    given."""
+def _constituents(entry: Identity, products: list[tuple[int, SinhProduct]], order: int,
+                  f: tuple[list[int], int] | None) -> list[tuple[int, list[int], int]]:
+    """The constant and ``products`` in table order, as ``(multiplicity,
+    numerators, denominator)`` from their :meth:`~SinhProduct.hurwitz`
+    outputs, all in the u of the point's q.  An adjoint term reads ``f``,
+    the adjoint's output, when it is given."""
     parts = [(entry.constant, [1] + [0] * (order // 2), 1)]
-    for term in entry.terms:
-        if term.kind == "adjoint" and adjoint is not None:
-            nums, den = adjoint
-        else:
-            nums, den = term_product(term, v).hurwitz(order)
-        parts.append((term.multiplicity, nums, den))
+    for term, (multiplicity, product) in zip(entry.terms, products):
+        nums, den = f if f is not None and term.kind == "adjoint" else product.hurwitz(order)
+        parts.append((multiplicity, nums, den))
     return parts
 
 
@@ -226,44 +217,61 @@ def _over_lcm(parts: list[tuple[int, list[int], int]]) -> tuple[list[int], int]:
 
 
 def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int]:
-    """LHS - RHS at v, as numerators over one denominator like :func:`_lhs`.
-    The adjoint is expanded once, for the plethysm and for an adjoint term
-    alike, and both sides are summed in u over one lcm; only the residual
-    is read in x."""
+    """LHS - RHS at v, as the coefficients of x^0, x^2, ...,
+    x^(2*(order // 2)): integer numerators over one positive denominator,
+    not reduced.  The adjoint is expanded once, for the plethysm and for an
+    adjoint term alike, and both sides are summed in u over one lcm; only
+    the residual is read in x."""
     entry = _identity(identity)
-    f = adjoint_product(v).hurwitz(order)
+    products = _rhs_products(entry, v)
+    f = _lhs_adjoint(entry, products, v).hurwitz(order)
     parts = _plethysm(entry, f) + [(-c, nums, den) for c, nums, den
-                                   in _constituents(entry, v, order, f)]
+                                   in _constituents(entry, products, order, f)]
     return hurwitz_to_x(*_over_lcm(parts), v.point[3])
 
 
 def identity_lhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The plethysm of the adjoint at v to the given order, exactly."""
-    return PowerSeries.from_even(*_lhs(identity, v, order), order)
+    parts = _plethysm(_identity(identity), adjoint_product(v).hurwitz(order))
+    return PowerSeries.from_even(*hurwitz_to_x(*_over_lcm(parts), v.point[3]), order)
 
 
 def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """The sum of universal characters at v to the given order, exactly."""
-    return PowerSeries.from_even(*_rhs(identity, v, order), order)
+    entry = _identity(identity)
+    parts = _constituents(entry, _rhs_products(entry, v), order, None)
+    return PowerSeries.from_even(*hurwitz_to_x(*_over_lcm(parts), v.point[3]), order)
 
 
-def _lhs_value(identity: str, adj: SinhProduct, x: float) -> float:
-    """The plethysms of IDENTITY_TABLE written out in floats; it mirrors the
-    table in the operation order that fixes the last bits of numeric
-    residuals (``f1 ** 3`` is not ``f1 * f1 * f1``)."""
-    f1 = adj.value_at(x)
-    f2 = adj.value_at(2 * x)
-    if identity == S2_SYM:
-        return 0.5 * (f1 * f1 + f2)
-    if identity == A2_ANTISYM:
-        return 0.5 * (f1 * f1 - f2)
-    f3 = adj.value_at(3 * x)
-    return (f1 ** 3 + 3 * f2 * f1 + 2 * f3) / 6.0
+@functools.cache
+def _lhs_plan(entry: Identity) -> tuple[tuple[int, ...], tuple]:
+    """The plethysm of ``entry`` for :func:`_lhs_value`: its distinct
+    dilations in table order, and each term's coefficient with its
+    ``(dilation, power)`` pairs in table order."""
+    dilations = tuple(dict.fromkeys(m for _, ms in entry.plethysm for m in ms))
+    return dilations, tuple((c, tuple(Counter(ms).items())) for c, ms in entry.plethysm)
 
 
-def _rhs_value(identity: str, products: list[tuple[int, SinhProduct]],
-               x: float) -> float:
-    total = float(_identity(identity).constant)
+def _lhs_value(entry: Identity, adj: SinhProduct, x: float) -> float:
+    """The plethysm of ``entry`` in floats.  Every dilation f(m x) is
+    evaluated first; then each term is its coefficient times its values in
+    table order, a repeated value as a power (a square as f * f, which
+    overflows to inf where f ** 2 raises), and the terms are summed in
+    table order and divided by the divisor.  That order fixes the last bits
+    of numeric residuals (``f ** 3`` is not ``f * f * f``)."""
+    dilations, terms = _lhs_plan(entry)
+    values = {m: adj.value_at(m * x) for m in dilations}
+    total = -0.0  # x + -0.0 is x, bit for bit, for every float x
+    for term, powers in terms:
+        for m, n in powers:
+            f = values[m]
+            term *= f if n == 1 else f * f if n == 2 else f ** n
+        total += term
+    return total / entry.divisor
+
+
+def _rhs_value(entry: Identity, products: list[tuple[int, SinhProduct]], x: float) -> float:
+    total = float(entry.constant)
     for mult, product in products:
         total += mult * product.value_at(x)
     return total
@@ -309,20 +317,22 @@ def verify_identity(identity: str, mode: str = SERIES, order: int = DEFAULT_ORDE
     1. four ``uniform`` calls: alpha, beta and gamma in [-8, 8], then x;
     2. the coordinate screen: a coordinate within ``POLE_MARGIN`` of 0
        rejects the draw;
-    3. every right-hand constituent, then the adjoint, is built through the
-       module-level builders; a vanishing denominator rejects the draw;
+    3. every right-hand constituent is built in table order through the
+       module-level builders, then the adjoint unless an adjoint term is
+       among them; a vanishing denominator rejects the draw;
     4. the margin screen: ``_near_pole`` on each constituent in table
        order, up to the first that is near a pole.  Not on the adjoint: its
        denominators are alpha, beta and gamma, which step 2 screens;
-    5. ``_lhs_value`` and ``_rhs_value`` give the residual.
+    5. ``_lhs_value``, the plethysm read from the table, and
+       ``_rhs_value`` give the residual.
     """
-    _identity(identity)
+    entry = _identity(identity)
     if trials < 1 or (mode == SERIES and order < 1):
         raise ValueError("order and trials must be positive")
     if mode == SERIES:
         return _verify_series(identity, order, trials, seed)
     if mode == NUMERIC:
-        return _verify_numeric(identity, trials, seed)
+        return _verify_numeric(identity, entry, trials, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -367,7 +377,7 @@ def _near_pole(product: SinhProduct) -> bool:
     return False
 
 
-def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
+def _verify_numeric(identity: str, entry: Identity, trials: int, seed: int) -> IdentityReport:
     rng = random.Random(seed * 1_000_003 + 12345)
     failures = []
     worst = 0.0
@@ -383,8 +393,8 @@ def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
             continue
         try:
             v = VogelParams(a, b, c)  # each float becomes its exact Fraction
-            products = _rhs_products(identity, v)
-            adj = adjoint_product(v)
+            products = _rhs_products(entry, v)
+            adj = _lhs_adjoint(entry, products, v)
         except PoleAtParameters:
             continue
         for _, product in products:
@@ -392,9 +402,7 @@ def _verify_numeric(identity: str, trials: int, seed: int) -> IdentityReport:
                 break
         else:
             accepted += 1
-            lhs = _lhs_value(identity, adj, x)
-            rhs = _rhs_value(identity, products, x)
-            residual = _relative_residual(lhs, rhs)
+            residual = _relative_residual(_lhs_value(entry, adj, x), _rhs_value(entry, products, x))
             worst = max(worst, residual)
             if residual > NUMERIC_TOLERANCE:
                 failures.append(((a, b, c, x), f"relative residual {residual:.3e}"))

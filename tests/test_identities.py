@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from uqdim import (
     vogel_params,
 )
 from uqdim import identities
+from uqdim.errors import FloatEvaluationError
 from uqdim.series import SinhProduct
 
 from conftest import reference_lhs, reference_rhs, sample_regular_points
@@ -62,9 +64,31 @@ class TestPlethysms:
             assert identity_lhs(S3_SYM_CUBE, vogel_params(name), 4).constant_term == total
 
 
+def written_lhs(identity, adj, x):
+    """Numeric mode's float plethysms as they were written out by name
+    before _lhs_value read them from IDENTITY_TABLE."""
+    f1 = adj.value_at(x)
+    f2 = adj.value_at(2 * x)
+    if identity == S2_SYM:
+        return 0.5 * (f1 * f1 + f2)
+    if identity == A2_ANTISYM:
+        return 0.5 * (f1 * f1 - f2)
+    f3 = adj.value_at(3 * x)
+    return (f1 ** 3 + 3 * f2 * f1 + 2 * f3) / 6.0
+
+
+def float_outcome(evaluate, *args):
+    """A float's bits, or the type of the exception raised instead."""
+    try:
+        return evaluate(*args).hex()
+    except Exception as exc:  # noqa: BLE001  (the type is the outcome)
+        return type(exc)
+
+
 class TestFloatPlethysm:
-    """Numeric mode's float plethysm (_lhs_value) is written out by name;
-    it must agree with the table's plethysm evaluated from adj.value_at."""
+    """Numeric mode's float plethysm (_lhs_value) reads IDENTITY_TABLE's
+    plethysm; it agrees with the table evaluated from adj.value_at, and bit
+    for bit with the formulas once written out by name."""
 
     @staticmethod
     def worst_drift(identity):
@@ -83,8 +107,8 @@ class TestFloatPlethysm:
                     term *= adj.value_at(m * x)
                 table += term
             table /= entry.divisor
-            written = identities._lhs_value(identity, adj, x)
-            worst = max(worst, abs(written - table) / max(abs(written), abs(table)))
+            planned = identities._lhs_value(entry, adj, x)
+            worst = max(worst, abs(planned - table) / max(abs(planned), abs(table)))
         return worst
 
     @pytest.mark.parametrize("identity", identities.IDENTITIES)
@@ -93,11 +117,38 @@ class TestFloatPlethysm:
 
     @pytest.mark.parametrize("identity", identities.IDENTITIES)
     def test_patched_coefficient_is_caught(self, monkeypatch, identity):
+        # Numeric verify reads the plethysm from the table: one coefficient
+        # more on its last term makes every point fail.
         entry = identities.IDENTITY_TABLE[identity]
         *head, (coefficient, dilations) = entry.plethysm
         patched = entry._replace(plethysm=(*head, (coefficient + 1, dilations)))
         monkeypatch.setitem(identities.IDENTITY_TABLE, identity, patched)
-        assert self.worst_drift(identity) > 1e-6
+        report = verify_identity(identity, mode=NUMERIC, trials=20, seed=0)
+        assert report.points_checked == len(report.failures) == 20
+        assert report.max_abs_residual > 1e-3
+
+    def test_bit_identical_to_written_formulas(self):
+        # alpha, beta and gamma uniform in [-8, 8] and |x| <= 40, so that
+        # value_at overflows (FloatEvaluationError) at some points and, at a
+        # few, f(x) * f(x) overflows to inf where f ** 2 would raise.
+        from uqdim.universal import adjoint_product
+
+        rng = random.Random(3500)
+        outcomes = collections.Counter()
+        for _ in range(8000):
+            abc = [rng.uniform(-8.0, 8.0) for _ in range(3)]
+            x = rng.uniform(-40.0, 40.0)
+            try:
+                adj = adjoint_product(VogelParams(*abc))
+            except identities.PoleAtParameters:
+                continue
+            for identity, entry in identities.IDENTITY_TABLE.items():
+                planned = float_outcome(identities._lhs_value, entry, adj, x)
+                assert planned == float_outcome(written_lhs, identity, adj, x), (abc, x)
+                outcomes[planned if isinstance(planned, type) else
+                         "finite" if planned.startswith(("0x", "-0x")) else planned] += 1
+        assert outcomes["finite"] > 20000
+        assert outcomes[FloatEvaluationError] > 2000 and outcomes["inf"] > 0
 
 
 class TestIdentitySides:
@@ -146,7 +197,7 @@ class TestSideViews:
     def test_sides_match_reference(self, identity, order):
         points = sample_regular_points(
             900 + order, 2 if order == 40 else 4,
-            lambda v: identities._rhs_products(identity, v))
+            lambda v: identities._rhs_products(identities.IDENTITY_TABLE[identity], v))
         for v in points:
             lhs = identity_lhs(identity, v, order)
             rhs = identity_rhs(identity, v, order)
@@ -428,7 +479,8 @@ class TestPoleMargin:
             c = rng.choice((1, -1)) * rng.choice((0.0, a, b, a - b, a + b, 2 * a))
             v = VogelParams(F(a), F(b), F(c + rng.uniform(-0.003, 0.003)))
             try:
-                products = [p for _, p in identities._rhs_products(identity, v)]
+                entry = identities.IDENTITY_TABLE[identity]
+                products = [p for _, p in identities._rhs_products(entry, v)]
                 products.append(identities.adjoint_product(v))
             except identities.PoleAtParameters:
                 continue

@@ -707,13 +707,14 @@ class TestIntegerResidual:
 
     @staticmethod
     def points(identity, count, seed):
-        from uqdim.identities import _rhs_products
+        from uqdim.identities import IDENTITY_TABLE, _rhs_products
         from uqdim.universal import adjoint_product
 
         from conftest import sample_regular_points
 
         return sample_regular_points(
-            seed, count, lambda v: (adjoint_product(v), _rhs_products(identity, v)))
+            seed, count,
+            lambda v: (adjoint_product(v), _rhs_products(IDENTITY_TABLE[identity], v)))
 
     @staticmethod
     def check(identity, v, order):
