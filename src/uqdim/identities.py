@@ -170,13 +170,30 @@ def _rhs_products(entry: Identity, v: VogelParams) -> list[tuple[int, SinhProduc
     return [(t.multiplicity, term_product(t, v)) for t in entry.terms]
 
 
-def _lhs_adjoint(entry: Identity, products: list[tuple[int, SinhProduct]],
+#: How the left-hand side of an identity is read at a point: the position
+#: of the right-hand adjoint term, whose product is also the plethysm's
+#: adjoint (None where there is none), the divisor, the plethysm's distinct
+#: dilations in table order, and each of its terms as the coefficient with
+#: (dilation, power) pairs in table order.
+LhsPlan = namedtuple("LhsPlan", "adjoint divisor dilations terms")
+
+
+@functools.cache
+def _lhs_plan(entry: Identity) -> LhsPlan:
+    """The left-hand side of ``entry`` as an :data:`LhsPlan`, built once
+    per entry, so that a changed table entry gets its own plan."""
+    adjoint = next((i for i, t in enumerate(entry.terms) if t.kind == "adjoint"), None)
+    dilations = tuple(dict.fromkeys(m for _, ms in entry.plethysm for m in ms))
+    terms = tuple((c, tuple(Counter(ms).items())) for c, ms in entry.plethysm)
+    return LhsPlan(adjoint, entry.divisor, dilations, terms)
+
+
+def _lhs_adjoint(plan: LhsPlan, products: list[tuple[int, SinhProduct]],
                  v: VogelParams) -> SinhProduct:
-    """The adjoint at v for the left-hand side: the right-hand side's
-    adjoint term among ``products`` where it has one, else an adjoint built
-    after them."""
-    adjoint = [p for t, (_, p) in zip(entry.terms, products) if t.kind == "adjoint"]
-    return adjoint[0] if adjoint else adjoint_product(v)
+    """The adjoint at v for the left-hand side: the product of the
+    right-hand adjoint term where there is one, else one built after the
+    right-hand ``products``."""
+    return adjoint_product(v) if plan.adjoint is None else products[plan.adjoint][1]
 
 
 def _constituents(entry: Identity, products: list[tuple[int, SinhProduct]], order: int,
@@ -224,7 +241,7 @@ def _residual(identity: str, v: VogelParams, order: int) -> tuple[list[int], int
     the residual is read in x."""
     entry = _identity(identity)
     products = _rhs_products(entry, v)
-    f = _lhs_adjoint(entry, products, v).hurwitz(order)
+    f = _lhs_adjoint(_lhs_plan(entry), products, v).hurwitz(order)
     parts = _plethysm(entry, f) + [(-c, nums, den) for c, nums, den
                                    in _constituents(entry, products, order, f)]
     return hurwitz_to_x(*_over_lcm(parts), v.point[3])
@@ -243,31 +260,20 @@ def identity_rhs(identity: str, v: VogelParams, order: int = DEFAULT_ORDER) -> P
     return PowerSeries.from_even(*hurwitz_to_x(*_over_lcm(parts), v.point[3]), order)
 
 
-@functools.cache
-def _lhs_plan(entry: Identity) -> tuple[tuple[int, ...], tuple]:
-    """The plethysm of ``entry`` for :func:`_lhs_value`: its distinct
-    dilations in table order, and each term's coefficient with its
-    ``(dilation, power)`` pairs in table order."""
-    dilations = tuple(dict.fromkeys(m for _, ms in entry.plethysm for m in ms))
-    return dilations, tuple((c, tuple(Counter(ms).items())) for c, ms in entry.plethysm)
-
-
-def _lhs_value(entry: Identity, adj: SinhProduct, x: float) -> float:
-    """The plethysm of ``entry`` in floats.  Every dilation f(m x) is
-    evaluated first; then each term is its coefficient times its values in
-    table order, a repeated value as a power (a square as f * f, which
+def _lhs_value(plan: LhsPlan, adj: SinhProduct, x: float) -> float:
+    """The plethysm of a plan's identity in floats.  Every dilation f(m x)
+    is evaluated first; then each term is its coefficient times its values
+    in table order, a repeated value as a power (a square as f * f, which
     overflows to inf where f ** 2 raises), and the terms are summed in
     table order and divided by the divisor.  That order fixes the last bits
     of numeric residuals (``f ** 3`` is not ``f * f * f``)."""
-    dilations, terms = _lhs_plan(entry)
-    values = {m: adj.value_at(m * x) for m in dilations}
+    values = {m: adj.value_at(m * x) for m in plan.dilations}
     total = -0.0  # x + -0.0 is x, bit for bit, for every float x
-    for term, powers in terms:
+    for term, powers in plan.terms:
         for m, n in powers:
-            f = values[m]
-            term *= f if n == 1 else f * f if n == 2 else f ** n
+            term *= values[m] if n == 1 else values[m] * values[m] if n == 2 else values[m] ** n
         total += term
-    return total / entry.divisor
+    return total / plan.divisor
 
 
 def _rhs_value(entry: Identity, products: list[tuple[int, SinhProduct]], x: float) -> float:
@@ -321,8 +327,9 @@ def verify_identity(identity: str, mode: str = SERIES, order: int = DEFAULT_ORDE
        module-level builders, then the adjoint unless an adjoint term is
        among them; a vanishing denominator rejects the draw;
     4. the margin screen: ``_near_pole`` on each constituent in table
-       order, up to the first that is near a pole.  Not on the adjoint: its
-       denominators are alpha, beta and gamma, which step 2 screens;
+       order, up to the first that is near a pole.  Not on an adjoint
+       built for the left-hand side alone: its denominators are alpha,
+       beta and gamma, which step 2 screens;
     5. ``_lhs_value``, the plethysm read from the table, and
        ``_rhs_value`` give the residual.
     """
@@ -378,6 +385,7 @@ def _near_pole(product: SinhProduct) -> bool:
 
 
 def _verify_numeric(identity: str, entry: Identity, trials: int, seed: int) -> IdentityReport:
+    plan = _lhs_plan(entry)
     rng = random.Random(seed * 1_000_003 + 12345)
     failures = []
     worst = 0.0
@@ -394,7 +402,7 @@ def _verify_numeric(identity: str, entry: Identity, trials: int, seed: int) -> I
         try:
             v = VogelParams(a, b, c)  # each float becomes its exact Fraction
             products = _rhs_products(entry, v)
-            adj = _lhs_adjoint(entry, products, v)
+            adj = _lhs_adjoint(plan, products, v)
         except PoleAtParameters:
             continue
         for _, product in products:
@@ -402,7 +410,7 @@ def _verify_numeric(identity: str, entry: Identity, trials: int, seed: int) -> I
                 break
         else:
             accepted += 1
-            residual = _relative_residual(_lhs_value(entry, adj, x), _rhs_value(entry, products, x))
+            residual = _relative_residual(_lhs_value(plan, adj, x), _rhs_value(entry, products, x))
             worst = max(worst, residual)
             if residual > NUMERIC_TOLERANCE:
                 failures.append(((a, b, c, x), f"relative residual {residual:.3e}"))
