@@ -202,11 +202,9 @@ def _constituents(entry: Identity, products: list[tuple[int, SinhProduct]], orde
     numerators, denominator)`` from their :meth:`~SinhProduct.hurwitz`
     outputs, all in the u of the point's q.  An adjoint term reads ``f``,
     the adjoint's output, when it is given."""
-    parts = [(entry.constant, [1] + [0] * (order // 2), 1)]
-    for term, (multiplicity, product) in zip(entry.terms, products):
-        nums, den = f if f is not None and term.kind == "adjoint" else product.hurwitz(order)
-        parts.append((multiplicity, nums, den))
-    return parts
+    return [(entry.constant, [1] + [0] * (order // 2), 1)] + [
+        (mult, *(f if f is not None and term.kind == "adjoint" else product.hurwitz(order)))
+        for term, (mult, product) in zip(entry.terms, products)]
 
 
 @functools.cache
