@@ -18,13 +18,12 @@ expand them to exact series.  A vanishing denominator form raises
 :class:`PoleAtParameters` before anything is expanded; no limits are taken
 across parameter-space poles.
 
-The blocks of the mixed Cartan-product formula telescope: several linear
-forms appear once as a numerator of one block and once as a denominator of
-another (they are the surviving border terms of one long Weyl-formula
-product).  Those pairs are cancelled symbolically, as coefficient vectors,
-when the program is compiled -- identical forms cancel exactly, so this is
-simplification, not limit-taking, and it keeps the assembled product regular
-wherever the underlying character is.
+Cartan(n) and Z(k, l) are products of telescoping blocks, each a head plus a
+progression; the paper's f(k, l) is Z's four heads.  Forms that appear once as
+a numerator and once as a denominator (border terms of one long Weyl-formula
+product) are cancelled symbolically, as coefficient vectors, when the program
+is compiled -- identical forms cancel exactly, so this is simplification, not
+limit-taking, and it keeps the product regular wherever the character is.
 """
 
 from __future__ import annotations
@@ -438,47 +437,49 @@ def x2_product(v: VogelParams) -> SinhProduct:
 
 
 # ---------------------------------------------------------------------------
-# block form generators for the mixed Cartan products
+# telescoping blocks of the Cartan powers and mixed Cartan products
 # ---------------------------------------------------------------------------
 
-FormLists = tuple[list[Form], list[Form]]
+Row = tuple[Form, Form]
+CancelledForms = tuple[tuple[Form, ...], tuple[Form, ...], int]
 
 
-def _f_forms(k: int, l: int) -> FormLists:
-    nums = [
-        (3 - 2 * k - 2 * l, 2, 2),
-        (3 - 2 * l, 0, 2),
-        (3 - k - 2 * l, 1, 2),
-        (-k, 1, 0),
-    ]
-    dens = [(3, 2, 2), (3, 0, 2), (3, 1, 2), (0, 1, 0)]
-    return nums, dens
+class _Block(NamedTuple):
+    """A block of sinh ratios as data: a head and progression rows, each a
+    (num, den) pair of forms at index 0.  ``at(n)`` lists the head with its
+    numerator moved by n*head_step along alpha, then, for i = 1..n in turn,
+    every row moved by i*step along alpha."""
+
+    head: Row
+    head_step: int
+    rows: tuple[Row, ...]
+    step: int
+
+    def at(self, n: int) -> list[Row]:
+        (a, b, c), den = self.head
+        moves = range(self.step, self.step * (n + 1), self.step)  # i*step for i = 1..n
+        return [((a + n * self.head_step, b, c), den)] + [
+            ((x + s, y, z), (u + s, v, w)) for s in moves for (x, y, z), (u, v, w) in self.rows]
 
 
-def _block(rows: tuple[tuple[Form, Form], ...], step: int) -> Callable[[int], FormLists]:
-    """The forms of a block that is an arithmetic progression in its index:
-    at index n, for i = 1..n in turn, every (num, den) row moved by i*step
-    along alpha."""
-    def forms(n: int) -> FormLists:
-        moves = range(step, step * (n + 1), step)  # i*step for i = 1..n
-        return ([(a + s, b, c) for s in moves for (a, b, c), _ in rows],
-                [(a + s, b, c) for s in moves for _, (a, b, c) in rows])
-    return forms
+def _gamma_minus_beta(row: Row) -> Row:
+    return tuple((a, b - c, c) for a, b, c in row)
 
 
-# Every block but f, written once as rows: (num, den) forms at index 0.  b
-# holds the border roots of the n-th Cartan power of the adjoint; b~ is b at
-# (alpha, beta, gamma - beta), its rows computed from b's here, once.
-_B_ROWS = (((3, 2, 1), (1, 0, 1)), ((3, 1, 2), (1, 1, 0)), ((4, 2, 2), (0, 0, 0)))
-_a_forms = _block((((3, 0, 2), (1, 2, 0)), ((4, 1, 2), (0, 1, 0)), ((3, 2, 1), (1, 0, 1))), -1)
-_b_forms = _block(_B_ROWS, -1)
-_btilde_forms = _block(tuple(tuple((a, b - c, c) for a, b, c in row) for row in _B_ROWS), -1)
-_c1_forms = _block((((4, 2, 2), (3, 0, 2)),), -1)
-_c2_forms = _block((((-1, -2, 0), (0, 0, 0)),), 1)
+# Cartan(n) is block b at index n, and Z(k, l) is a, b~, c1 and c2 at k + l,
+# l, k + 2l and k; the f(k, l) of Z(k, l) is their four heads.  b holds the
+# border roots of the n-th Cartan power of the adjoint, and a shares its
+# head.  b~ is b at (alpha, beta, gamma - beta), head and rows computed from
+# b's here, once.
+_B = _Block(((3, 2, 2), (3, 2, 2)), -2,
+            (((3, 2, 1), (1, 0, 1)), ((3, 1, 2), (1, 1, 0)), ((4, 2, 2), (0, 0, 0))), -1)
+_A = _B._replace(rows=(((3, 0, 2), (1, 2, 0)), ((4, 1, 2), (0, 1, 0)), ((3, 2, 1), (1, 0, 1))))
+_BTILDE = _B._replace(head=_gamma_minus_beta(_B.head), rows=tuple(map(_gamma_minus_beta, _B.rows)))
+_C1 = _Block(((3, 1, 2), (3, 1, 2)), -1, (((4, 2, 2), (3, 0, 2)),), -1)
+_C2 = _Block(((0, 1, 0), (0, 1, 0)), -1, (((-1, -2, 0), (0, 0, 0)),), 1)
 
 
-def _cancel_forms(nums: list[Form], dens: list[Form]
-                  ) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
+def _cancel_forms(nums: tuple[Form, ...], dens: tuple[Form, ...]) -> CancelledForms:
     """Remove numerator/denominator pairs that are identical linear forms
     (or negatives of each other, flipping the sign): sinh(F)/sinh(F) = 1 and
     sinh(-F)/sinh(F) = -1 identically, for the form F as a whole function.
@@ -506,25 +507,20 @@ def _cancel_forms(nums: list[Form], dens: list[Form]
     return tuple(kept_nums), tuple(kept_dens), sign
 
 
-def _cartan_forms(n: int) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
-    nums, dens = _b_forms(n)
-    nums = [(3 - 2 * n, 2, 2)] + nums
-    dens = [(3, 2, 2)] + dens
-    return _cancel_forms(nums, dens)
+def _blocks_forms(indexed: tuple[tuple[_Block, int], ...]) -> CancelledForms:
+    """The cancelled forms of a product of blocks, each at its index: every
+    head in turn, then every progression in turn."""
+    listed = [block.at(n) for block, n in indexed]
+    rows = [at[0] for at in listed] + [row for at in listed for row in at[1:]]
+    return _cancel_forms(*zip(*rows))
 
 
-def _z_forms(k: int, l: int) -> tuple[tuple[Form, ...], tuple[Form, ...], int]:
-    nums, dens = [], []
-    for gen_nums, gen_dens in (
-        _f_forms(k, l),
-        _a_forms(k + l),
-        _btilde_forms(l),
-        _c1_forms(k + 2 * l),
-        _c2_forms(k),
-    ):
-        nums += gen_nums
-        dens += gen_dens
-    return _cancel_forms(nums, dens)
+def _cartan_forms(n: int) -> CancelledForms:
+    return _blocks_forms(((_B, n),))
+
+
+def _z_forms(k: int, l: int) -> CancelledForms:
+    return _blocks_forms(((_A, k + l), (_BTILDE, l), (_C1, k + 2 * l), (_C2, k)))
 
 
 @lru_cache(maxsize=None)
@@ -549,8 +545,8 @@ def cartan_power_product(v: VogelParams, n: int) -> SinhProduct:
 
 def z_product(v: VogelParams, k: int, l: int) -> SinhProduct:
     """Weyl-line character of the Cartan product of k adjoints and l copies
-    of Y2(beta), assembled from its five blocks with the cross-block
-    telescoping pairs cancelled symbolically."""
+    of Y2(beta): four blocks, each a head plus a progression (the heads are
+    f(k, l)), with the cross-block telescoping pairs cancelled symbolically."""
     if k < 0 or l < 0:
         raise ValueError("k and l must be non-negative")
     return _materialize(_z_program(k, l), v)

@@ -280,7 +280,7 @@ def test_criterion_8_invariance_suite():
             continue
         assert qdim_z(v, 1, 1, 12) == swapped
 
-    # pure Cartan powers: the five-block product reduces exactly
+    # pure Cartan powers: the four-block product reduces exactly
     for v in points[:15]:
         for n in (1, 2, 3):
             assert qdim_z(v, n, 0, 12) == qdim_cartan_adjoint(v, n, 12)

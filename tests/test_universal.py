@@ -58,22 +58,44 @@ DUAL_COXETER = {
 }
 
 
-def _block(forms, context):
-    """The series of one block of the mixed Cartan product at v.  The
-    library compiles whole formulas only; a block's forms go through the
-    same program and product: block(v, *params, order)."""
+def block_product(rows, v, context="block"):
+    """The product at v of (num, den) rows of the mixed Cartan product's
+    blocks.  The library compiles whole formulas only; the rows go through
+    the same program and product."""
+    program = universal._forms_program(*rows_forms(rows), 1, context)
+    return universal._materialize(program, v)
+
+
+def _block(rows, context):
+    """The series at v of the rows ``rows(*params)``: block(v, *params, order)."""
     def series(v, *args):
         *params, order = args
-        program = universal._forms_program(*forms(*params), 1, context)
-        return universal._materialize(program, v).series(order)
+        return block_product(rows(*params), v, context).series(order)
     return series
 
 
-z_block_a = _block(universal._a_forms, "z_block_a")
-z_block_c1 = _block(universal._c1_forms, "z_block_c1")
-z_block_c2 = _block(universal._c2_forms, "z_block_c2")
-z_block_f = _block(universal._f_forms, "z_block_f")
-z_block_btilde = _block(universal._btilde_forms, "z_block_btilde")
+def rows_forms(rows):
+    """(num, den) rows as a list of numerators and a list of denominators."""
+    return [num for num, _ in rows], [den for _, den in rows]
+
+
+def progression(block):
+    """A block's progression rows at index n, without its head."""
+    return lambda n: block.at(n)[1:]
+
+
+def f_rows(k, l):
+    """f(k, l): the heads of Z(k, l)'s blocks a, b~, c1 and c2, at k + l, l,
+    k + 2l and k."""
+    blocks = (universal._A, universal._BTILDE, universal._C1, universal._C2)
+    return [block.at(n)[0] for block, n in zip(blocks, (k + l, l, k + 2 * l, k))]
+
+
+z_block_a = _block(progression(universal._A), "z_block_a")
+z_block_c1 = _block(progression(universal._C1), "z_block_c1")
+z_block_c2 = _block(progression(universal._C2), "z_block_c2")
+z_block_f = _block(f_rows, "z_block_f")
+z_block_btilde = _block(progression(universal._BTILDE), "z_block_btilde")
 
 
 def j_dim_formula(lam):
@@ -403,6 +425,32 @@ class TestZBlocks:
             expected = expected * sinh_ratio_series(2 * c + 2 * b + (4 - i) * a,
                                                     -i * a, 10)
         assert z_block_btilde(v, 2, 10) == expected
+
+    def test_btilde_is_b_at_gamma_minus_beta(self):
+        # b~ is the one derived block: at v, head and progression each are
+        # the same function as b's at (alpha, beta, gamma - beta), and for
+        # n >= 1 not as b's at v itself.
+        b, btilde = universal._B, universal._BTILDE
+
+        def at_gamma_minus_beta(v):
+            return VogelParams(v.alpha, v.beta, v.gamma - v.beta)
+
+        def parts(block, n):
+            rows = block.at(n)
+            return rows[:1], rows[1:]
+
+        def probe(v):
+            # index 8 has every denominator of the indices below it
+            for block, u in ((b, v), (b, at_gamma_minus_beta(v)), (btilde, v)):
+                block_product(block.at(8), u)
+
+        for v in sample_regular_points(36, 6, probe):
+            w = at_gamma_minus_beta(v)
+            for n in range(9):
+                for derived, rows in zip(parts(btilde, n), parts(b, n)):
+                    assert block_product(derived, v).same_function(block_product(rows, w)), (v, n)
+                    assert n == 0 or not block_product(derived, v).same_function(
+                        block_product(rows, v)), (v, n)
 
     def test_f_block_trivial_at_origin(self):
         v = rand_params(random.Random(47))
@@ -734,16 +782,14 @@ PROGRAM_CASES = (
 )
 
 BLOCK_CASES = (
-    [(f"a-{n}", lambda v, n=n: z_block_a(v, n, 10), universal._a_forms(n), "z_block_a")
+    [(f"{name}-{n}", lambda v, build=build, n=n: build(v, n, 10),
+      rows_forms(progression(block)(n)), f"z_block_{name}")
+     for name, build, block in (("a", z_block_a, universal._A), ("c1", z_block_c1, universal._C1),
+                                ("c2", z_block_c2, universal._C2),
+                                ("btilde", z_block_btilde, universal._BTILDE))
      for n in range(4)]
-    + [(f"c1-{n}", lambda v, n=n: z_block_c1(v, n, 10), universal._c1_forms(n), "z_block_c1")
-       for n in range(4)]
-    + [(f"c2-{n}", lambda v, n=n: z_block_c2(v, n, 10), universal._c2_forms(n), "z_block_c2")
-       for n in range(4)]
     + [(f"f-{k}-{l}", lambda v, k=k, l=l: z_block_f(v, k, l, 10),
-        universal._f_forms(k, l), "z_block_f") for k in range(3) for l in range(3)]
-    + [(f"btilde-{l}", lambda v, l=l: z_block_btilde(v, l, 10),
-        universal._btilde_forms(l), "z_block_btilde") for l in range(4)]
+        rows_forms(f_rows(k, l)), "z_block_f") for k in range(3) for l in range(3)]
 )
 
 
@@ -861,7 +907,7 @@ class TestFormPrograms:
 
     # SHA-256 over repr((sign, sinh, cosh, context)) of each program in turn:
     # forms, factor order, labels and sign, so that no change to the block
-    # rows or to _cancel_forms moves a factor of any program.
+    # heads and rows or to _cancel_forms moves a factor of any program.
     @pytest.mark.parametrize("programs, digest", [
         (lambda: [universal._ADJOINT_PROGRAM],
          "d8334a41de1bd3839c66bdde5fcfe8840546593338085ca3c942fa708ddbde6b"),
@@ -873,7 +919,11 @@ class TestFormPrograms:
          "ebba47260af404eec2cff3a13f6f33d73e332602711ef729ffdec325d5f75bd3"),
         (lambda: [universal._z_program(k, l) for k in range(9) for l in range(9)],
          "61e4841a7b6f61ba1474b676b4a6a1dd825549f5685f3c14a6c4fe202bca2d7f"),
-    ], ids=["adjoint", "x2", "y2", "cartan", "z"])
+        (lambda: [universal._cartan_program(n) for n in range(201)],
+         "11eb1c65509ef528242e47b03567ecd660abe001f79e7b0c2f158e8574f03bac"),
+        (lambda: [universal._z_program(k, l) for k in range(17) for l in range(17)],
+         "5488be5fc108bb9d6c493e41d0a2c952b749a7d5240ca814fac0bd477b381284"),
+    ], ids=["adjoint", "x2", "y2", "cartan", "z", "cartan-200", "z-16"])
     def test_compiled_programs_are_pinned(self, programs, digest):
         sha = hashlib.sha256()
         for p in programs():
